@@ -97,6 +97,7 @@ from .states import (
     superpose,
 )
 from .tomography import (
+    MAX_DENSE_BYTES,
     PSD_CLIP_TOL,
     VARIANTS,
     TomographySet,
@@ -158,6 +159,7 @@ __all__ = [
     # tomography
     "VARIANTS",
     "PSD_CLIP_TOL",
+    "MAX_DENSE_BYTES",
     "TomographySet",
     "build_tomography_set",
     "predict_probabilities",

@@ -151,6 +151,17 @@ def _load(path: str, kind: str, flag: str):
     return obj
 
 
+def _json_numbers(values: list, where: str) -> list:
+    """``values`` as floats, or SchemaError unless every entry is a JSON number."""
+    for idx, x in enumerate(values):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise SchemaError(f"{where}[{idx}] is not a number: {x!r}")
+    try:
+        return [float(x) for x in values]
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
+
+
 def _resolve_seed(seed, *, default: int | None = None) -> int:
     if seed is not None:
         value = seed
@@ -238,7 +249,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             raise SchemaError(
                 "--probs: expected a JSON array or an object with a 'probabilities' array"
             )
-        probs = np.asarray(raw, dtype=float)
+        probs = np.asarray(_json_numbers(raw, "--probs: probabilities"), dtype=float)
         payload["source"] = "file"
     else:
         eta = _load(args.eta, "density_vector", "--eta")
@@ -302,7 +313,7 @@ def _policy_from_file(path: str) -> ObserverPolicy:
         if not isinstance(obj, Measurement):
             raise ValidationError(f"--policy: measurements[{idx}] is not a measurement document")
         measurements.append(obj)
-    return ObserverPolicy(tuple(measurements), tuple(float(p) for p in probs))
+    return ObserverPolicy(tuple(measurements), tuple(_json_numbers(probs, "--policy: choice_probs")))
 
 
 def _cmd_simulate(args) -> tuple[dict, tuple | None]:

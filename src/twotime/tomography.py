@@ -1,7 +1,7 @@
 """Linear-inversion tomography of density vectors.
 
 A density vector on a d-level system has d^4 real parameters (minus
-normalization).  The fixed operator family built here pins all of them
+normalization).  The fixed operator family used here pins all of them
 with a single complete measurement of 4 d^4 outcomes: for every ordered
 pair of matrix units ``O_ij, O_kl`` the four operators::
 
@@ -15,17 +15,33 @@ in lexicographic (i, j, k, l) order.  The family is complete
 to ``I / d``, so measured probabilities determine the underlying
 weights up to the known overall scale ``1/d``.
 
-Inversion ("polarization" method) is closed-form::
+Every operator has at most two nonzero entries, so the forward map is
+closed-form.  With ``M = eta.mat``, units ``a = (i, j)``, ``b = (k, l)``
+and phase ``phi`` in ``(1, -1, i, -i)``, outcome ``(i, j, k, l, phi)``
+has unnormalized weight::
+
+    (M_aa + M_bb + 2 Re(conj(phi) M_ab)) / (8 d^3)
+
+which :func:`predict_probabilities` evaluates as O(d^4) array work
+without building any operator.
+
+Inversion ("polarization" method) is its closed-form twin::
 
     eta[(i,j), (k,l)] = 2 d^2 [ (p_+ - p_-) + i (p_+i - p_-i) ]
 
 followed by symmetrization, eigenvalue clipping to the positive cone,
 and trace normalization.  A least-squares route over the explicit
 forward map is available as ``method="lstsq"``.
+
+Only the explicit operator set (``TomographySet.measurement``, 64 d^6
+bytes) and the lstsq forward matrix (64 d^8 bytes) grow faster than
+d^4; both raise ValidationError before allocating more than
+:data:`MAX_DENSE_BYTES`.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -39,6 +55,7 @@ from .probability import DENOMINATOR_EPS
 __all__ = [
     "VARIANTS",
     "PSD_CLIP_TOL",
+    "MAX_DENSE_BYTES",
     "TomographySet",
     "build_tomography_set",
     "predict_probabilities",
@@ -53,83 +70,116 @@ VARIANTS = ("+", "-", "+i", "-i")
 #: as malformed rather than silently repaired.
 PSD_CLIP_TOL = 1e-6
 
-_VARIANT_PHASES = (1.0, -1.0, 1.0j, -1.0j)
+#: Largest dense complex array (in bytes) that tomography will allocate:
+#: the explicit operator family (64 d^6 bytes, so d <= 11) and the lstsq
+#: forward matrix (64 d^8 bytes, so d <= 6).  Larger requests raise
+#: ValidationError up front instead of exhausting memory.
+MAX_DENSE_BYTES = 128 * 2**20
+
+_VARIANT_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
+
+
+def _as_dim(dim) -> int:
+    """``dim`` as a positive int; bools, floats and strings are rejected."""
+    if isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1:
+        return int(dim)
+    raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
+
+
+def _check_dense(nbytes: int, what: str) -> None:
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValidationError(
+            f"{what} needs {nbytes} bytes, above the {MAX_DENSE_BYTES}-byte limit"
+        )
+
+
+def _vectorized_family(d: int) -> np.ndarray:
+    """The (4 d^4, d^2) stack of vectorized operators, in outcome order.
+
+    Row ``((a d^2 + b) 4 + v)`` holds ``scale`` at unit ``a`` plus
+    ``phase_v scale`` at unit ``b``, added in that order (so a repeated
+    unit sums the two, and its "-" row is exactly zero).
+    """
+    n = d * d
+    scale = 1.0 / np.sqrt(8.0 * d**3)
+    units = np.arange(n)
+    fam = np.zeros((n, n, 4, n), dtype=np.complex128)
+    fam[units, :, :, units] += scale
+    fam[:, units, :, units] += _VARIANT_PHASES * scale
+    return fam.reshape(4 * n * n, n)
 
 
 @dataclass(frozen=True, eq=False)
 class TomographySet:
     """The informationally complete measurement for one dimension.
 
+    Only ``dim`` is stored; the 4 d^4 outcomes are described by the
+    closed form in the module docstring.  ``labels`` and
+    ``measurement`` are built on first access and cached.
+
     Attributes
     ----------
     dim : int
-    measurement : Measurement
-        4 d^4 detailed outcomes in lexicographic (i, j, k, l, variant)
-        order.
+    n_outcomes : int
+        ``4 d^4``.
     labels : tuple of (i, j, k, l, variant)
-        The label of each outcome, aligned with ``measurement.outcomes``.
+        The label of each outcome, in lexicographic (i, j, k, l,
+        variant) order.
+    measurement : Measurement
+        The 4 d^4 detailed outcomes, aligned with ``labels``.  Raises
+        ValidationError when the operators would exceed
+        :data:`MAX_DENSE_BYTES` (d >= 12).
     """
 
     dim: int
-    measurement: Measurement
-    labels: tuple
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "dim", _as_dim(self.dim))
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.labels)
+        return 4 * self.dim**4
 
     @cached_property
-    def _stacked(self) -> np.ndarray:
-        # (n_outcomes, d^2) stack of vectorized operators, for the fast
-        # prediction path.
-        return np.stack(
-            [out.kraus[0].entries.reshape(-1) for out in self.measurement.outcomes]
-        )
+    def labels(self) -> tuple:
+        units = range(self.dim)
+        return tuple(itertools.product(units, units, units, units, VARIANTS))
+
+    @cached_property
+    def measurement(self) -> Measurement:
+        d = self.dim
+        _check_dense(16 * self.n_outcomes * d * d, f"the dimension-{d} tomography operators")
+        ops = [KrausOperator(row.reshape(d, d)) for row in _vectorized_family(d)]
+        names = ["({},{})({},{}){}".format(*lab) for lab in self.labels]
+        return Measurement.detailed(ops, names)
 
 
 def build_tomography_set(dim: int) -> TomographySet:
-    """Build the 4 d^4 operator family for dimension ``dim``.
+    """The 4 d^4-outcome family for dimension ``dim``.
 
     Pairs with i = k and j = l include a zero "-" operator; it is kept
     so the count, the ordering, and the per-pair completeness arithmetic
     stay uniform (a zero operator never fires and does not affect
-    completeness).
+    completeness).  Nothing is built until ``labels`` or ``measurement``
+    is read.
     """
-    if dim < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
-    d = int(dim)
-    scale = 1.0 / np.sqrt(8.0 * d**3)
-    ops = []
-    labels = []
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for l in range(d):
-                    base = np.zeros((d, d), dtype=np.complex128)
-                    for phase, variant in zip(_VARIANT_PHASES, VARIANTS):
-                        entries = base.copy()
-                        entries[i, j] += scale
-                        entries[k, l] += phase * scale
-                        ops.append(KrausOperator(entries))
-                        labels.append((i, j, k, l, variant))
-    names = ["({},{})({},{}){}".format(*lab) for lab in labels]
-    return TomographySet(
-        dim=d,
-        measurement=Measurement.detailed(ops, names),
-        labels=tuple(labels),
-    )
+    return TomographySet(dim)
 
 
 def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     """Outcome probabilities of the tomography measurement on ``eta``.
 
-    Equal to ``prob_density(eta, ts.measurement)``; computed through a
-    stacked einsum because the family is large.
+    Equal to ``prob_density(eta, ts.measurement)``, computed from the
+    closed-form weights in the module docstring.
     """
     if eta.dim != ts.dim:
         raise ValidationError(f"density dim {eta.dim} != tomography dim {ts.dim}")
-    v = ts._stacked
-    numerators = np.einsum("ma,ab,mb->m", v, eta.mat, v.conj()).real
+    d = ts.dim
+    mat = eta.mat
+    diag = mat.diagonal().real
+    cross = (np.conj(_VARIANT_PHASES) * mat[:, :, None]).real
+    weights = (diag[:, None, None] + diag[None, :, None]) + 2.0 * cross
+    numerators = (weights / (8.0 * d**3)).reshape(-1)
     numerators = np.where((numerators < 0.0) & (numerators > -1e-12), 0.0, numerators)
     total = float(numerators.sum())
     if total <= DENOMINATOR_EPS:
@@ -185,13 +235,15 @@ def reconstruct(
 
     Raises
     ------
+    ValidationError
+        On a dimension that is not a positive integer, an unknown
+        method, or ``method="lstsq"`` when its dense forward matrix
+        would exceed :data:`MAX_DENSE_BYTES` (d >= 7).
     MalformedDataError
         On wrong length, negative entries, a bad sum, or data whose
         inversion fails positivity beyond ``clip_tol``.
     """
-    d = int(dim)
-    if d < 1:
-        raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
+    d = _as_dim(dim)
     p = np.asarray(probs, dtype=np.float64)
     n_expected = 4 * d**4
     if p.ndim != 1 or p.size != n_expected:
@@ -210,7 +262,8 @@ def reconstruct(
         p4 = p.reshape(d * d, d * d, 4)
         raw = 2.0 * d * d * ((p4[..., 0] - p4[..., 1]) + 1j * (p4[..., 2] - p4[..., 3]))
     elif method == "lstsq":
-        v = build_tomography_set(d)._stacked
+        _check_dense(64 * d**8, f"the dimension-{d} lstsq forward matrix")
+        v = _vectorized_family(d)
         forward = np.einsum("ma,mb->mab", v, v.conj()).reshape(v.shape[0], -1)
         sol, *_ = np.linalg.lstsq(forward, p / d, rcond=None)
         raw = sol.reshape(d * d, d * d)

@@ -248,6 +248,30 @@ def test_tomography_noisy_file_needs_wider_gate(capsys, docs, tmp_path):
     assert payload["kind"] == "tomography"
 
 
+@pytest.mark.parametrize("raw", [
+    ["a", "b"], [[0.5], [0.5]], [None, 1.0], [True, False], [10**400, 0.0],
+])
+def test_tomography_non_numeric_probability_file(capsys, tmp_path, raw):
+    probs_file = tmp_path / "probs.json"
+    probs_file.write_text(json.dumps(raw))
+    code, out, err = run(capsys, ["tomography", "--dim", "2", "--probs", str(probs_file)])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
+
+
+def test_tomography_lstsq_too_large_is_a_validation_error(capsys, tmp_path, monkeypatch):
+    # Fail fast, instead of allocating the 1 GB forward matrix, if the guard is gone.
+    monkeypatch.setattr("twotime.tomography._vectorized_family", None)
+    probs_file = tmp_path / "probs.json"
+    probs_file.write_text(json.dumps([1.0 / (4 * 8**4)] * (4 * 8**4)))
+    code, out, err = run(capsys, [
+        "tomography", "--dim", "8", "--probs", str(probs_file), "--method", "lstsq",
+    ])
+    assert code == 2
+    assert error_code(err) == "validation"
+
+
 # ---------------------------------------------------------------------------
 # simulate.
 
@@ -296,6 +320,23 @@ def test_simulate_policy_file(capsys, docs, tmp_path):
     ])
     assert code == 0
     assert out.split("\n")[0] == "choice_index,outcome_index,count,frequency,analytic,z"
+
+
+@pytest.mark.parametrize("choice_probs", [["x"], [[1.0]], [None], ["1.0"], [True], [10**400]])
+def test_simulate_non_numeric_choice_probs(capsys, docs, tmp_path, choice_probs):
+    _, m1, _ = reversal_scenario()
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "choice_probs": choice_probs,
+        "measurements": [serialize_document(m1)],
+    }))
+    code, out, err = run(capsys, [
+        "simulate", "--ensemble", docs["ensemble"], "--policy", str(policy),
+        "--shots", "100", "--seed", "1",
+    ])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
 
 
 def test_simulate_requires_one_observer_input(capsys, docs, tmp_path):

@@ -1,5 +1,6 @@
 """Tomography operator family, prediction, and linear inversion."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from conftest import (
     superposition_density,
 )
 from twotime import (
+    MAX_DENSE_BYTES,
     MalformedDataError,
     PSD_CLIP_TOL,
     ValidationError,
@@ -25,6 +27,23 @@ from twotime import (
     reconstruct,
     sampling_clip_tol,
 )
+from twotime.tomography import _vectorized_family
+
+
+def loop_family(d):
+    """Reference: the (4 d^4, d^2) family built one operator at a time."""
+    scale = 1.0 / np.sqrt(8.0 * d**3)
+    rows = []
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                for l in range(d):
+                    for phase in (1.0, -1.0, 1.0j, -1.0j):
+                        entries = np.zeros((d, d), dtype=np.complex128)
+                        entries[i, j] += scale
+                        entries[k, l] += phase * scale
+                        rows.append(entries.reshape(-1))
+    return np.stack(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -81,18 +100,89 @@ def test_bad_dimension_rejected():
         build_tomography_set(0)
 
 
+@pytest.mark.parametrize("dim", [0, -1, "3", 2.7, 2.0, True, False, None, np.float64(2.0)])
+def test_bad_dimension_rejected_by_both_entry_points(dim):
+    with pytest.raises(ValidationError):
+        build_tomography_set(dim)
+    with pytest.raises(ValidationError):
+        reconstruct(np.full(64, 1.0 / 64.0), dim)
+
+
+def test_numpy_integer_dimension_accepted(rng):
+    ts = build_tomography_set(np.int64(2))
+    assert ts.dim == 2 and type(ts.dim) is int
+    p = predict_probabilities(random_density(rng, 2), ts)
+    assert reconstruct(p, np.int32(2)).dim == 2
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_family_matches_the_operator_loop_bit_for_bit(d):
+    fam = _vectorized_family(d)
+    assert np.array_equal(fam.view(np.float64), loop_family(d).view(np.float64))
+    kraus = np.stack([out.kraus[0].entries.reshape(-1)
+                      for out in build_tomography_set(d).measurement.outcomes])
+    assert np.array_equal(kraus.view(np.float64), fam.view(np.float64))
+
+
+def test_set_is_lazy_and_sized_without_building():
+    ts = build_tomography_set(16)
+    assert ts.n_outcomes == 262144
+    assert "labels" not in vars(ts) and "measurement" not in vars(ts)
+
+
+@pytest.fixture
+def no_family(monkeypatch):
+    """Fail fast, instead of allocating gigabytes, if a size guard is missing."""
+    def refuse(d):
+        raise AssertionError(f"the dimension-{d} family was built")
+
+    monkeypatch.setattr("twotime.tomography._vectorized_family", refuse)
+
+
+def test_operator_family_above_the_size_limit_is_rejected(no_family):
+    assert 64 * 16**6 > MAX_DENSE_BYTES
+    with pytest.raises(ValidationError):
+        build_tomography_set(16).measurement
+
+
+def test_lstsq_above_the_size_limit_is_rejected_before_allocating(no_family):
+    d = 8
+    dense = 64 * d**8  # the (4 d^4 x d^4) complex forward matrix: 1.07 GB
+    assert dense > MAX_DENSE_BYTES
+    p = np.full(4 * d**4, 1.0 / (4 * d**4))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValidationError):
+            reconstruct(p, d, method="lstsq")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < dense / 1000
+
+
 # ---------------------------------------------------------------------------
 # Prediction.
 
 def test_predict_matches_probability_rule(rng):
-    for d in (2, 3):
-        eta = random_density(rng, d)
+    for d in (1, 2, 3, 4):
         ts = build_tomography_set(d)
-        assert np.allclose(
-            predict_probabilities(eta, ts),
-            prob_density(eta, ts.measurement),
-            atol=1e-12,
-        )
+        pure = density_from_ensemble(Ensemble.pure(random_state(rng, d)))
+        for eta in (random_density(rng, d), pure):
+            assert np.allclose(
+                predict_probabilities(eta, ts),
+                prob_density(eta, ts.measurement),
+                atol=1e-12,
+            )
+
+
+def test_repeated_unit_minus_outcome_is_exactly_zero(rng):
+    d = 3
+    ts = build_tomography_set(d)
+    p = predict_probabilities(random_density(rng, d), ts)
+    repeated_minus = [m for m, (i, j, k, l, v) in enumerate(ts.labels)
+                      if (i, j) == (k, l) and v == "-"]
+    assert len(repeated_minus) == d * d
+    assert np.all(p[repeated_minus] == 0.0)
 
 
 def test_predict_depends_only_on_the_ray(rng):
