@@ -36,7 +36,13 @@ from .errors import (
 )
 from .io import parse_document
 from .measurements import Measurement, kraus_density_vector
-from .montecarlo import ObserverPolicy, SimConfig, simulate, simulate_proportion_reversal
+from .montecarlo import (
+    ObserverPolicy,
+    SimConfig,
+    _binomial_z,
+    simulate,
+    simulate_proportion_reversal,
+)
 from .probability import prob_coarse, prob_density, prob_ensemble, prob_pure
 from .states import Ensemble, density_from_ensemble, ensemble_from_density, positivity_check
 from .tomography import (
@@ -178,13 +184,6 @@ def _resolve_seed(seed, *, default: int | None = None) -> int:
     if not (0 <= value < 2**64):
         raise ValidationError(f"seed {value!r} is not a uint64")
     return value
-
-
-def _z_score(freq: float, p: float, n: int):
-    se = math.sqrt(p * (1.0 - p) / n) if n > 0 else 0.0
-    if se == 0.0:
-        return 0.0 if abs(freq - p) < 1e-12 else None
-    return (freq - p) / se
 
 
 # ---------------------------------------------------------------------------
@@ -342,7 +341,8 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
         counts = result.outcome_counts_for(c)
         outcomes = []
         for mu in range(m.n_outcomes):
-            z = _z_score(float(freqs[mu]), float(targets[mu]), successes_c)
+            # A degenerate z is inf, which JSON writes as null and CSV as "".
+            z = _binomial_z(float(freqs[mu]), float(targets[mu]), successes_c)
             outcomes.append({
                 "index": mu,
                 "name": m.outcomes[mu].name,
@@ -351,8 +351,7 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
                 "analytic": float(targets[mu]),
                 "z": z,
             })
-            row = (mu, int(counts[mu]), float(freqs[mu]), float(targets[mu]),
-                   float("nan") if z is None else z)
+            row = (mu, int(counts[mu]), float(freqs[mu]), float(targets[mu]), z)
             csv_rows.append(((c,) + row) if multi else row)
         choices.append({
             "index": c,

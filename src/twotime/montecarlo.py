@@ -29,6 +29,14 @@ branch, success test.  The chunk size 65536 is part of the contract.
 Results therefore depend only on (seed, shots), bit-identically, no
 matter how attempts are partitioned across workers; partial tallies
 merge by summation.
+
+Cost per chunk: one stable argsort of the chunk's (choice, member) keys,
+then one ``searchsorted`` over the branch table of each (choice, member)
+group that received attempts; groups without attempts cost nothing.
+Grouping leaves every tally unchanged: each attempt still reads its own
+row of uniforms and its own group's tables, the stable sort hands each
+group the same rows in the same ascending order a per-group boolean mask
+would, and integer counts merge by summation.
 """
 
 from __future__ import annotations
@@ -235,41 +243,54 @@ def _uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
+def _kraus_stack(m: Measurement) -> np.ndarray:
+    """The (n_branches, d, d) stack of ``m``'s fine-grained Kraus operators."""
+    return np.stack([op.entries for out in m.outcomes for op in out.kraus])
+
+
+#: Bytes of the ``collapsed`` intermediate that ``_Tables`` may hold for
+#: one block of ensemble members; bounds the table build's peak memory.
+_TABLE_BLOCK_BYTES = 1 << 21
+
+
 class _Tables:
-    """Precomputed sampling tables; everything the per-attempt loop needs."""
+    """Precomputed sampling tables; everything the per-attempt loop needs.
+
+    ``cum_branch[c]`` and ``success[c]`` are (n_members, n_branches)
+    arrays: the cumulative Born weights of measurement c's fine-grained
+    Kraus branches and the post-selection success probability of each
+    collapsed branch, one row per ensemble member.
+    """
 
     def __init__(self, cfg: SimConfig) -> None:
         d = cfg.ensemble.dim
-        self.dim = d
         self.n_members = len(cfg.ensemble.members)
         self.cum_members = np.cumsum(cfg.ensemble.weights)
         self.cum_choices = np.cumsum(np.array(cfg.policy.choice_probs))
+        coeffs = np.stack([state.coeffs for state in cfg.ensemble.states])
         self.outcome_of = []
         self.n_outcomes = []
         self.cum_branch = []
         self.success = []
         for m in cfg.policy.measurements:
-            flat_ops = [op for out in m.outcomes for op in out.kraus]
-            outcome_of = np.array(
+            stack = _kraus_stack(m)
+            born = np.empty((self.n_members, len(stack)))
+            contr = np.einsum("oij,rij->ro", stack, coeffs)
+            block = max(1, _TABLE_BLOCK_BYTES // (16 * stack.size))  # complex128 rows
+            for lo in range(0, self.n_members, block):
+                collapsed = np.einsum("rij,okj->roik", coeffs[lo:lo + block], stack)
+                born[lo:lo + block] = np.einsum(
+                    "roik,roik->ro", collapsed, collapsed.conj()
+                ).real
+            with np.errstate(divide="ignore", invalid="ignore"):
+                succ = np.abs(contr) ** 2 / (d * born)
+            succ[born <= 1e-300] = 0.0
+            self.outcome_of.append(np.array(
                 [mu for mu, out in enumerate(m.outcomes) for _ in out.kraus], dtype=np.intp
-            )
-            stack = np.stack([op.entries for op in flat_ops])
-            cum_rows = []
-            succ_rows = []
-            for _, state in cfg.ensemble.members:
-                al = state.coeffs
-                collapsed = np.einsum("ij,okj->oik", al, stack)
-                born = np.einsum("oik,oik->o", collapsed, collapsed.conj()).real
-                contr = np.einsum("oij,ij->o", stack, al)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    succ = np.abs(contr) ** 2 / (d * born)
-                succ[born <= 1e-300] = 0.0
-                cum_rows.append(np.cumsum(born))
-                succ_rows.append(np.clip(succ, 0.0, 1.0))
-            self.outcome_of.append(outcome_of)
+            ))
             self.n_outcomes.append(m.n_outcomes)
-            self.cum_branch.append(cum_rows)
-            self.success.append(succ_rows)
+            self.cum_branch.append(np.cumsum(born, axis=1))
+            self.success.append(np.clip(succ, 0.0, 1.0))
 
 
 def _accumulate(cfg: SimConfig, tables: _Tables, start: int, stop: int,
@@ -286,22 +307,27 @@ def _accumulate(cfg: SimConfig, tables: _Tables, start: int, stop: int,
         c_idx = np.minimum(
             np.searchsorted(tables.cum_choices, u[:, 1], side="right"), n_choices - 1
         )
-        for c in range(n_choices):
-            n_flat = tables.outcome_of[c].size
-            for r in range(n_members):
-                mask = (c_idx == c) & (r_idx == r)
-                n_here = int(np.count_nonzero(mask))
-                if n_here == 0:
-                    continue
-                attempted[c, r] += n_here
-                branch = np.minimum(
-                    np.searchsorted(tables.cum_branch[c][r], u[mask, 2], side="right"),
-                    n_flat - 1,
-                )
-                wins = u[mask, 3] < tables.success[c][r][branch]
-                if wins.any():
-                    mu = tables.outcome_of[c][branch[wins]]
-                    counts[c][r] += np.bincount(mu, minlength=tables.n_outcomes[c])
+        # One stable sort groups the chunk by (choice, member): each group
+        # gets its attempts in ascending order, as a boolean mask would
+        # select them.  The narrowest key dtype lets numpy radix-sort up
+        # to 65536 groups.
+        n_groups = n_choices * n_members
+        key = (c_idx * n_members + r_idx).astype(np.min_scalar_type(n_groups - 1))
+        order = np.argsort(key, kind="stable")
+        sizes = np.bincount(key, minlength=n_groups)
+        attempted += sizes.reshape(n_choices, n_members)
+        bounds = np.cumsum(sizes)
+        for g in np.flatnonzero(sizes):
+            c, r = divmod(int(g), n_members)
+            rows = order[bounds[g] - sizes[g]:bounds[g]]
+            branch = np.minimum(
+                np.searchsorted(tables.cum_branch[c][r], u[rows, 2], side="right"),
+                tables.outcome_of[c].size - 1,
+            )
+            wins = u[rows, 3] < tables.success[c][r][branch]
+            if wins.any():
+                mu = tables.outcome_of[c][branch[wins]]
+                counts[c][r] += np.bincount(mu, minlength=tables.n_outcomes[c])
         pos = end
 
 
@@ -335,16 +361,17 @@ def analytic_success_rate(ensemble: Ensemble, m: Measurement) -> float:
     ``sum_r p_r sum_branches |A . alpha_r|^2 / d``; useful for sizing
     ``shots`` against a wanted number of successes.
     """
-    d = ensemble.dim
-    total = 0.0
-    for w, state in ensemble.members:
-        for out in m.outcomes:
-            for op in out.kraus:
-                total += w * abs(np.sum(op.entries * state.coeffs)) ** 2 / d
-    return total
+    coeffs = np.stack([state.coeffs for state in ensemble.states])
+    contr = np.einsum("oij,rij->ro", _kraus_stack(m), coeffs)
+    return float(ensemble.weights @ (np.abs(contr) ** 2).sum(1) / ensemble.dim)
 
 
 def _binomial_z(freq: float, p: float, n: int) -> float:
+    """z-score of a frequency ``freq`` over ``n`` trials against ``p``.
+
+    Degenerate cases (``n == 0`` or ``p`` in {0, 1}) give 0 when ``freq``
+    equals ``p`` within 1e-12 and ``inf`` otherwise.
+    """
     se = math.sqrt(p * (1.0 - p) / n) if n > 0 else 0.0
     if se == 0.0:
         return 0.0 if abs(freq - p) < 1e-12 else math.inf

@@ -322,6 +322,30 @@ def test_simulate_policy_file(capsys, docs, tmp_path):
     assert out.split("\n")[0] == "choice_index,outcome_index,count,frequency,analytic,z"
 
 
+def test_simulate_degenerate_z_is_null(capsys, docs, tmp_path):
+    # A choice that never receives an attempt has no successes, so its
+    # z-scores are undefined: null in JSON, an empty cell in CSV.
+    _, m1, m2 = reversal_scenario()
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "choice_probs": [1.0 - 1e-13, 1e-13],
+        "measurements": [serialize_document(m1), serialize_document(m2)],
+    }))
+    argv = ["simulate", "--ensemble", docs["ensemble"], "--policy", str(policy),
+            "--shots", "200", "--seed", "3"]
+    payload = run_json(capsys, argv)
+    never = payload["choices"][1]
+    assert never["successes"] == 0
+    assert [o["z"] for o in never["outcomes"]] == [None, None]
+    assert all(isinstance(o["z"], float) for o in payload["choices"][0]["outcomes"])
+
+    code, out, err = run(capsys, argv + ["--format", "csv"])
+    assert code == 0
+    rows = out.strip().split("\n")[1:]
+    assert [row.split(",")[-1] for row in rows[2:]] == ["", ""]
+    assert all(row.split(",")[-1] for row in rows[:2])
+
+
 @pytest.mark.parametrize("choice_probs", [["x"], [[1.0]], [None], ["1.0"], [True], [10**400]])
 def test_simulate_non_numeric_choice_probs(capsys, docs, tmp_path, choice_probs):
     _, m1, _ = reversal_scenario()

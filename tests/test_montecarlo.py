@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     E0,
+    complex_gaussian,
+    random_coarse_measurement,
     random_complete_measurement,
     random_density,
     random_ensemble,
@@ -19,6 +23,7 @@ from twotime import (
     NormalizationError,
     ObserverPolicy,
     SimConfig,
+    TwoTimeState,
     ValidationError,
     analytic_success_rate,
     build_tomography_set,
@@ -33,6 +38,7 @@ from twotime import (
     simulate,
     simulate_proportion_reversal,
 )
+from twotime import montecarlo
 
 
 def projective_z():
@@ -238,3 +244,205 @@ def test_config_rejects_incomplete_measurements():
     incomplete = Measurement.detailed([np.diag([1.0, 0.0])])
     with pytest.raises(IncompleteMeasurementError):
         SimConfig.fixed(ens, incomplete, 100, 1)
+
+
+# ---------------------------------------------------------------------------
+# Reference loops: the per-member table build and the per-group mask loop
+# that the batched tables and the grouped shot loop replace.
+
+def member_tables(stack, coeffs):
+    """Reference: cumulative Born weights and unclipped success of one member."""
+    d = coeffs.shape[0]
+    collapsed = np.einsum("ij,okj->oik", coeffs, stack)
+    born = np.einsum("oik,oik->o", collapsed, collapsed.conj()).real
+    contr = np.einsum("oij,ij->o", stack, coeffs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        succ = np.abs(contr) ** 2 / (d * born)
+    succ[born <= 1e-300] = 0.0
+    return np.cumsum(born), succ
+
+
+def loop_tables(cfg):
+    """Reference: (outcome_of, cum_branch, success) per measurement, member by member."""
+    tables = []
+    for m in cfg.policy.measurements:
+        stack = np.stack([op.entries for out in m.outcomes for op in out.kraus])
+        outcome_of = np.array(
+            [mu for mu, out in enumerate(m.outcomes) for _ in out.kraus], dtype=np.intp
+        )
+        rows = [member_tables(stack, state.coeffs) for state in cfg.ensemble.states]
+        cum = np.stack([c for c, _ in rows])
+        succ = np.stack([np.clip(s, 0.0, 1.0) for _, s in rows])
+        tables.append((outcome_of, cum, succ))
+    return tables
+
+
+def mask_simulate(cfg, ranges):
+    """Reference: one boolean mask per (choice, member) group and chunk."""
+    tables = loop_tables(cfg)
+    n_members = len(cfg.ensemble.members)
+    n_choices = len(tables)
+    cum_members = np.cumsum(cfg.ensemble.weights)
+    cum_choices = np.cumsum(np.array(cfg.policy.choice_probs))
+    attempted = np.zeros((n_choices, n_members), dtype=np.int64)
+    counts = [np.zeros((n_members, m.n_outcomes), dtype=np.int64)
+              for m in cfg.policy.measurements]
+    for start, stop in ranges:
+        pos = start
+        while pos < stop:
+            end = min(stop, pos + CHUNK - (pos % CHUNK))
+            u = montecarlo._uniforms(cfg.seed, pos, end)
+            r_idx = np.minimum(np.searchsorted(cum_members, u[:, 0], side="right"),
+                               n_members - 1)
+            c_idx = np.minimum(np.searchsorted(cum_choices, u[:, 1], side="right"),
+                               n_choices - 1)
+            for c, (outcome_of, cum, succ) in enumerate(tables):
+                for r in range(n_members):
+                    mask = (c_idx == c) & (r_idx == r)
+                    n_here = int(np.count_nonzero(mask))
+                    if n_here == 0:
+                        continue
+                    attempted[c, r] += n_here
+                    branch = np.minimum(
+                        np.searchsorted(cum[r], u[mask, 2], side="right"), outcome_of.size - 1
+                    )
+                    wins = u[mask, 3] < succ[r][branch]
+                    if wins.any():
+                        counts[c][r] += np.bincount(
+                            outcome_of[branch[wins]], minlength=counts[c].shape[1]
+                        )
+            pos = end
+    return attempted, counts
+
+
+def wide_policy_config():
+    """64 members and 4 choices, one coarse; exercises the table edge cases.
+
+    Member 0 has a zero first column, so the first branch of the
+    computational-basis measurement has exactly zero Born weight for it
+    (the ``born <= 1e-300`` path).  The last choice is so unlikely that
+    most of its (choice, member) groups get no attempts.
+    """
+    rng = np.random.default_rng(20261018)
+    d = 3
+    coeffs = [complex_gaussian(rng, (d, d)) for _ in range(64)]
+    coeffs[0][:, 0] = 0.0
+    weights = rng.random(64) + 0.1
+    ensemble = Ensemble(tuple(zip(weights / weights.sum(), map(TwoTimeState, coeffs))))
+    basis = Measurement.detailed([np.diag(np.eye(d)[k]) for k in range(d)])
+    measurements = (
+        basis,
+        random_complete_measurement(rng, d, n_outcomes=6),
+        random_coarse_measurement(rng, d, n_outcomes=3, branches=2),
+        random_complete_measurement(rng, d, n_outcomes=4),
+    )
+    policy = ObserverPolicy(measurements, (0.5, 0.3, 0.2 - 1e-4, 1e-4))
+    return SimConfig(ensemble, policy, 2 * CHUNK + 17, 424242)
+
+
+def test_grouped_shot_loop_matches_the_mask_loop():
+    cfg = wide_policy_config()
+    want_attempted, want_counts = mask_simulate(cfg, [(0, cfg.shots)])
+    assert want_attempted[3].sum() > 0
+    assert np.count_nonzero(want_attempted[3] == 0) > 0
+    _, basis_cum, _ = loop_tables(cfg)[0]
+    assert basis_cum[0, 0] == 0.0
+    for ranges in (
+        None,
+        [(0, CHUNK - 1), (CHUNK - 1, CHUNK + 1), (CHUNK + 1, cfg.shots)],
+        [(2 * CHUNK, cfg.shots), (CHUNK // 2, 2 * CHUNK), (0, CHUNK // 2)],
+    ):
+        res = simulate(cfg, _ranges=ranges)
+        assert np.array_equal(res.attempted, want_attempted)
+        for got, want in zip(res.choice_counts, want_counts, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_batched_tables_match_the_member_loop():
+    cfg = wide_policy_config()
+    tables = montecarlo._Tables(cfg)
+    for c, (outcome_of, cum, succ) in enumerate(loop_tables(cfg)):
+        assert np.array_equal(tables.outcome_of[c], outcome_of)
+        assert np.array_equal(tables.cum_branch[c], cum)
+        assert np.array_equal(tables.success[c], succ)
+
+
+def test_batched_tables_split_members_into_blocks(rng, monkeypatch):
+    # 1,024 branches at d=4 take 256 KiB per member, so 16 members need
+    # more than one block under the table budget.
+    ens = random_ensemble(rng, 4, n_members=16)
+    cfg = SimConfig.fixed(ens, build_tomography_set(4).measurement, 1, 1)
+    einsum = np.einsum
+    blocks = []
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "rij,okj->roik":
+            blocks.append(len(operands[0]))
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    tables = montecarlo._Tables(cfg)
+    monkeypatch.undo()
+    assert len(blocks) > 1
+    assert sum(blocks) == 16
+    [(_, cum, succ)] = loop_tables(cfg)
+    assert np.array_equal(tables.cum_branch[0], cum)
+    assert np.array_equal(tables.success[0], succ)
+
+
+def test_analytic_success_rate_matches_the_branch_loop(rng):
+    for d in (1, 2, 3, 4):
+        for _ in range(5):
+            ens = random_ensemble(rng, d, n_members=int(rng.integers(1, 6)))
+            m = (random_coarse_measurement(rng, d, n_outcomes=2, branches=3)
+                 if rng.random() < 0.5 else random_complete_measurement(rng, d, n_outcomes=4))
+            loop = 0.0
+            for w, state in ens.members:
+                for out in m.outcomes:
+                    for op in out.kraus:
+                        loop += w * abs(np.sum(op.entries * state.coeffs)) ** 2 / d
+            assert abs(analytic_success_rate(ens, m) - loop) <= 1e-14
+
+
+@st.composite
+def state_and_measurement(draw):
+    """A complete measurement and a state, random or near a degenerate case.
+
+    ``near_unitary`` mixes unitary Kraus branches and puts the state
+    close to ``conj(U_0)``, where the success probability of branch 0
+    reaches its Cauchy-Schwarz bound 1; ``eps`` sets the distance,
+    down to exactly on the bound.
+    """
+    d = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "near_unitary", "rank_one"]))
+    eps = draw(st.sampled_from([0.0, 1e-15, 1e-9, 1e-3, 1.0]))
+    if kind == "near_unitary":
+        n = draw(st.integers(1, 3))
+        p = rng.random(n) + 0.1
+        p = p / p.sum()
+        us = [np.linalg.qr(complex_gaussian(rng, (d, d)))[0] for _ in range(n)]
+        stack = np.stack([np.sqrt(pk) * u for pk, u in zip(p, us)])
+        coeffs = us[0].conj() + eps * complex_gaussian(rng, (d, d))
+    else:
+        n = draw(st.integers(1, 4))
+        q, _ = np.linalg.qr(complex_gaussian(rng, (n * d, d)))
+        stack = q.reshape(n, d, d)
+        if kind == "rank_one":
+            coeffs = np.outer(complex_gaussian(rng, d), complex_gaussian(rng, d))
+            coeffs = coeffs + eps * complex_gaussian(rng, (d, d))
+        else:
+            coeffs = complex_gaussian(rng, (d, d))
+    return stack, TwoTimeState(coeffs).coeffs
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(state_and_measurement())
+def test_success_probability_clip_removes_only_rounding(case):
+    # |A . alpha|^2 <= d ||alpha A^T||^2 by Cauchy-Schwarz, so the clip
+    # in the sampling tables may only ever trim rounding above 1.
+    stack, coeffs = case
+    assert np.allclose(np.einsum("oki,okj->ij", stack.conj(), stack), np.eye(len(coeffs)))
+    _, succ = member_tables(stack, coeffs)
+    assert np.all(succ >= 0.0)
+    assert np.all(succ <= 1.0 + 1e-12)
