@@ -14,6 +14,8 @@ environment variable.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import math
 import os
 import sys
@@ -34,7 +36,7 @@ from .errors import (
     TwoTimeError,
     ValidationError,
 )
-from .io import parse_document
+from .io import _complex_pairs, parse_document
 from .measurements import Measurement, kraus_density_vector
 from .montecarlo import (
     ObserverPolicy,
@@ -76,6 +78,23 @@ def _fmt_float(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _dumps_floats(arr: np.ndarray) -> str:
+    """A float64 array of ndim >= 1 as nested JSON arrays, in one pass.
+
+    Prints the same bytes as the recursive path on ``arr.tolist()``:
+    ``.17g`` digits, ``null`` for non-finite values, ``", "`` between
+    elements.
+    """
+    fmt = "{:.17g}".format if np.isfinite(arr).all() else _fmt_float
+    parts = list(map(fmt, arr.ravel().tolist()))
+    shape = arr.shape
+    for axis in range(arr.ndim - 1, 0, -1):
+        n = shape[axis]
+        parts = ["[" + ", ".join(parts[g * n:(g + 1) * n]) + "]"
+                 for g in range(math.prod(shape[:axis]))]
+    return "[" + ", ".join(parts) + "]"
+
+
 def _dumps(obj) -> str:
     if obj is None:
         return "null"
@@ -86,25 +105,17 @@ def _dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        import json
-
         return json.dumps(obj)
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dumps(x) for x in obj) + "]"
     if isinstance(obj, np.ndarray):
+        if obj.dtype == np.float64 and obj.ndim:
+            return _dumps_floats(obj)
         return _dumps(obj.tolist())
     if isinstance(obj, dict):
         items = (f"{_dumps(str(k))}: {_dumps(v)}" for k, v in obj.items())
         return "{" + ", ".join(items) + "}"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def _pair(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
-
-
-def _matrix_out(mat: np.ndarray) -> list:
-    return [[_pair(complex(entry)) for entry in row] for row in np.asarray(mat)]
 
 
 def _csv_cell(x) -> str:
@@ -145,6 +156,8 @@ def _load(path: str, kind: str, flag: str):
             text = fh.read()
     except OSError as exc:
         raise ValidationError(f"{flag}: cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{flag}: malformed JSON: {exc}") from exc
     obj = parse_document(text)
     expected = _KIND_TYPES[kind]
     if not isinstance(obj, expected):
@@ -217,7 +230,7 @@ def _cmd_prob(args) -> tuple[dict, tuple | None]:
         "rule": rule,
         "dim": dim,
         "outcomes": [out.name for out in measurement.outcomes],
-        "probabilities": [float(p) for p in probs],
+        "probabilities": np.asarray(probs, dtype=np.float64),
     }
     rows = [(i, float(p)) for i, p in enumerate(probs)]
     return payload, (("outcome_index", "probability"), rows)
@@ -235,12 +248,10 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             raise _UsageError("--shots/--seed apply to --eta inputs only")
         try:
             with open(args.probs, "r", encoding="utf-8") as fh:
-                import json
-
                 raw = json.load(fh)
         except OSError as exc:
             raise ValidationError(f"--probs: cannot read {args.probs}: {exc}") from exc
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise SchemaError(f"--probs: malformed JSON: {exc}") from exc
         if isinstance(raw, dict):
             raw = raw.get("probabilities")
@@ -279,12 +290,12 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
                 seed=seed,
                 successes=result.successes,
             )
-        payload["probabilities"] = [float(p) for p in probs]
+        payload["probabilities"] = np.asarray(probs, dtype=np.float64)
     if clip_tol is None:
         rec = reconstruct(probs, dim, method=args.method)
     else:
         rec = reconstruct(probs, dim, method=args.method, clip_tol=clip_tol)
-    payload["reconstruction"] = _matrix_out(rec.mat)
+    payload["reconstruction"] = _complex_pairs(rec.mat)
     if eta is not None:
         payload["round_trip_error"] = float(np.linalg.norm(rec.mat - eta.mat))
     return payload, None
@@ -293,12 +304,10 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
 def _policy_from_file(path: str) -> ObserverPolicy:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            import json
-
             raw = json.load(fh)
     except OSError as exc:
         raise ValidationError(f"--policy: cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise SchemaError(f"--policy: malformed JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise SchemaError("--policy: expected an object with 'choice_probs' and 'measurements'")
@@ -383,7 +392,7 @@ def _cmd_weak(args) -> tuple[dict, tuple | None]:
             "kind": "weak_value",
             "rule": "pure",
             "dim": state.dim,
-            "weak_value": _pair(value),
+            "weak_value": _complex_pairs(value),
         }
     else:
         eta = _load(args.eta, "density_vector", "--eta")
@@ -393,8 +402,8 @@ def _cmd_weak(args) -> tuple[dict, tuple | None]:
             "kind": "weak_value",
             "rule": "ensemble",
             "dim": eta.dim,
-            "weak_value": _pair(value),
-            "weak_value_vector": _matrix_out(wvv.coeffs),
+            "weak_value": _complex_pairs(value),
+            "weak_value_vector": _complex_pairs(wvv.coeffs),
         }
     return payload, None
 
@@ -437,7 +446,7 @@ def _cmd_iso(args) -> tuple[dict, tuple | None]:
             "kind": "bipartite_image",
             "object": "density_vector",
             "dim": eta.dim,
-            "matrix": _matrix_out(rho.rho),
+            "matrix": _complex_pairs(rho.rho),
         }
     else:
         m = _load(args.measurement, "measurement", "--measurement")
@@ -446,7 +455,7 @@ def _cmd_iso(args) -> tuple[dict, tuple | None]:
             "kind": "bipartite_image",
             "object": "measurement",
             "dim": m.dim,
-            "operators": [_matrix_out(op.op) for op in ops],
+            "operators": [_complex_pairs(op.op) for op in ops],
             "partial_trace_defect": measurement_partial_trace_defect(ops),
         }
     return payload, None
@@ -494,7 +503,9 @@ def _cmd_demo(args) -> tuple[dict, tuple | None]:
 # ---------------------------------------------------------------------------
 # Parser assembly and dispatch.
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argument parser; built once per process (it holds no per-call state)."""
     parser = _Parser(prog="twotime", description=__doc__, add_help=True)
     sub = parser.add_subparsers(dest="command", required=True)
 

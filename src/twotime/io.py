@@ -17,6 +17,7 @@ field-identical for every valid document.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from typing import Any
 
 import numpy as np
@@ -65,7 +66,10 @@ def _get(obj: dict, key: str, path: str) -> Any:
 def _number(node: Any, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         raise _fail(path, f"expected a number, got {type(node).__name__}")
-    val = float(node)
+    try:
+        val = float(node)
+    except OverflowError:
+        raise _fail(path, "integer too large for a float") from None
     if not np.isfinite(val):
         raise _fail(path, f"non-finite number {node!r}")
     return val
@@ -79,9 +83,39 @@ def _complex(node: Any, path: str) -> complex:
     raise _fail(path, "expected a complex number as [re, im] (or a plain real number)")
 
 
+def _pair_matrix(node: list, cols: int) -> np.ndarray | None:
+    """``node`` as a matrix if it is the canonical form, else None.
+
+    The canonical form is rows of ``cols`` ``[re, im]`` pairs whose
+    leaves are finite JSON numbers (exactly ``float`` or ``int``, so not
+    ``bool``).  Its float64 leaves are viewed as complex128, which keeps
+    every bit, the sign of zero included (``re + 1j * im`` would not).
+    Anything else returns None, and the per-entry loop in :func:`_matrix`
+    parses it or reports the offending entry's JSON path.
+    """
+    if set(map(type, node)) != {list} or set(map(len, node)) != {cols}:
+        return None
+    entries = list(chain.from_iterable(node))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    try:
+        flat = np.array(leaves, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.isfinite(flat).all():
+        return None
+    return flat.view(np.complex128).reshape(len(node), cols)
+
+
 def _matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(node, list) or len(node) != rows:
         raise _fail(path, f"expected a {rows}x{cols} matrix as nested arrays")
+    fast = _pair_matrix(node, cols)
+    if fast is not None:
+        return fast
     out = np.empty((rows, cols), dtype=np.complex128)
     for i, row in enumerate(node):
         if not isinstance(row, list) or len(row) != cols:
@@ -169,7 +203,9 @@ def parse_document(doc):
     if isinstance(doc, (str, bytes)):
         try:
             envelope = json.loads(doc)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError, bad UTF-8 and over-long
+            # integer literals; RecursionError, too deeply nested arrays.
             raise SchemaError(f"malformed JSON: {exc}") from exc
     else:
         envelope = doc
@@ -247,12 +283,14 @@ def parse_document(doc):
     return tuple(ops)
 
 
-def _emit_complex(z: complex) -> list:
-    return [float(z.real), float(z.imag)]
+def _complex_pairs(values) -> np.ndarray:
+    """Complex ``values`` as a float64 array of ``[re, im]`` pairs, shape ``(..., 2)``."""
+    z = np.asarray(values, dtype=np.complex128)
+    return np.stack((z.real, z.imag), axis=-1)
 
 
 def _emit_matrix(mat: np.ndarray) -> list:
-    return [[_emit_complex(complex(entry)) for entry in row] for row in np.asarray(mat)]
+    return _complex_pairs(mat).tolist()
 
 
 def serialize_document(obj) -> dict:

@@ -1,11 +1,15 @@
 """The batch CLI: output formats, exit codes, seeds, error reporting."""
 
 import json
+import math
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from conftest import E0, E1, equal_mixture_density, equal_superposition_state
 from twotime import (
@@ -17,7 +21,7 @@ from twotime import (
     reversal_scenario,
     serialize_document,
 )
-from twotime.cli import run_cli
+from twotime.cli import _dumps, run_cli
 
 
 @pytest.fixture
@@ -439,6 +443,23 @@ def test_weak_undefined_is_a_domain_error(capsys, docs):
     assert error_code(err) == "undefined-weak-value"
 
 
+@pytest.mark.parametrize("flag", ["--eta", "--probs", "--policy"])
+def test_deeply_nested_json_is_a_schema_error(capsys, docs, tmp_path, flag):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    argv = {
+        "--eta": ["check", "--eta", str(deep)],
+        "--probs": ["tomography", "--dim", "2", "--probs", str(deep)],
+        "--policy": ["simulate", "--ensemble", docs["ensemble"], "--policy", str(deep),
+                     "--shots", "100", "--seed", "1"],
+    }[flag]
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
+    assert "malformed JSON" in json.loads(err)["error"]["message"]
+
+
 # ---------------------------------------------------------------------------
 # check and iso.
 
@@ -458,6 +479,27 @@ def test_check_measurement(capsys, docs):
     assert payload["detailed"] is True
     assert payload["complete"] is True
     assert payload["completeness_defect"] <= 1e-10
+
+
+def test_non_utf8_document_is_a_schema_error(capsys, tmp_path):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["check", "--eta", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
+
+
+def test_check_integer_too_large_for_a_float(capsys, docs, tmp_path):
+    envelope = json.loads(open(docs["eta"]).read())
+    envelope["payload"]["matrix"][0][0][0] = 10**400
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(envelope))
+    code, out, err = run(capsys, ["check", "--eta", str(bad)])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
+    assert "payload.matrix[0][0][0]: integer too large" in json.loads(err)["error"]["message"]
 
 
 def test_iso_density(capsys, docs):
@@ -492,6 +534,65 @@ def test_demo_unknown_target(capsys):
     code, out, err = run(capsys, ["demo", "entanglement-swap"])
     assert code == 2
     assert error_code(err) == "usage"
+
+
+# ---------------------------------------------------------------------------
+# Output formatting: arrays print the bytes of the recursive writer.
+
+def reference_dumps(obj) -> str:
+    """The per-element writer the CLI used for every value before arrays."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        return "null" if (math.isnan(x) or math.isinf(x)) else f"{x:.17g}"
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if isinstance(obj, (list, tuple)):
+        return "[" + ", ".join(reference_dumps(x) for x in obj) + "]"
+    if isinstance(obj, np.ndarray):
+        return reference_dumps(obj.tolist())
+    if isinstance(obj, dict):
+        items = (f"{reference_dumps(str(k))}: {reference_dumps(v)}" for k, v in obj.items())
+        return "{" + ", ".join(items) + "}"
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+# Values where repr, json.dumps or numpy's formatters differ from .17g,
+# plus the non-finite values and both ends of the float64 range.
+SPECIAL_FLOATS = [
+    1.0, -0.0, 0.0, 0.1, 1e-05, 5e-324, -5e-324, 1e16, 2.2250738585072014e-308,
+    1.7976931348623157e308, -1.7976931348623157e308, 2.0 / 3.0, 123456789.0,
+    float("nan"), float("inf"), -float("inf"),
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(
+    np.float64,
+    hnp.array_shapes(min_dims=1, max_dims=3, min_side=0, max_side=5),
+    elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(width=64)),
+))
+def test_float_arrays_print_like_the_recursive_writer(arr):
+    assert _dumps(arr) == reference_dumps(arr.tolist())
+    assert _dumps({"a": arr, "b": [arr]}) == reference_dumps({"a": arr.tolist(), "b": [arr.tolist()]})
+
+
+def test_special_floats_print_as_17_significant_digits():
+    arr = np.array(SPECIAL_FLOATS[:9] + SPECIAL_FLOATS[-3:])
+    assert _dumps(arr) == (
+        "[1, -0, 0, 0.10000000000000001, 1.0000000000000001e-05, "
+        "4.9406564584124654e-324, -4.9406564584124654e-324, 10000000000000000, "
+        "2.2250738585072014e-308, null, null, null]"
+    )
+    assert _dumps(np.zeros((2, 0, 3))) == "[[], []]"
+    assert _dumps(np.float64(0.5)) == "0.5"
+    assert _dumps(np.array(0.5)) == "0.5"
+    assert _dumps(np.array([1, 2])) == "[1, 2]"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from conftest import (
     random_kraus,
     random_state,
 )
+from twotime import io as tio
 from twotime import (
     BipartiteDensity,
     BipartiteOperator,
@@ -209,3 +210,102 @@ def test_serialize_rejects_foreign_objects():
         serialize_document({"not": "a domain object"})
     with pytest.raises(SchemaError):
         serialize_document(())
+
+
+def test_integer_too_large_for_a_float_names_its_path():
+    # float(10**400) overflows; each site reports its JSON path instead.
+    huge = "1" + "0" * 400
+    pair_entry = ('{"format_version": "1", "kind": "two_time_state", "dim": 1, '
+                  '"payload": {"coeffs": [[[%s, 0]]]}}' % huge)
+    with pytest.raises(SchemaError, match=r"payload\.coeffs\[0\]\[0\]\[0\]: integer too large"):
+        parse_document(pair_entry)
+    plain_entry = ('{"format_version": "1", "kind": "two_time_state", "dim": 1, '
+                   '"payload": {"coeffs": [[%s]]}}' % huge)
+    with pytest.raises(SchemaError, match=r"payload\.coeffs\[0\]\[0\]: integer too large"):
+        parse_document(plain_entry)
+    weight = ('{"format_version": "1", "kind": "ensemble", "dim": 1, "payload": '
+              '{"members": [{"weight": %s, "coeffs": [[[1, 0]]]}]}}' % huge)
+    with pytest.raises(SchemaError, match=r"payload\.members\[0\]\.weight: integer too large"):
+        parse_document(weight)
+
+
+@pytest.mark.parametrize("text", [
+    "[" * 100_000 + "]" * 100_000,
+    '{"a": ' * 100_000 + "0" + "}" * 100_000,
+    "1" + "0" * 5000,  # beyond the interpreter's integer-string limit
+    b"\xff",
+], ids=["deep-array", "deep-object", "long-integer", "bad-utf8"])
+def test_unparseable_json_is_a_schema_error(text):
+    with pytest.raises(SchemaError, match="malformed JSON"):
+        parse_document(text)
+
+
+# ---------------------------------------------------------------------------
+# The canonical-matrix fast path against the per-entry loop.
+
+def loop_matrix(node, path, rows, cols):
+    """The per-entry parse every matrix took before the fast path."""
+    if not isinstance(node, list) or len(node) != rows:
+        raise SchemaError(f"{path}: expected a {rows}x{cols} matrix as nested arrays")
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for i, row in enumerate(node):
+        if not isinstance(row, list) or len(row) != cols:
+            raise SchemaError(f"{path}[{i}]: expected a row of {cols} entries")
+        for j, entry in enumerate(row):
+            out[i, j] = tio._complex(entry, f"{path}[{i}][{j}]")
+    return out
+
+
+def assert_bits_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("node", [
+    [[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1, -1]]],
+    [[[2**63, -(2**63)], [2**64 + 1, 2**53 + 1]], [[-(2**64) - 1, 0], [10**300, 3]]],
+    [[[0.1, 1e-05]], [[5e-324, -1.7976931348623157e308]]],
+])
+def test_pair_matrix_matches_the_loop_bit_for_bit(node):
+    rows, cols = len(node), len(node[0])
+    fast = tio._pair_matrix(node, cols)
+    assert fast is not None
+    assert_bits_equal(fast, loop_matrix(node, "m", rows, cols))
+    assert_bits_equal(tio._matrix(node, "m", rows, cols), fast)
+
+
+def test_pair_matrix_matches_the_loop_on_random_matrices(rng):
+    for d in (1, 2, 3, 6, 16):
+        values = rng.normal(size=(d, d, 2)) * 10.0 ** rng.integers(-300, 300, size=(d, d, 2))
+        node = json.loads(json.dumps(values.tolist()))
+        assert_bits_equal(tio._pair_matrix(node, d), loop_matrix(node, "m", d, d))
+
+
+@pytest.mark.parametrize("node", [
+    [[[1.0, 0.0], 0.5], [[0.0, 0.0], [1.0, 0.0]]],  # a plain real beside pairs
+    [[1.0, 0.0], [[0.0, 0.0], [1.0, 0.0]]],         # a row of plain reals
+    [[1, 0], [0, 1]],                               # plain reals only
+    [[[1.0, 0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    [[[True, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    [[[np.float64(1.0), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    [[[10**400, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
+])
+def test_non_canonical_matrices_take_the_loop(node):
+    assert tio._pair_matrix(node, 2) is None
+    try:
+        expected = loop_matrix(node, "m", 2, 2)
+    except SchemaError as exc:
+        with pytest.raises(SchemaError) as err:
+            tio._matrix(node, "m", 2, 2)
+        assert str(err.value) == str(exc)
+    else:
+        assert_bits_equal(tio._matrix(node, "m", 2, 2), expected)
+
+
+def test_serialized_matrices_are_lists_of_floats(rng):
+    envelope = serialize_document(random_state(rng, 2))
+    coeffs = envelope["payload"]["coeffs"]
+    assert type(coeffs) is list
+    assert all(type(x) is float for row in coeffs for pair in row for x in pair)
