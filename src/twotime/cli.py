@@ -172,13 +172,15 @@ def _load(path: str, kind: str, flag: str):
 
 def _json_numbers(values: list, where: str) -> list:
     """``values`` as floats, or SchemaError unless every entry is a JSON number."""
+    out = []
     for idx, x in enumerate(values):
         if isinstance(x, bool) or not isinstance(x, (int, float)):
             raise SchemaError(f"{where}[{idx}] is not a number: {x!r}")
-    try:
-        return [float(x) for x in values]
-    except OverflowError as exc:
-        raise SchemaError(f"{where}: {exc}") from None
+        try:
+            out.append(float(x))
+        except OverflowError as exc:
+            raise SchemaError(f"{where}[{idx}]: {exc}") from None
+    return out
 
 
 def _resolve_seed(seed, *, default: int | None = None) -> int:

@@ -30,13 +30,13 @@ Results therefore depend only on (seed, shots), bit-identically, no
 matter how attempts are partitioned across workers; partial tallies
 merge by summation.
 
-Cost per chunk: one stable argsort of the chunk's (choice, member) keys,
-then one ``searchsorted`` over the branch table of each (choice, member)
-group that received attempts; groups without attempts cost nothing.
-Grouping leaves every tally unchanged: each attempt still reads its own
-row of uniforms and its own group's tables, the stable sort hands each
-group the same rows in the same ascending order a per-group boolean mask
-would, and integer counts merge by summation.
+Cost per chunk: the member, the measurement choice and the Kraus branch
+of every attempt are drawn by one exact guide-table inversion each
+(``_Inverse``), then the success test and the tallies take two gathers
+and two ``bincount`` calls; nothing is sorted or looped over per group.
+The inversion compares ``edge <= u`` as ``searchsorted(row, u,
+side="right")`` does and returns its index for every attempt, so no
+tally can move.
 """
 
 from __future__ import annotations
@@ -232,14 +232,15 @@ class SimResult:
 def _uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     """Rows [start, stop) of the per-seed uniform table (4 per attempt)."""
     out = np.empty((stop - start, 4))
-    pos = 0
-    for block_idx in range(start // CHUNK, (stop - 1) // CHUNK + 1):
-        gen = Generator(Philox(key=np.array([seed, block_idx], dtype=np.uint64)))
-        block = gen.random((CHUNK, 4))
-        lo = max(start, block_idx * CHUNK)
-        hi = min(stop, (block_idx + 1) * CHUNK)
-        out[pos:pos + (hi - lo)] = block[lo - block_idx * CHUNK:hi - block_idx * CHUNK]
-        pos += hi - lo
+    pos = start
+    while pos < stop:
+        block_idx, first = divmod(pos, CHUNK)
+        end = min(stop, (block_idx + 1) * CHUNK)
+        bitgen = Philox(key=np.array([seed, block_idx], dtype=np.uint64))
+        # One Philox counter step yields four 64-bit words: one row.
+        bitgen.advance(first)
+        Generator(bitgen).random(out=out[pos - start:end - start])
+        pos = end
     return out
 
 
@@ -252,6 +253,76 @@ def _kraus_stack(m: Measurement) -> np.ndarray:
 #: one block of ensemble members; bounds the table build's peak memory.
 _TABLE_BLOCK_BYTES = 1 << 21
 
+#: Bytes of the int64 counts an ``_Inverse`` guide is built from; bounds
+#: its bucket count K and the build's peak memory.
+_GUIDE_BYTES = 1 << 20
+
+
+class _Inverse:
+    """Exact ``searchsorted(cum[row], u, side="right")`` for arrays of (row, u).
+
+    ``cum`` is (n_rows, width): nondecreasing rows padded with +inf to a
+    power-of-two width with at least one pad.  K is a power of two, so
+    bucket j = clip(floor(u K), -1, K) + 1 is exact, and an edge c lies at
+    or below the bucket's lower end (j - 1) / K (-inf for j = 0) exactly
+    when ``ceil(c K) + 1 <= j``.  ``guide[j]`` is that count of edges when
+    it equals the count at the bucket's upper end, which settles every u
+    in the bucket, and -1 otherwise; those draws run a branchless halving
+    search over their row.  Both routes count ``edge <= u`` as
+    ``searchsorted`` does, for any finite double u.
+    """
+
+    def __init__(self, cum: np.ndarray) -> None:
+        n_rows, self.width = cum.shape
+        self.cum = cum.ravel()
+        k = 16 * self.width
+        while k > 1 and n_rows * (k + 3) * 8 > _GUIDE_BYTES:
+            k //= 2
+        self.k = k
+        first = np.clip(np.ceil(cum * k), 0, k + 1).astype(np.intp) + 1
+        first += np.arange(n_rows)[:, None] * (k + 3)
+        h = np.bincount(first.ravel(), minlength=n_rows * (k + 3)).reshape(n_rows, k + 3)
+        np.cumsum(h, axis=1, out=h)
+        guide = h[:, :-1].astype(np.min_scalar_type(-self.width))
+        guide[h[:, :-1] != h[:, 1:]] = -1
+        self.guide = guide.ravel()
+
+    def __call__(self, u: np.ndarray, rows: np.ndarray | int = 0) -> np.ndarray:
+        j = u * self.k
+        np.floor(j, out=j)
+        np.clip(j, -1, self.k, out=j)
+        j = j.astype(np.intp)
+        j += rows * (self.k + 2) + 1
+        found = self.guide[j]
+        todo = np.flatnonzero(found < 0)
+        found = found.astype(np.intp)
+        if todo.size:
+            ut = u[todo]
+            start = np.broadcast_to(rows, u.shape)[todo] * self.width
+            pos = start.copy()
+            step = self.width // 2
+            while step:
+                pos += step * (self.cum[pos + (step - 1)] <= ut)
+                step //= 2
+            found[todo] = pos - start
+        return found
+
+
+def _stacked(blocks: list, width: int, fill) -> np.ndarray:
+    """The rows of equal-height ``blocks`` in order, padded with ``fill``."""
+    out = np.full((len(blocks), len(blocks[0]), width), fill, dtype=blocks[0].dtype)
+    for dst, b in zip(out, blocks):
+        dst[:, :b.shape[1]] = b
+    return out.reshape(-1, width)
+
+
+def _inverse(cums: list) -> _Inverse:
+    """``_Inverse`` of cumulative rows without their last edges, so a draw
+    at or past the last edge takes the last index, as the clamp
+    ``min(searchsorted(row, u, side="right"), n - 1)`` would."""
+    width = 1 << (max(c.shape[1] for c in cums) - 1).bit_length()
+    return _Inverse(_stacked([c[:, :-1] for c in cums], width, np.inf))
+
 
 class _Tables:
     """Precomputed sampling tables; everything the per-attempt loop needs.
@@ -259,14 +330,17 @@ class _Tables:
     ``cum_branch[c]`` and ``success[c]`` are (n_members, n_branches)
     arrays: the cumulative Born weights of measurement c's fine-grained
     Kraus branches and the post-selection success probability of each
-    collapsed branch, one row per ensemble member.
+    collapsed branch, one row per ensemble member.  ``branches`` inverts
+    them, and ``success_at`` and ``tally_at`` give each branch's success
+    probability and flat (choice, member, outcome) tally index, in rows
+    ``choice * n_members + member`` of ``branches.width`` entries.
     """
 
     def __init__(self, cfg: SimConfig) -> None:
         d = cfg.ensemble.dim
         self.n_members = len(cfg.ensemble.members)
-        self.cum_members = np.cumsum(cfg.ensemble.weights)
-        self.cum_choices = np.cumsum(np.array(cfg.policy.choice_probs))
+        self.members = _inverse([np.cumsum(cfg.ensemble.weights)[None]])
+        self.choices = _inverse([np.cumsum(np.array(cfg.policy.choice_probs))[None]])
         coeffs = np.stack([state.coeffs for state in cfg.ensemble.states])
         self.outcome_of = []
         self.n_outcomes = []
@@ -291,43 +365,26 @@ class _Tables:
             self.n_outcomes.append(m.n_outcomes)
             self.cum_branch.append(np.cumsum(born, axis=1))
             self.success.append(np.clip(succ, 0.0, 1.0))
+        self.branches = _inverse(self.cum_branch)
+        width = self.branches.width
+        self.success_at = _stacked(self.success, width, 0.0).ravel()
+        rows = np.arange(len(self.success) * self.n_members).reshape(len(self.success), -1, 1)
+        tally = [rows[c] * max(self.n_outcomes) + o for c, o in enumerate(self.outcome_of)]
+        self.tally_at = _stacked(tally, width, 0).ravel()
 
 
 def _accumulate(cfg: SimConfig, tables: _Tables, start: int, stop: int,
-                attempted: np.ndarray, counts: list) -> None:
-    n_members = tables.n_members
-    n_choices = len(tables.n_outcomes)
+                attempted: np.ndarray, tally: np.ndarray) -> None:
+    """Add the attempts and successes of [start, stop) to the flat tallies."""
     pos = start
     while pos < stop:
         end = min(stop, pos + CHUNK - (pos % CHUNK))
         u = _uniforms(cfg.seed, pos, end)
-        r_idx = np.minimum(
-            np.searchsorted(tables.cum_members, u[:, 0], side="right"), n_members - 1
-        )
-        c_idx = np.minimum(
-            np.searchsorted(tables.cum_choices, u[:, 1], side="right"), n_choices - 1
-        )
-        # One stable sort groups the chunk by (choice, member): each group
-        # gets its attempts in ascending order, as a boolean mask would
-        # select them.  The narrowest key dtype lets numpy radix-sort up
-        # to 65536 groups.
-        n_groups = n_choices * n_members
-        key = (c_idx * n_members + r_idx).astype(np.min_scalar_type(n_groups - 1))
-        order = np.argsort(key, kind="stable")
-        sizes = np.bincount(key, minlength=n_groups)
-        attempted += sizes.reshape(n_choices, n_members)
-        bounds = np.cumsum(sizes)
-        for g in np.flatnonzero(sizes):
-            c, r = divmod(int(g), n_members)
-            rows = order[bounds[g] - sizes[g]:bounds[g]]
-            branch = np.minimum(
-                np.searchsorted(tables.cum_branch[c][r], u[rows, 2], side="right"),
-                tables.outcome_of[c].size - 1,
-            )
-            wins = u[rows, 3] < tables.success[c][r][branch]
-            if wins.any():
-                mu = tables.outcome_of[c][branch[wins]]
-                counts[c][r] += np.bincount(mu, minlength=tables.n_outcomes[c])
+        row = tables.choices(u[:, 1]) * tables.n_members + tables.members(u[:, 0])
+        attempted += np.bincount(row, minlength=attempted.size)
+        at = tables.branches(u[:, 2], row) + row * tables.branches.width
+        wins = u[:, 3] < tables.success_at[at]
+        tally += np.bincount(tables.tally_at[at[wins]], minlength=tally.size)
         pos = end
 
 
@@ -340,19 +397,18 @@ def simulate(cfg: SimConfig, _ranges=None) -> SimResult:
     randomness contract.
     """
     tables = _Tables(cfg)
-    n_choices = len(cfg.policy.measurements)
-    attempted = np.zeros((n_choices, tables.n_members), dtype=np.int64)
-    counts = [
-        np.zeros((tables.n_members, n), dtype=np.int64) for n in tables.n_outcomes
-    ]
+    shape = (len(tables.n_outcomes), tables.n_members, max(tables.n_outcomes))
+    attempted = np.zeros(shape[:2], dtype=np.int64)
+    tally = np.zeros(shape, dtype=np.int64)
     if _ranges is None:
         _ranges = [(0, cfg.shots)]
     for start, stop in _ranges:
-        _accumulate(cfg, tables, start, stop, attempted, counts)
+        _accumulate(cfg, tables, start, stop, attempted.reshape(-1), tally.reshape(-1))
+    counts = tuple(tally[c, :, :n].copy() for c, n in enumerate(tables.n_outcomes))
     attempted.flags.writeable = False
     for arr in counts:
         arr.flags.writeable = False
-    return SimResult(attempts=cfg.shots, attempted=attempted, choice_counts=tuple(counts))
+    return SimResult(attempts=cfg.shots, attempted=attempted, choice_counts=counts)
 
 
 def analytic_success_rate(ensemble: Ensemble, m: Measurement) -> float:

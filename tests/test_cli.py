@@ -502,6 +502,33 @@ def test_check_integer_too_large_for_a_float(capsys, docs, tmp_path):
     assert "payload.matrix[0][0][0]: integer too large" in json.loads(err)["error"]["message"]
 
 
+def test_probs_integer_too_large_for_a_float_names_its_entry(capsys, tmp_path):
+    probs_file = tmp_path / "probs.json"
+    probs_file.write_text(json.dumps({"probabilities": [0.5, 10**400]}))
+    code, out, err = run(capsys, ["tomography", "--dim", "2", "--probs", str(probs_file)])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
+    assert json.loads(err)["error"]["message"].startswith("--probs: probabilities[1]: ")
+
+
+def test_choice_probs_integer_too_large_for_a_float_names_its_entry(capsys, docs, tmp_path):
+    _, m1, m2 = reversal_scenario()
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "choice_probs": [0.5, 10**400],
+        "measurements": [serialize_document(m1), serialize_document(m2)],
+    }))
+    code, out, err = run(capsys, [
+        "simulate", "--ensemble", docs["ensemble"], "--policy", str(policy),
+        "--shots", "100", "--seed", "1",
+    ])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "schema"
+    assert json.loads(err)["error"]["message"].startswith("--policy: choice_probs[1]: ")
+
+
 def test_iso_density(capsys, docs):
     payload = run_json(capsys, ["iso", "--eta", docs["eta"]])
     assert payload["object"] == "density_vector"

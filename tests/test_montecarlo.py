@@ -13,6 +13,7 @@ from conftest import (
     random_density,
     random_ensemble,
     random_state,
+    random_weights,
 )
 from twotime import (
     CHUNK,
@@ -248,7 +249,7 @@ def test_config_rejects_incomplete_measurements():
 
 # ---------------------------------------------------------------------------
 # Reference loops: the per-member table build and the per-group mask loop
-# that the batched tables and the grouped shot loop replace.
+# that the batched tables and the guide-table shot loop replace.
 
 def member_tables(stack, coeffs):
     """Reference: cumulative Born weights and unclipped success of one member."""
@@ -446,3 +447,134 @@ def test_success_probability_clip_removes_only_rounding(case):
     _, succ = member_tables(stack, coeffs)
     assert np.all(succ >= 0.0)
     assert np.all(succ <= 1.0 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# The guide-table inversion behind every table draw, and the uniform stream.
+
+@st.composite
+def edge_rows(draw):
+    """Nondecreasing rows of cumulative weights that stress a guide table.
+
+    The bucket count K depends only on the table's shape, so it is known
+    before the entries are drawn.  Entries are grid points b / K (bucket
+    edges) and their neighbouring doubles, finer dyadic values, repeated
+    values (zero-weight branches), subnormals, arbitrary doubles in
+    [0, 1] and values a few ulps above 1; shorter rows are padded with
+    +inf.
+    """
+    n_rows = draw(st.integers(1, 4))
+    lengths = draw(st.lists(st.integers(0, 40), min_size=n_rows, max_size=n_rows))
+    width = 1 << max(lengths).bit_length()
+    k = montecarlo._Inverse(np.full((n_rows, width), np.inf)).k
+    entry = st.one_of(
+        st.builds(lambda b: b / k, st.integers(0, k)),
+        st.builds(lambda b, up: np.nextafter(b / k, np.inf if up else -np.inf),
+                  st.integers(1, k), st.booleans()),
+        st.builds(lambda b, m: b / 2.0**m, st.integers(0, 2**16), st.integers(8, 16)),
+        st.builds(lambda j: j * 5e-324, st.integers(0, 8)),
+        st.builds(lambda j: 1.0 + j * np.spacing(1.0), st.integers(0, 4)),
+        st.floats(0.0, 1.0),
+    )
+    cum = np.full((n_rows, width), np.inf)
+    for i, n in enumerate(lengths):
+        vals = sorted(draw(st.lists(entry, min_size=n, max_size=n)))
+        repeat = draw(st.integers(0, 3)) if vals else 0
+        vals = (vals + vals[-1:] * repeat)[:width - 1]  # trailing zero weights
+        cum[i, :len(vals)] = vals
+    return cum
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(cum=edge_rows(), extra=st.lists(st.floats(-2.0, 2.0), max_size=32))
+def test_guide_inversion_equals_searchsorted(cum, extra):
+    inv = montecarlo._Inverse(cum)
+    k = inv.k
+    grid = np.arange(-1, k + 2) / k
+    edges = cum[np.isfinite(cum)]
+    u = np.concatenate([
+        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
+        [0.0, -0.0, 5e-324, -5e-324, -0.5 / k, 1.0 - 2**-53, 2.0, -3.5, 1e300, -1e300],
+        extra,
+    ])
+    for r, row in enumerate(cum):
+        want = np.searchsorted(row, u, side="right")
+        assert np.array_equal(inv(u, np.full(u.shape, r)), want)
+        if len(cum) == 1:
+            assert np.array_equal(inv(u), want)
+
+
+def test_guide_inversion_settles_most_uniform_draws():
+    # The guide answers without a search wherever a bucket holds no
+    # edge; a 64-entry row should leave only a few percent to the search.
+    rng = np.random.default_rng(3)
+    cum = np.cumsum(random_weights(rng, 64))
+    inv = montecarlo._inverse([cum[None]])
+    u = rng.random(CHUNK)
+    j = np.floor(u * inv.k).astype(np.intp) + 1
+    assert np.mean(inv.guide[j] < 0) < 0.1
+    # The table omits the last edge, so draws past it take the last index.
+    want = np.minimum(np.searchsorted(cum, u, side="right"), 63)
+    assert np.array_equal(inv(u), want)
+    assert np.array_equal(inv(np.array([cum[-1], 1.0, 2.0])), [63, 63, 63])
+
+
+def test_uniforms_match_slices_of_the_full_blocks():
+    rng = np.random.default_rng(8)
+    seed = int(rng.integers(0, 2**63))
+    blocks = np.concatenate([
+        np.random.Generator(np.random.Philox(key=np.array([seed, b], dtype=np.uint64)))
+        .random((CHUNK, 4))
+        for b in range(3)
+    ])
+    ranges = [(0, 1), (CHUNK - 1, CHUNK + 1), (0, 3 * CHUNK), (CHUNK, 2 * CHUNK)]
+    for _ in range(20):
+        start = int(rng.integers(0, 3 * CHUNK))
+        ranges.append((start, int(rng.integers(start + 1, 3 * CHUNK + 1))))
+    for start, stop in ranges:
+        assert np.array_equal(montecarlo._uniforms(seed, start, stop), blocks[start:stop])
+
+
+def assert_matches_mask_loop(cfg):
+    want_attempted, want_counts = mask_simulate(cfg, [(0, cfg.shots)])
+    res = simulate(cfg)
+    assert np.array_equal(res.attempted, want_attempted)
+    for got, want in zip(res.choice_counts, want_counts, strict=True):
+        assert np.array_equal(got, want)
+
+
+def test_shot_loop_pads_mixed_branch_counts(rng):
+    # 64 tomography branches beside a 2-branch measurement: the table
+    # holds all but the last edge of each row, so the 2-branch rows carry
+    # 63 +inf pads.
+    ens = random_ensemble(rng, 2, n_members=5)
+    policy = ObserverPolicy(
+        (build_tomography_set(2).measurement, random_complete_measurement(rng, 2, 2)),
+        (0.5, 0.5),
+    )
+    cfg = SimConfig(ens, policy, CHUNK + 1000, 77)
+    assert montecarlo._Tables(cfg).branches.width == 64
+    assert_matches_mask_loop(cfg)
+
+
+def test_shot_loop_with_member_edges_on_bucket_edges(rng):
+    # Four equal weights put the member edges at exactly 0.25, 0.5 and
+    # 0.75, which are bucket edges of every guide.
+    states = [random_state(rng, 2) for _ in range(4)]
+    ens = Ensemble(tuple((0.25, s) for s in states))
+    assert np.cumsum(ens.weights)[:3].tolist() == [0.25, 0.5, 0.75]
+    assert_matches_mask_loop(SimConfig.fixed(ens, projective_z(), 20_000, 5))
+
+
+def test_shot_loop_when_the_guide_byte_cap_binds(rng):
+    ens = random_ensemble(rng, 2, n_members=300)
+    policy = ObserverPolicy(
+        (build_tomography_set(2).measurement, projective_z()), (0.9, 0.1)
+    )
+    cfg = SimConfig(ens, policy, 30_000, 2026)
+    inv = montecarlo._Tables(cfg).branches
+    n_rows = inv.guide.size // (inv.k + 2)
+    # K is the largest power of two whose int64 counts fit the cap.
+    assert n_rows * (inv.k + 3) * 8 <= montecarlo._GUIDE_BYTES < n_rows * (2 * inv.k + 3) * 8
+    assert_matches_mask_loop(cfg)
