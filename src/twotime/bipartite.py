@@ -38,7 +38,6 @@ from .core import (
     _as_square_complex,
     _check_hermitian_psd,
     _freeze,
-    _pair_mats,
     _side_of_pair_matrix,
     pair,
 )
@@ -47,7 +46,8 @@ from .measurements import (
     Measurement,
     MeasurementOutcome,
     _kraus_set_from_psd_matrix,
-    kraus_density_vector,
+    _post_selection_defect,
+    partial_normalization_defect,
 )
 
 __all__ = [
@@ -169,25 +169,28 @@ def measurement_partial_trace_defect(ops) -> float:
 
     Accepts :class:`BipartiteOperator` instances or raw arrays; a
     :class:`~twotime.measurements.Measurement` is also accepted and
-    mapped outcome by outcome.
+    mapped outcome by outcome.  Its images sum to the complex conjugate
+    of its summed Kraus density vectors, so its defect is
+    :func:`~twotime.measurements.partial_normalization_defect`.
     """
     if isinstance(ops, Measurement):
-        mats = [kdv_to_bipartite(kraus_density_vector(out)).op for out in ops.outcomes]
-    else:
-        mats = [np.asarray(getattr(op, "op", op), dtype=np.complex128) for op in ops]
+        return partial_normalization_defect(ops)
+    mats = [_as_square_complex(getattr(op, "op", op), f"operator {idx}")
+            for idx, op in enumerate(ops)]
+    return _post_selection_defect(_summed(mats))
+
+
+def _summed(mats: list) -> np.ndarray:
+    """The sum of nonempty equal-shape (d^2, d^2) operators."""
     if not mats:
         raise DimensionMismatchError("no operators to check")
-    n = mats[0].shape[0]
-    d = math.isqrt(n)
-    if d * d != n:
-        raise DimensionMismatchError(f"operators must act on a d^2-dimensional space, got {n}")
+    n = _side_of_pair_matrix(mats[0], "operators") ** 2
     total = np.zeros((n, n), dtype=np.complex128)
     for idx, mat in enumerate(mats):
         if mat.shape != (n, n):
             raise DimensionMismatchError(f"operator {idx} has shape {mat.shape}, expected {(n, n)}")
         total += mat
-    traced = np.einsum("ijil->jl", total.reshape(d, d, d, d))
-    return float(np.max(np.abs(traced - np.eye(d))))
+    return total
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,22 +236,15 @@ def povm_to_twotime(ops) -> PovmPullback:
     measurement returned alongside the raw pullbacks.
     """
     mats = [
-        _check_hermitian_psd(
-            np.asarray(getattr(op, "op", op), dtype=np.complex128), f"operator {idx}"
-        )
+        _check_hermitian_psd(_as_square_complex(getattr(op, "op", op), f"operator {idx}"),
+                             f"operator {idx}")
         for idx, op in enumerate(ops)
     ]
     if not mats:
         raise DimensionMismatchError("empty operator set")
-    n = mats[0].shape[0]
+    total = _summed(mats)
+    n = total.shape[0]
     d = math.isqrt(n)
-    if d * d != n:
-        raise DimensionMismatchError(f"operators must act on a d^2-dimensional space, got {n}")
-    total = np.zeros((n, n), dtype=np.complex128)
-    for idx, mat in enumerate(mats):
-        if mat.shape != (n, n):
-            raise DimensionMismatchError(f"operator {idx} has shape {mat.shape}, expected {(n, n)}")
-        total += mat
     id_defect = float(np.max(np.abs(total - np.eye(n))))
     if id_defect > 1e-10:
         raise NormalizationError(
@@ -256,11 +252,8 @@ def povm_to_twotime(ops) -> PovmPullback:
         )
 
     kdvs = tuple(KrausDensityVector(mat.conj()) for mat in mats)
-    summed = np.zeros((n, n), dtype=np.complex128)
-    for kdv in kdvs:
-        summed += kdv.mat
-    contracted = np.einsum("ijil->jl", summed.reshape(d, d, d, d))
-    defect = float(np.max(np.abs(contracted - d * np.eye(d))))
+    # The pullbacks sum to conj(total), which has the same defect.
+    defect = _post_selection_defect(total, d)
 
     outcomes = tuple(
         MeasurementOutcome(_kraus_set_from_psd_matrix(kdv.mat / d), str(idx))

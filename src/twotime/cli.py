@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .io import _complex_pairs, parse_document
-from .measurements import Measurement, kraus_density_vector
+from .measurements import Measurement, kraus_density_vector, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
     SimConfig,
@@ -425,8 +425,6 @@ def _cmd_check(args) -> tuple[dict, tuple | None]:
         }
     else:
         m = _load(args.measurement, "measurement", "--measurement")
-        from .measurements import partial_normalization_defect
-
         payload = {
             "kind": "check",
             "object": "measurement",

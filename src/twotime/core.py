@@ -277,13 +277,9 @@ def contract_pure(op: KrausOperator, state: TwoTimeState) -> complex:
     return complex(np.sum(op.entries * state.coeffs))
 
 
-def _sandwich_mat(entries: np.ndarray, mat: np.ndarray) -> float:
-    """Array-level sandwich; used by tests to probe scale invariance."""
-    v = entries.reshape(-1)
-    val = float((v @ mat @ v.conj()).real)
-    if val < 0.0 and val >= -PSD_ATOL * max(1.0, float(v.real @ v.real + v.imag @ v.imag)):
-        val = 0.0
-    return val
+def _clamped(val: float, trace: float) -> float:
+    """0 for a negative ``val`` within ``PSD_ATOL * max(1, trace)`` of zero, else ``val``."""
+    return 0.0 if -PSD_ATOL * max(1.0, trace) <= val < 0.0 else val
 
 
 def sandwich(op: KrausOperator, eta: DensityVector) -> float:
@@ -295,14 +291,9 @@ def sandwich(op: KrausOperator, eta: DensityVector) -> float:
     within the positivity slack are clamped to 0.
     """
     _require_same_dim(op.dim, eta.dim, "sandwich")
-    return _sandwich_mat(op.entries, eta.mat)
-
-
-def _pair_mats(kmat: np.ndarray, emat: np.ndarray) -> float:
-    val = float(np.sum(kmat * emat).real)
-    if val < 0.0 and val >= -PSD_ATOL * max(1.0, float(np.trace(kmat).real)):
-        val = 0.0
-    return val
+    v = op.entries.reshape(-1)
+    val = float((v @ eta.mat @ v.conj()).real)
+    return _clamped(val, float(v.real @ v.real + v.imag @ v.imag))
 
 
 def pair(kdv: KrausDensityVector, eta: DensityVector) -> float:
@@ -313,4 +304,4 @@ def pair(kdv: KrausDensityVector, eta: DensityVector) -> float:
     any Kraus decomposition of ``kdv``.
     """
     _require_same_dim(kdv.dim, eta.dim, "pair")
-    return _pair_mats(kdv.mat, eta.mat)
+    return _clamped(float(np.sum(kdv.mat * eta.mat).real), float(np.trace(kdv.mat).real))

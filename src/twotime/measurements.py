@@ -7,9 +7,16 @@ Completeness means ``sum_{mu,chi} A^dag A = I``: the condition under
 which the outcome weights of a complete protocol can be normalized into
 probabilities.
 
+Every statistic of a measurement is a contraction of its Kraus
+operators, so each :class:`Measurement` holds them once as one array:
+``kraus_stack``, the (n_branches, d, d) stack of every outcome's
+operators in order, with ``outcome_of`` naming the outcome of each
+branch.  The probability rules, the checks below and the simulator's
+tables all read that array.
+
 The same condition can be checked without leaving vectorized form:
-contract each outcome's Kraus density vector over the post-selection
-index pair and the results must sum to the identity
+contract the summed Kraus density vectors over the post-selection index
+pair and the result must be the identity
 (:func:`partial_normalization_defect`).
 
 :func:`complete_operator_set` turns an arbitrary family of positive
@@ -20,6 +27,7 @@ taken over the kept outcomes only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -31,6 +39,7 @@ from .core import (
     PSD_ATOL,
     KrausDensityVector,
     KrausOperator,
+    _freeze,
     hermiticity_defect,
 )
 from .errors import (
@@ -87,7 +96,13 @@ class MeasurementOutcome:
 
 @dataclass(frozen=True, eq=False)
 class Measurement:
-    """An ordered list of measurement outcomes over one dimension."""
+    """An ordered list of measurement outcomes over one dimension.
+
+    ``kraus_stack`` is the read-only (n_branches, d, d) complex array of
+    every outcome's Kraus operators in order, and ``outcome_of`` the
+    read-only (n_branches,) index of the outcome each branch belongs
+    to; both are built once, on first use.
+    """
 
     outcomes: tuple
 
@@ -115,6 +130,15 @@ class Measurement:
     def is_detailed(self) -> bool:
         """True when every outcome has exactly one Kraus operator."""
         return all(len(out.kraus) == 1 for out in self.outcomes)
+
+    @cached_property
+    def kraus_stack(self) -> np.ndarray:
+        return _freeze(np.stack([op.entries for out in self.outcomes for op in out.kraus]))
+
+    @cached_property
+    def outcome_of(self) -> np.ndarray:
+        sizes = [len(out.kraus) for out in self.outcomes]
+        return _freeze(np.repeat(np.arange(self.n_outcomes, dtype=np.intp), sizes))
 
     @cached_property
     def completeness_defect(self) -> float:
@@ -153,48 +177,46 @@ def kraus_density_vector(outcome) -> KrausDensityVector:
     Accepts a :class:`MeasurementOutcome` or any iterable of
     :class:`KrausOperator`.
     """
-    if isinstance(outcome, MeasurementOutcome):
-        ops = outcome.kraus
-    else:
-        ops = tuple(outcome)
-        if not ops:
-            raise DegenerateInputError("cannot vectorize an empty Kraus set")
-    d = ops[0].dim
-    acc = np.zeros((d * d, d * d), dtype=np.complex128)
-    for op in ops:
-        if op.dim != d:
-            raise DimensionMismatchError("Kraus operators have mixed dimensions")
-        v = op.entries.reshape(-1)
-        acc += np.outer(v, v.conj())
-    return KrausDensityVector(acc)
+    ops = outcome.kraus if isinstance(outcome, MeasurementOutcome) else tuple(outcome)
+    if not ops:
+        raise DegenerateInputError("cannot vectorize an empty Kraus set")
+    if len({op.dim for op in ops}) != 1:
+        raise DimensionMismatchError("Kraus operators have mixed dimensions")
+    v = np.array([op.entries.reshape(-1) for op in ops])
+    return KrausDensityVector(v.T @ v.conj())
+
+
+def _post_selection_defect(total: np.ndarray, factor: float = 1.0) -> float:
+    """Max ``|sum_i total[(i, j), (i, l)] - factor * delta_jl|``.
+
+    Contracts a (d^2, d^2) array over its post-selection index pair and
+    measures the distance of the result from ``factor`` times the
+    identity on the preparation indices.
+    """
+    d = math.isqrt(total.shape[0])
+    contracted = np.einsum("ijil->jl", total.reshape(d, d, d, d))
+    return float(np.max(np.abs(contracted - factor * np.eye(d))))
 
 
 def check_completeness(m: Measurement) -> tuple[bool, float]:
     """Whether ``sum_{mu,chi} A^dag A = I`` and the defect ``max|sum - I|``."""
-    d = m.dim
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for out in m.outcomes:
-        for op in out.kraus:
-            acc += op.entries.conj().T @ op.entries
-    defect = float(np.max(np.abs(acc - np.eye(d))))
+    s = m.kraus_stack
+    total = np.einsum("oki,okj->ij", s.conj(), s)
+    defect = float(np.max(np.abs(total - np.eye(m.dim))))
     return (defect <= COMPLETENESS_ATOL, defect)
 
 
 def partial_normalization_defect(m: Measurement) -> float:
     """Completeness checked in vectorized form.
 
-    Sums the outcomes' Kraus density vectors, contracts the
-    post-selection index pair (entry ``[(i, j), (i, l)]`` summed over
-    ``i``), and returns the max absolute deviation from the identity on
-    the preparation indices.  Zero exactly when the measurement is
-    complete.
+    Sums the outcomes' Kraus density vectors (one product over the whole
+    Kraus stack), contracts the post-selection index pair (entry
+    ``[(i, j), (i, l)]`` summed over ``i``), and returns the max
+    absolute deviation from the identity on the preparation indices.
+    Zero exactly when the measurement is complete.
     """
-    d = m.dim
-    acc = np.zeros((d * d, d * d), dtype=np.complex128)
-    for out in m.outcomes:
-        acc += kraus_density_vector(out).mat
-    contracted = np.einsum("ijil->jl", acc.reshape(d, d, d, d))
-    return float(np.max(np.abs(contracted - np.eye(d))))
+    v = m.kraus_stack.reshape(-1, m.dim ** 2)
+    return _post_selection_defect(v.T @ v.conj())
 
 
 def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETENESS_ATOL) -> bool:

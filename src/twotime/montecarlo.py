@@ -55,7 +55,7 @@ from .errors import (
     ValidationError,
 )
 from .measurements import Measurement
-from .probability import prob_coarse
+from .probability import _contraction_weights, prob_coarse
 from .states import Ensemble, density_from_ensemble, pure_product
 
 __all__ = [
@@ -244,11 +244,6 @@ def _uniforms(seed: int, start: int, stop: int) -> np.ndarray:
     return out
 
 
-def _kraus_stack(m: Measurement) -> np.ndarray:
-    """The (n_branches, d, d) stack of ``m``'s fine-grained Kraus operators."""
-    return np.stack([op.entries for out in m.outcomes for op in out.kraus])
-
-
 #: Bytes of the ``collapsed`` intermediate that ``_Tables`` may hold for
 #: one block of ensemble members; bounds the table build's peak memory.
 _TABLE_BLOCK_BYTES = 1 << 21
@@ -347,9 +342,8 @@ class _Tables:
         self.cum_branch = []
         self.success = []
         for m in cfg.policy.measurements:
-            stack = _kraus_stack(m)
+            stack = m.kraus_stack
             born = np.empty((self.n_members, len(stack)))
-            contr = np.einsum("oij,rij->ro", stack, coeffs)
             block = max(1, _TABLE_BLOCK_BYTES // (16 * stack.size))  # complex128 rows
             for lo in range(0, self.n_members, block):
                 collapsed = np.einsum("rij,okj->roik", coeffs[lo:lo + block], stack)
@@ -357,11 +351,9 @@ class _Tables:
                     "roik,roik->ro", collapsed, collapsed.conj()
                 ).real
             with np.errstate(divide="ignore", invalid="ignore"):
-                succ = np.abs(contr) ** 2 / (d * born)
+                succ = _contraction_weights(m, coeffs) / (d * born)
             succ[born <= 1e-300] = 0.0
-            self.outcome_of.append(np.array(
-                [mu for mu, out in enumerate(m.outcomes) for _ in out.kraus], dtype=np.intp
-            ))
+            self.outcome_of.append(m.outcome_of)
             self.n_outcomes.append(m.n_outcomes)
             self.cum_branch.append(np.cumsum(born, axis=1))
             self.success.append(np.clip(succ, 0.0, 1.0))
@@ -418,8 +410,7 @@ def analytic_success_rate(ensemble: Ensemble, m: Measurement) -> float:
     ``shots`` against a wanted number of successes.
     """
     coeffs = np.stack([state.coeffs for state in ensemble.states])
-    contr = np.einsum("oij,rij->ro", _kraus_stack(m), coeffs)
-    return float(ensemble.weights @ (np.abs(contr) ** 2).sum(1) / ensemble.dim)
+    return float(ensemble.weights @ _contraction_weights(m, coeffs).sum(1) / ensemble.dim)
 
 
 def _binomial_z(freq: float, p: float, n: int) -> float:

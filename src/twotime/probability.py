@@ -18,6 +18,13 @@ Rules
   bipartite side of the dictionary; the operators need not sum to the
   identity, only the surviving outcomes' relative weights matter.
 
+The four two-time rules share two kernels over the measurement's
+``kraus_stack``: :func:`_contraction_weights` contracts every branch
+with a stack of pure states at once, and :func:`_numerators` sandwiches
+every branch with a density vector's array and sums the branches of
+each outcome.  Detailed measurements therefore give bit-identical
+results under :func:`prob_density` and :func:`prob_coarse`.
+
 A denominator at or below 1e-14 means the post-selection never succeeds
 and the conditional probabilities are undefined; the rules raise typed
 domain errors instead of returning garbage.
@@ -27,13 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import (
-    DensityVector,
-    TwoTimeState,
-    _pair_mats,
-    _sandwich_mat,
-    contract_pure,
-)
+from .core import PSD_ATOL, DensityVector, TwoTimeState, _as_square_complex
 from .errors import (
     AllDiscardedError,
     DimensionMismatchError,
@@ -41,7 +42,7 @@ from .errors import (
     NotDetailedError,
     PostSelectionImpossibleError,
 )
-from .measurements import Measurement, kraus_density_vector
+from .measurements import Measurement
 from .states import Ensemble
 
 __all__ = [
@@ -81,6 +82,30 @@ def _normalize(numerators: np.ndarray, error: type) -> np.ndarray:
     return numerators / total
 
 
+def _contraction_weights(m: Measurement, coeffs: np.ndarray) -> np.ndarray:
+    """``|A_o . alpha_r|^2`` for every Kraus branch o and every state r.
+
+    ``coeffs`` is an (n_states, d, d) stack of coefficient arrays; the
+    result is (n_states, n_branches).
+    """
+    return np.abs(np.einsum("oij,rij->ro", m.kraus_stack, coeffs)) ** 2
+
+
+def _numerators(mat: np.ndarray, m: Measurement) -> np.ndarray:
+    """Outcome weights ``sum_chi vec(A_chi)^T mat vec(A_chi)*`` of a (d^2, d^2) array.
+
+    Each branch's sandwich is summed into its outcome; a negative weight
+    within ``PSD_ATOL * max(1, tr K_mu)`` of zero is rounding and is
+    clamped to 0.
+    """
+    v = m.kraus_stack.reshape(-1, m.dim ** 2)
+    branch = ((v @ mat) * v.conj()).sum(1).real
+    weights = np.bincount(m.outcome_of, branch, m.n_outcomes)
+    traces = np.bincount(m.outcome_of, (v.real ** 2 + v.imag ** 2).sum(1), m.n_outcomes)
+    weights[(weights < 0.0) & (weights >= -PSD_ATOL * np.maximum(1.0, traces))] = 0.0
+    return weights
+
+
 def prob_pure(state: TwoTimeState, m: Measurement) -> np.ndarray:
     """Outcome probabilities of a detailed complete measurement on a pure state.
 
@@ -93,9 +118,7 @@ def prob_pure(state: TwoTimeState, m: Measurement) -> np.ndarray:
         raise DimensionMismatchError(f"state dim {state.dim} != measurement dim {m.dim}")
     _require_detailed(m)
     _require_complete(m)
-    numerators = np.array(
-        [abs(contract_pure(out.kraus[0], state)) ** 2 for out in m.outcomes]
-    )
+    numerators = _contraction_weights(m, state.coeffs[None])[0]
     return _normalize(numerators, PostSelectionImpossibleError)
 
 
@@ -112,18 +135,9 @@ def prob_ensemble(ensemble: Ensemble, m: Measurement) -> np.ndarray:
         raise DimensionMismatchError(f"ensemble dim {ensemble.dim} != measurement dim {m.dim}")
     _require_detailed(m)
     _require_complete(m)
-    numerators = np.zeros(m.n_outcomes)
-    for w, state in ensemble.members:
-        numerators += w * np.array(
-            [abs(contract_pure(out.kraus[0], state)) ** 2 for out in m.outcomes]
-        )
+    coeffs = np.stack([state.coeffs for state in ensemble.states])
+    numerators = ensemble.weights @ _contraction_weights(m, coeffs)
     return _normalize(numerators, PostSelectionImpossibleError)
-
-
-def _density_numerators(mat: np.ndarray, m: Measurement) -> np.ndarray:
-    return np.array([
-        _sandwich_mat(out.kraus[0].entries, mat) for out in m.outcomes
-    ])
 
 
 def prob_density(eta: DensityVector, m: Measurement) -> np.ndarray:
@@ -137,13 +151,7 @@ def prob_density(eta: DensityVector, m: Measurement) -> np.ndarray:
         raise DimensionMismatchError(f"density dim {eta.dim} != measurement dim {m.dim}")
     _require_detailed(m)
     _require_complete(m)
-    return _normalize(_density_numerators(eta.mat, m), PostSelectionImpossibleError)
-
-
-def _coarse_numerators(mat: np.ndarray, m: Measurement) -> np.ndarray:
-    return np.array([
-        _pair_mats(kraus_density_vector(out).mat, mat) for out in m.outcomes
-    ])
+    return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)
 
 
 def prob_coarse(eta: DensityVector, m: Measurement) -> np.ndarray:
@@ -156,7 +164,7 @@ def prob_coarse(eta: DensityVector, m: Measurement) -> np.ndarray:
     if eta.dim != m.dim:
         raise DimensionMismatchError(f"density dim {eta.dim} != measurement dim {m.dim}")
     _require_complete(m)
-    return _normalize(_coarse_numerators(eta.mat, m), PostSelectionImpossibleError)
+    return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)
 
 
 def prob_relative_bipartite(rho, ops) -> np.ndarray:
@@ -176,10 +184,9 @@ def prob_relative_bipartite(rho, ops) -> np.ndarray:
     AllDiscardedError
         If every operator has zero weight on ``rho``.
     """
-    rho_mat = np.asarray(getattr(rho, "rho", rho), dtype=np.complex128)
-    if rho_mat.ndim != 2 or rho_mat.shape[0] != rho_mat.shape[1]:
-        raise DimensionMismatchError(f"expected a square array, got shape {rho_mat.shape}")
-    mats = [np.asarray(getattr(op, "op", op), dtype=np.complex128) for op in ops]
+    rho_mat = _as_square_complex(getattr(rho, "rho", rho), "rho")
+    mats = [_as_square_complex(getattr(op, "op", op), f"operator {idx}")
+            for idx, op in enumerate(ops)]
     if not mats:
         raise AllDiscardedError("no operators; every outcome was discarded")
     for idx, mat in enumerate(mats):

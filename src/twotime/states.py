@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ATOL, PSD_ATOL, DensityVector, TwoTimeState, hermiticity_defect
+from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -30,8 +30,6 @@ __all__ = [
     "ensemble_from_density",
     "positivity_check",
 ]
-
-_ZERO_NORM = 1e-14
 
 
 @dataclass(frozen=True, eq=False)

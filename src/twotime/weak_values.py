@@ -31,6 +31,7 @@ from .errors import (
     NotHermitianError,
     UndefinedWeakValueError,
 )
+from .probability import DENOMINATOR_EPS
 
 __all__ = [
     "WeakValueVector",
@@ -39,8 +40,6 @@ __all__ = [
     "weak_value_ensemble",
     "weak_equivalent_pure",
 ]
-
-_DENOM_EPS = 1e-14
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,7 +95,7 @@ def weak_value_pure(obs: KrausOperator, state: TwoTimeState, *,
         raise DimensionMismatchError(f"observable dim {obs.dim} != state dim {state.dim}")
     _check_observable(obs, allow_non_hermitian)
     den = complex(np.trace(state.coeffs))
-    if abs(den) <= _DENOM_EPS:
+    if abs(den) <= DENOMINATOR_EPS:
         raise UndefinedWeakValueError(
             "identity contraction vanishes; weak values of this state are undefined"
         )
@@ -107,20 +106,13 @@ def weak_value_pure(obs: KrausOperator, state: TwoTimeState, *,
 def weak_value_vector(eta: DensityVector) -> WeakValueVector:
     """The weak value vector of a density vector.
 
-    Computed by eigendecomposing ``eta`` into an ensemble of unit-norm
-    states and taking ``sum_r lambda_r conj(tr alpha_r) alpha_r``; this
-    equals the partial contraction ``coeffs_vec[a] = sum_k mat[a, (k,k)]``
+    The partial contraction of ``eta``'s array with the identity's index
+    pair, ``coeffs_vec[a] = sum_k mat[a, (k, k)]``: for any ensemble
+    realizing ``eta`` it equals ``sum_r p_r conj(tr alpha_r) alpha_r``,
     because the map is linear in ``eta``.
     """
     d = eta.dim
-    lam, w = np.linalg.eigh(eta.mat)
-    keep = lam > 0.0
-    lam = lam[keep]
-    w = w[:, keep]
-    diag_idx = np.arange(d) * d + np.arange(d)
-    traces = w[diag_idx, :].sum(axis=0)
-    coeffs_vec = w @ (lam * traces.conj())
-    return WeakValueVector(coeffs_vec.reshape(d, d))
+    return WeakValueVector(eta.mat[:, np.arange(d) * (d + 1)].sum(1).reshape(d, d))
 
 
 def weak_value_ensemble(obs: KrausOperator, eta: DensityVector, *,
@@ -141,7 +133,7 @@ def weak_value_ensemble(obs: KrausOperator, eta: DensityVector, *,
     _check_observable(obs, allow_non_hermitian)
     wvv = weak_value_vector(eta)
     den = complex(np.trace(wvv.coeffs))
-    if abs(den) <= _DENOM_EPS:
+    if abs(den) <= DENOMINATOR_EPS:
         raise UndefinedWeakValueError(
             "weak value vector is traceless; weak values of this mixture are undefined"
         )
@@ -162,7 +154,7 @@ def weak_equivalent_pure(eta: DensityVector) -> TwoTimeState:
         states).
     """
     wvv = weak_value_vector(eta)
-    if wvv.norm <= _DENOM_EPS:
+    if wvv.norm <= DENOMINATOR_EPS:
         raise NoEquivalentStateError(
             "weak value vector is zero; no pure state reproduces this mixture's weak response"
         )

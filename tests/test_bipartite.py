@@ -16,6 +16,7 @@ from twotime import (
     AllDiscardedError,
     BipartiteDensity,
     BipartiteOperator,
+    DegenerateInputError,
     DimensionMismatchError,
     KrausOperator,
     Measurement,
@@ -197,6 +198,25 @@ def test_degenerate_povm_pullback_is_exact_at_dimension_one():
     res = povm_to_twotime([np.eye(1)])
     assert res.factor == 1
     assert res.defect <= 1e-15
+
+
+NAN_OP = np.full((4, 4), np.nan)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: povm_to_twotime([np.eye(4)[:, :3]]), DimensionMismatchError),
+    (lambda: povm_to_twotime([np.ones(4)]), DimensionMismatchError),
+    (lambda: povm_to_twotime([NAN_OP]), DegenerateInputError),
+    (lambda: measurement_partial_trace_defect([np.float64(1.0)]), DimensionMismatchError),
+    (lambda: measurement_partial_trace_defect([NAN_OP]), DegenerateInputError),
+    (lambda: prob_relative_bipartite(np.eye(4) / 4, [NAN_OP]), DegenerateInputError),
+], ids=["povm-non-square", "povm-1d", "povm-nan", "defect-scalar", "defect-nan",
+        "relative-nan"])
+def test_raw_operators_fail_with_typed_errors(call, error):
+    # Every raw array is checked for shape and finiteness before any
+    # numpy routine can raise its own exception or return NaN.
+    with pytest.raises(error):
+        call()
 
 
 def test_povm_rejects_non_resolving_sets():

@@ -7,6 +7,7 @@ from conftest import (
     E0,
     E1,
     MINUS_PLUS,
+    complex_gaussian,
     equal_mixture,
     equal_mixture_density,
     equal_superposition_state,
@@ -36,7 +37,7 @@ from twotime import (
     prob_pure,
     pure_product,
 )
-from twotime.probability import _coarse_numerators, _density_numerators
+from twotime.probability import _numerators
 
 
 # ---------------------------------------------------------------------------
@@ -177,9 +178,25 @@ def test_density_rule_is_scale_invariant(rng):
     # bypasses the trace-1 storage convention).
     eta = random_density(rng, 2)
     m = random_complete_measurement(rng, 2)
-    base = _density_numerators(eta.mat, m)
-    scaled = _density_numerators(37.0 * eta.mat, m)
+    base = _numerators(eta.mat, m)
+    scaled = _numerators(37.0 * eta.mat, m)
     assert np.allclose(base / base.sum(), scaled / scaled.sum(), atol=1e-12)
+
+
+def test_rounding_negatives_are_clamped(rng):
+    # Preparing the state the first projector annihilates makes that
+    # outcome's exact weight 0; its computed sandwich is +-1e-17 noise,
+    # and the kernel must report the negative half as exactly 0.
+    clamped = 0
+    for _ in range(20):
+        q, _ = np.linalg.qr(complex_gaussian(rng, (2, 2)))
+        m = projective_measurement(np.outer(q[:, 0], q[:, 0].conj()))
+        eta = DensityVector.from_pure(pure_product(complex_gaussian(rng, 2), q[:, 1]))
+        v = m.kraus_stack.reshape(2, 4)
+        clamped += ((v @ eta.mat) * v.conj()).sum(1).real[0] < 0.0
+        numerators = _numerators(eta.mat, m)
+        assert numerators[0] >= 0.0 and numerators[0] <= 1e-15
+    assert clamped > 0
 
 
 # ---------------------------------------------------------------------------
@@ -217,8 +234,8 @@ def test_coarse_pairing_matches_branch_sums(rng):
 def test_coarse_rule_is_scale_invariant(rng):
     eta = random_density(rng, 2)
     m = random_coarse_measurement(rng, 2)
-    base = _coarse_numerators(eta.mat, m)
-    scaled = _coarse_numerators(0.125 * eta.mat, m)
+    base = _numerators(eta.mat, m)
+    scaled = _numerators(0.125 * eta.mat, m)
     assert np.allclose(base / base.sum(), scaled / scaled.sum(), atol=1e-12)
 
 

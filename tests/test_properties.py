@@ -5,15 +5,20 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conftest import complex_gaussian, random_weights
 from twotime import (
+    PSD_ATOL,
     Ensemble,
     KrausOperator,
     Measurement,
     PostSelectionImpossibleError,
     TwoTimeState,
+    check_completeness,
     contract_pure,
     density_from_ensemble,
+    prob_coarse,
     prob_density,
+    prob_ensemble,
     prob_pure,
     predict_probabilities,
     build_tomography_set,
@@ -21,6 +26,7 @@ from twotime import (
     unvec,
     vec,
 )
+from twotime.probability import _contraction_weights, _numerators
 
 DIM = 2
 
@@ -96,3 +102,87 @@ def test_tomography_round_trip_property(re1, im1, re2, im2, w):
     rec = reconstruct(predict_probabilities(eta, ts), DIM)
     assert np.linalg.norm(rec.mat - eta.mat) <= 1e-9
     assert np.max(np.abs(prob_density(rec, ts.measurement) - prob_density(eta, ts.measurement))) <= 1e-9
+
+
+# ---------------------------------------------------------------------------
+# The paper's identities over the stacked-Kraus kernels, with the old
+# per-outcome loops kept here as references.
+
+def loop_contraction_weights(m, coeffs):
+    """Reference: ``|A . alpha|^2`` branch by branch and state by state."""
+    return np.array([
+        [abs(np.sum(op.entries * c)) ** 2 for out in m.outcomes for op in out.kraus]
+        for c in coeffs
+    ])
+
+
+def loop_numerators(mat, m):
+    """Reference: each outcome's Kraus density vector, summed branch by
+    branch and symmetrized, paired with ``mat`` and clamped."""
+    weights = []
+    for out in m.outcomes:
+        kmat = sum(np.outer(v, v.conj()) for v in (op.entries.reshape(-1) for op in out.kraus))
+        kmat = (kmat + kmat.conj().T) / 2.0
+        val = float(np.sum(kmat * mat).real)
+        if val < 0.0 and val >= -PSD_ATOL * max(1.0, float(np.trace(kmat).real)):
+            val = 0.0
+        weights.append(val)
+    return np.array(weights)
+
+
+def loop_completeness_defect(m):
+    acc = sum(op.entries.conj().T @ op.entries for out in m.outcomes for op in out.kraus)
+    return float(np.max(np.abs(acc - np.eye(m.dim))))
+
+
+def assert_close_relative(new, ref, rtol):
+    assert np.max(np.abs(new - ref)) <= rtol * max(np.max(np.abs(ref)), np.finfo(float).tiny)
+
+
+@st.composite
+def ensemble_and_measurement(draw):
+    """An ensemble of random or rank-one (product) states and a complete
+    measurement at d <= 4: random detailed, detailed with an exactly-zero
+    outcome, coarse with an exactly-zero Kraus branch, or the d = 2
+    tomography set."""
+    kind = draw(st.sampled_from(["detailed", "zero_outcome", "coarse_zero", "tomography"]))
+    d = 2 if kind == "tomography" else draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rank_one = draw(st.booleans())
+    members = []
+    for w in random_weights(rng, draw(st.integers(1, 4))):
+        if rank_one:
+            coeffs = np.outer(complex_gaussian(rng, d), complex_gaussian(rng, d))
+        else:
+            coeffs = complex_gaussian(rng, (d, d))
+        members.append((w, TwoTimeState(coeffs)))
+    if kind == "tomography":
+        return Ensemble(tuple(members)), build_tomography_set(2).measurement
+    n = draw(st.integers(1, 4))
+    q, _ = np.linalg.qr(complex_gaussian(rng, (n * d, d)))
+    ops = list(q.reshape(n, d, d))
+    zero = np.zeros((d, d))
+    if kind == "coarse_zero":
+        m = Measurement.from_kraus_sets([[ops[0], zero]] + [[op] for op in ops[1:]])
+    else:
+        m = Measurement.detailed(ops + [zero] if kind == "zero_outcome" else ops)
+    return Ensemble(tuple(members)), m
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(ensemble_and_measurement())
+def test_rules_agree_over_the_shared_kernels(case):
+    ens, m = case
+    eta = density_from_ensemble(ens)
+    coeffs = np.stack([s.coeffs for s in ens.states])
+    assert_close_relative(_contraction_weights(m, coeffs), loop_contraction_weights(m, coeffs),
+                          1e-14)
+    assert_close_relative(_numerators(eta.mat, m), loop_numerators(eta.mat, m), 1e-14)
+    assert abs(check_completeness(m)[1] - loop_completeness_defect(m)) <= 1e-14
+    try:
+        coarse = prob_coarse(eta, m)
+    except PostSelectionImpossibleError:
+        return
+    if m.is_detailed:
+        assert np.array_equal(coarse, prob_density(eta, m))
+        assert np.max(np.abs(prob_ensemble(ens, m) - prob_density(eta, m))) <= 1e-12

@@ -96,15 +96,41 @@ def test_vector_of_rank_one_density_is_the_state_up_to_conjugate_trace(rng):
     assert np.max(np.abs(wvv.coeffs - expected)) <= 1e-12
 
 
+def eigen_route_vector(eta):
+    """Reference: ``sum_r lambda_r conj(tr alpha_r) alpha_r`` over the
+    eigen-ensemble of ``eta``, keeping only positive eigenvalues."""
+    d = eta.dim
+    lam, w = np.linalg.eigh(eta.mat)
+    keep = lam > 0.0
+    traces = w[np.arange(d) * (d + 1)][:, keep].sum(axis=0)
+    return (w[:, keep] @ (lam[keep] * traces.conj())).reshape(d, d)
+
+
 def test_vector_equals_partial_contraction(rng):
-    # The eigendecomposition route must agree with reading the identity
-    # index pair straight off the stored array.
+    # The library reads the identity index pair straight off the stored
+    # array; the ensemble formula over eta's eigendecomposition must
+    # agree with it.
     for d in (2, 3):
         eta = random_density(rng, d)
         wvv = weak_value_vector(eta)
-        idx = np.arange(d) * d + np.arange(d)
-        direct = eta.mat[:, idx].sum(axis=1).reshape(d, d)
-        assert np.max(np.abs(wvv.coeffs - direct)) <= 1e-12
+        assert np.max(np.abs(wvv.coeffs - eigen_route_vector(eta))) <= 1e-12
+
+
+def test_vector_keeps_slightly_negative_eigenvalues(rng):
+    # A valid density vector may carry eigenvalues down to -PSD_ATOL.
+    # The vector is linear in the whole array, so such an eigenvalue
+    # must still enter it (an eigen route over positive eigenvalues
+    # drops it and misses by about 1e-12 here).
+    d = 2
+    lam, w = np.linalg.eigh(random_density(rng, d, n_members=4).mat)
+    lam[0] = -1e-11
+    lam /= lam.sum()
+    eta = DensityVector((w * lam) @ w.conj().T)
+    assert np.linalg.eigvalsh(eta.mat)[0] == pytest.approx(-1e-11, rel=1e-3)
+    idx = np.arange(d) * (d + 1)
+    direct = eta.mat[:, idx].sum(axis=1).reshape(d, d)
+    assert np.max(np.abs(weak_value_vector(eta).coeffs - direct)) <= 1e-15
+    assert np.max(np.abs(eigen_route_vector(eta) - direct)) > 1e-13
 
 
 def test_vector_of_equal_mixture():
