@@ -221,13 +221,32 @@ class DensityVector:
     def __post_init__(self) -> None:
         mat = _as_square_complex(self.mat, "mat")
         _side_of_pair_matrix(mat, "density vector")
-        mat = _check_hermitian_psd(mat, "density vector")
+        self._store(_check_hermitian_psd(mat, "density vector"))
+
+    def _store(self, mat: np.ndarray) -> None:
+        """Check the trace of the symmetrized ``mat``, rescale it to 1 and freeze it."""
         trace = float(np.trace(mat).real)
         if abs(trace - 1.0) > 1e-9:
             raise NormalizationError(f"density vector trace {trace!r} is not 1")
         if abs(trace - 1.0) > ATOL:
             mat = mat / trace
         object.__setattr__(self, "mat", _freeze(mat))
+
+    @classmethod
+    def _from_psd(cls, mat: np.ndarray) -> "DensityVector":
+        """A density vector from a matrix that is Hermitian and PSD by construction.
+
+        Precondition: ``mat`` is a (d^2, d^2) complex128 array built
+        as ``W diag(lam) W^dag`` from eigenpairs with every ``lam >= 0``
+        (for example a clipped ``eigh``), with trace 1 within 1e-9.  It
+        skips the Hermiticity and ``eigvalsh`` checks, which such an
+        array passes by construction, and stores the bit-identical array
+        ``DensityVector(mat)`` would: the same symmetrization and trace
+        rescale.
+        """
+        obj = object.__new__(cls)
+        obj._store((mat + mat.conj().T) / 2.0)
+        return obj
 
     @property
     def dim(self) -> int:

@@ -42,6 +42,7 @@ d^4; both raise ValidationError before allocating more than
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -199,8 +200,7 @@ def _clip_to_density(raw: np.ndarray, d: int, clip_tol: float) -> DensityVector:
     total = float(lam.sum())
     if total <= DENOMINATOR_EPS:
         raise MalformedDataError("reconstruction has zero trace after clipping")
-    mat = (w * (lam / total)) @ w.conj().T
-    return DensityVector((mat + mat.conj().T) / 2.0)
+    return DensityVector._from_psd((w * (lam / total)) @ w.conj().T)
 
 
 def reconstruct(
@@ -227,23 +227,31 @@ def reconstruct(
         clip / renormalize repair.
     clip_tol : float
         Most-negative eigenvalue tolerated before the data is rejected
-        as malformed (smaller negatives are clipped to zero).  The
-        default suits exact probability lists.  Empirical frequencies
-        carry sampling noise of order ``dim**2 / sqrt(successes)`` in
-        the eigenvalues, so statistical callers must widen the gate
-        accordingly; ``sampling_clip_tol`` computes a safe value.
+        as malformed (smaller negatives are clipped to zero); a finite
+        number >= 0.  The default suits exact probability lists.
+        Empirical frequencies carry sampling noise of order
+        ``dim**2 / sqrt(successes)`` in the eigenvalues, so statistical
+        callers must widen the gate accordingly; ``sampling_clip_tol``
+        computes a safe value.
 
     Raises
     ------
     ValidationError
-        On a dimension that is not a positive integer, an unknown
-        method, or ``method="lstsq"`` when its dense forward matrix
-        would exceed :data:`MAX_DENSE_BYTES` (d >= 7).
+        On a dimension that is not a positive integer, a ``clip_tol``
+        that is negative or not finite, an unknown method, or
+        ``method="lstsq"`` when its dense forward matrix would exceed
+        :data:`MAX_DENSE_BYTES` (d >= 7).
     MalformedDataError
         On wrong length, negative entries, a bad sum, or data whose
         inversion fails positivity beyond ``clip_tol``.
     """
     d = _as_dim(dim)
+    try:
+        tol = float(clip_tol)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0.0 <= tol < math.inf:  # NaN or inf switches the gate off; < 0 rejects all
+        raise ValidationError(f"clip_tol must be a finite number >= 0, got {clip_tol!r}")
     p = np.asarray(probs, dtype=np.float64)
     n_expected = 4 * d**4
     if p.ndim != 1 or p.size != n_expected:
@@ -269,7 +277,7 @@ def reconstruct(
         raw = sol.reshape(d * d, d * d)
     else:
         raise ValidationError(f"unknown reconstruction method {method!r}")
-    return _clip_to_density(raw, d, float(clip_tol))
+    return _clip_to_density(raw, d, tol)
 
 
 def sampling_clip_tol(dim: int, successes: int) -> float:

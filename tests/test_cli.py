@@ -252,6 +252,22 @@ def test_tomography_noisy_file_needs_wider_gate(capsys, docs, tmp_path):
     assert payload["kind"] == "tomography"
 
 
+@pytest.mark.parametrize("clip_tol", ["nan", "inf", "-inf", "-1.0"])
+def test_tomography_clip_tol_must_be_finite_and_nonnegative(capsys, tmp_path, clip_tol):
+    # The shuffled list inverts to a min eigenvalue near -0.35: a NaN or
+    # infinite gate used to print a silently clipped reconstruction.
+    rng = np.random.default_rng(5)
+    probs = predict_probabilities(equal_mixture_density(), build_tomography_set(2))
+    probs_file = tmp_path / "shuffled.json"
+    probs_file.write_text(json.dumps(list(map(float, probs[rng.permutation(probs.size)]))))
+    code, out, err = run(capsys, [
+        "tomography", "--dim", "2", "--probs", str(probs_file), f"--clip-tol={clip_tol}",
+    ])
+    assert (code, out) == (2, "")
+    assert error_code(err) == "validation"
+    assert "clip_tol must be a finite number >= 0" in json.loads(err)["error"]["message"]
+
+
 @pytest.mark.parametrize("raw", [
     ["a", "b"], [[0.5], [0.5]], [None, 1.0], [True, False], [10**400, 0.0],
 ])

@@ -117,6 +117,34 @@ def test_density_rejects_non_square_side():
         DensityVector(np.eye(3) / 3.0)
 
 
+def _from_eigenpairs(rng, n, lam):
+    w, _ = np.linalg.qr(complex_gaussian(rng, (n, n)))
+    return (w * lam) @ w.conj().T
+
+
+@pytest.mark.parametrize("case", ["random", "rank-deficient", "clipped", "off-trace"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_trusted_constructor_stores_what_the_public_one_stores(rng, case, d):
+    n = d * d
+    if case == "clipped":  # the tomography repair: a clipped, renormalized eigh
+        h = complex_gaussian(rng, (n, n))
+        lam, w = np.linalg.eigh((h + h.conj().T) / 2.0 + 0.5 * np.eye(n))
+        lam = np.clip(lam, 0.0, None)
+        mat = (w * (lam / lam.sum())) @ w.conj().T
+    else:
+        lam = rng.random(n)
+        if case == "rank-deficient":
+            lam[: n // 2] = 0.0
+        lam /= lam.sum()
+        if case == "off-trace":  # inside the 1e-9 gate, so the stored array is rescaled
+            lam *= 1.0 + 5e-10
+        mat = _from_eigenpairs(rng, n, lam)
+    trusted = DensityVector._from_psd(mat).mat
+    public = DensityVector(mat).mat
+    assert trusted.tobytes() == public.tobytes()
+    assert not trusted.flags.writeable
+
+
 # ---------------------------------------------------------------------------
 # KrausOperator / KrausDensityVector.
 

@@ -3,16 +3,21 @@
 ``tests/golden/*.out`` hold the exact stdout of a sequence of CLI calls
 on the documents in ``tests/golden/inputs/`` (the reversal scenario of
 ``twotime.reversal_scenario``, its density vector, a two-choice policy,
-sigma_z, the exact d=2 tomography probabilities, and a seeded random
-d=2 density vector whose entries need all 17 digits).  The calls run in
-one process, in order, so the argument parser built by the first call
-serves every later one, across subcommands, a usage error and
-``--help``.
+sigma_z, the exact d=2 tomography probabilities, and seeded random d=2
+and d=4 density vectors whose entries need all 17 digits; the d=4
+tomography prints arrays of 1,024 and 512 values, large enough for the
+CLI's vectorized float writer).  The calls run in one process, in
+order, so the argument parser built by the first call serves every
+later one, across subcommands, a usage error and ``--help``.
 
-Regenerate the inputs and the golden files, only when an output change
-is intended, from the repository root with::
+Write the inputs and golden files of newly added cases, from the
+repository root, with::
 
     PYTHONPATH=src python tests/test_golden.py --write
+
+It writes only files that do not exist yet, so adding a case never
+re-pins an existing one.  To re-pin a file after an intended output
+change, delete it first.
 """
 
 import contextlib
@@ -53,6 +58,7 @@ CALLS = [
     (None, ["prob", "--eta", _inp("eta.json"), "--measurement", _inp("m1.json"),
             "--format", "xml"]),
     ("tomography_probs.out", ["tomography", "--dim", "2", "--probs", _inp("probs.json")]),
+    ("tomography_eta4.out", ["tomography", "--dim", "4", "--eta", _inp("random_eta4.json")]),
     ("simulate.json.out", ["simulate", "--ensemble", _inp("ensemble.json"),
                            "--policy", _inp("policy.json"), "--shots", "5000",
                            "--seed", "7"]),
@@ -80,16 +86,22 @@ def run_calls():
     return results
 
 
+def _random_density(seed: int, side: int) -> DensityVector:
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(side, side)) + 1j * rng.normal(size=(side, side))
+    rho = a @ a.conj().T
+    return DensityVector(rho / np.trace(rho).real)
+
+
 def write_inputs() -> None:
+    """Write every input document that does not exist yet."""
     ens, m1, m2 = reversal_scenario()
     eta = density_from_ensemble(ens)
-    rng = np.random.default_rng(2024)
-    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-    rho = a @ a.conj().T
     docs = {
         "ensemble.json": serialize_document(ens),
         "eta.json": serialize_document(eta),
-        "random_eta.json": serialize_document(DensityVector(rho / np.trace(rho).real)),
+        "random_eta.json": serialize_document(_random_density(2024, 4)),
+        "random_eta4.json": serialize_document(_random_density(2026, 16)),
         "m1.json": serialize_document(m1),
         "sigma_z.json": serialize_document(KrausOperator(np.diag([1.0, -1.0]))),
         "policy.json": {"choice_probs": [0.25, 0.75],
@@ -99,12 +111,14 @@ def write_inputs() -> None:
     }
     INPUTS.mkdir(parents=True, exist_ok=True)
     for name, doc in docs.items():
-        (INPUTS / name).write_text(json.dumps(doc) + "\n")
+        if not (INPUTS / name).exists():
+            (INPUTS / name).write_text(json.dumps(doc) + "\n")
 
 
 def write_golden() -> None:
+    """Write every golden file that does not exist yet."""
     for (name, argv), (code, out, err) in zip(CALLS, run_calls()):
-        if name is not None:
+        if name is not None and not (GOLDEN / name).exists():
             assert code == 0 and not err, (argv, err)
             (GOLDEN / name).write_text(out)
 

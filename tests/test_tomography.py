@@ -299,6 +299,24 @@ def test_clip_tol_widens_the_gate(rng):
     assert np.linalg.norm(rec.mat - eta.mat) <= 0.1
 
 
+@pytest.mark.parametrize("clip_tol", [np.nan, np.inf, -np.inf, -1.0, -1e-300, "wide", None])
+def test_clip_tol_must_be_a_finite_nonnegative_number(rng, clip_tol):
+    # A shuffled list inverts to a spectrum far below zero; NaN or +inf would
+    # silently switch the gate off, and a negative gate rejects every input.
+    ts = build_tomography_set(2)
+    shuffled = predict_probabilities(random_density(rng, 2), ts)
+    shuffled = shuffled[rng.permutation(shuffled.size)]
+    for probs in (shuffled, predict_probabilities(random_density(rng, 2), ts)):
+        with pytest.raises(ValidationError, match="clip_tol"):
+            reconstruct(probs, 2, clip_tol=clip_tol)
+
+
+def test_zero_clip_tol_is_accepted(rng):
+    eta = equal_mixture_density()
+    rec = reconstruct(predict_probabilities(eta, build_tomography_set(2)), 2, clip_tol=0.0)
+    assert np.allclose(rec.mat, eta.mat, atol=1e-12)
+
+
 def test_sampling_clip_tol_values():
     assert sampling_clip_tol(2, 10**8) == pytest.approx(4e-3)
     assert sampling_clip_tol(2, 10**16) == PSD_CLIP_TOL
