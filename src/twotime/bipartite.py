@@ -39,6 +39,7 @@ from .core import (
     _check_hermitian_psd,
     _freeze,
     _side_of_pair_matrix,
+    _unit_trace,
     pair,
 )
 from .errors import DimensionMismatchError, NormalizationError
@@ -76,12 +77,7 @@ class BipartiteDensity:
         rho = _as_square_complex(self.rho, "rho")
         _side_of_pair_matrix(rho, "bipartite density")
         rho = _check_hermitian_psd(rho, "bipartite density")
-        trace = float(np.trace(rho).real)
-        if abs(trace - 1.0) > 1e-9:
-            raise NormalizationError(f"bipartite density trace {trace!r} is not 1")
-        if abs(trace - 1.0) > 1e-12:
-            rho = rho / trace
-        object.__setattr__(self, "rho", _freeze(rho))
+        object.__setattr__(self, "rho", _unit_trace(rho, "bipartite density"))
 
     @property
     def dim(self) -> int:

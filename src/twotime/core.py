@@ -43,6 +43,7 @@ from .errors import (
     NormalizationError,
     NotHermitianError,
     NotPositiveError,
+    ValidationError,
 )
 
 __all__ = [
@@ -95,6 +96,14 @@ def hermiticity_defect(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T)))
 
 
+def _as_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
+    """``value`` as an int in ``[low, high)``; bools, floats, strings and NaN are rejected."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        if low <= int(value) < high:
+            return int(value)
+    raise ValidationError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
+
+
 def _as_square_complex(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
@@ -130,6 +139,16 @@ def _check_hermitian_psd(mat: np.ndarray, name: str) -> np.ndarray:
             f"{name} is not positive semidefinite: min eigenvalue {min_eig:.3e}"
         )
     return mat
+
+
+def _unit_trace(mat: np.ndarray, name: str) -> np.ndarray:
+    """Check that the trace of ``mat`` is 1 within 1e-9, rescale it to exactly 1, freeze it."""
+    trace = float(np.trace(mat).real)
+    if abs(trace - 1.0) > 1e-9:
+        raise NormalizationError(f"{name} trace {trace!r} is not 1")
+    if abs(trace - 1.0) > ATOL:
+        mat = mat / trace
+    return _freeze(mat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,16 +240,8 @@ class DensityVector:
     def __post_init__(self) -> None:
         mat = _as_square_complex(self.mat, "mat")
         _side_of_pair_matrix(mat, "density vector")
-        self._store(_check_hermitian_psd(mat, "density vector"))
-
-    def _store(self, mat: np.ndarray) -> None:
-        """Check the trace of the symmetrized ``mat``, rescale it to 1 and freeze it."""
-        trace = float(np.trace(mat).real)
-        if abs(trace - 1.0) > 1e-9:
-            raise NormalizationError(f"density vector trace {trace!r} is not 1")
-        if abs(trace - 1.0) > ATOL:
-            mat = mat / trace
-        object.__setattr__(self, "mat", _freeze(mat))
+        mat = _check_hermitian_psd(mat, "density vector")
+        object.__setattr__(self, "mat", _unit_trace(mat, "density vector"))
 
     @classmethod
     def _from_psd(cls, mat: np.ndarray) -> "DensityVector":
@@ -245,7 +256,7 @@ class DensityVector:
         rescale.
         """
         obj = object.__new__(cls)
-        obj._store((mat + mat.conj().T) / 2.0)
+        object.__setattr__(obj, "mat", _unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
         return obj
 
     @property

@@ -39,7 +39,9 @@ from .core import (
     PSD_ATOL,
     KrausDensityVector,
     KrausOperator,
+    _as_square_complex,
     _freeze,
+    _side_of_pair_matrix,
     hermiticity_defect,
 )
 from .errors import (
@@ -248,7 +250,7 @@ def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> 
     realization is always a valid, possibly trivial, outcome).
     """
     d2 = mat.shape[0]
-    d = int(round(d2 ** 0.5))
+    d = _side_of_pair_matrix(mat, "vectorized operator")
     lam, w = np.linalg.eigh((mat + mat.conj().T) / 2.0)
     ops = [
         KrausOperator(np.sqrt(lam[k]) * w[:, k].reshape(d, d))
@@ -308,19 +310,14 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
     """
     arrays = []
     for idx, raw in enumerate(ops):
-        arr = getattr(raw, "op", getattr(raw, "mat", raw))
-        arr = np.asarray(arr, dtype=np.complex128)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise DimensionMismatchError(f"operator {idx} is not square: shape {arr.shape}")
+        arr = _as_square_complex(getattr(raw, "op", getattr(raw, "mat", raw)), f"operator {idx}")
         if hermiticity_defect(arr) > ATOL:
             raise NotHermitianError(f"operator {idx} is not Hermitian")
         arrays.append((arr + arr.conj().T) / 2.0)
     if not arrays:
         raise DegenerateInputError("cannot complete an empty operator set")
     n = arrays[0].shape[0]
-    d = int(round(n ** 0.5))
-    if d * d != n:
-        raise DimensionMismatchError(f"operators must act on a d^2-dimensional space, got {n}")
+    d = _side_of_pair_matrix(arrays[0], "operators")
     for idx, arr in enumerate(arrays):
         if arr.shape[0] != n:
             raise DimensionMismatchError("operators have mixed shapes")

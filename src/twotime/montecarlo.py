@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import KrausOperator
+from .core import KrausOperator, _as_int
 from .errors import (
     DimensionMismatchError,
     IncompleteMeasurementError,
@@ -143,12 +143,8 @@ class SimConfig:
             raise DimensionMismatchError(
                 f"ensemble dim {self.ensemble.dim} != measurement dim {self.policy.dim}"
             )
-        shots = int(self.shots)
-        if shots < 1:
-            raise ValidationError(f"shots must be >= 1, got {self.shots!r}")
-        seed = int(self.seed)
-        if not (0 <= seed < _MAX_SEED):
-            raise ValidationError(f"seed must be a uint64, got {self.seed!r}")
+        shots = _as_int(self.shots, "shots")
+        seed = _as_int(self.seed, "seed", 0, _MAX_SEED)
         # Completeness is a physical requirement: the observer's Kraus
         # branches must exhaust the Born rule before post-selection.
         for m in self.policy.measurements:

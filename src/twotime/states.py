@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
+from .core import _as_square_complex
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -174,15 +175,15 @@ def positivity_check(obj) -> tuple[bool, float]:
 
     Raises
     ------
+    DimensionMismatchError, DegenerateInputError
+        If a raw array is not square, or not finite.
     NotHermitianError
         If a raw array fails Hermiticity within 1e-12.
     """
     if isinstance(obj, DensityVector):
         mat = obj.mat
     else:
-        mat = np.asarray(obj, dtype=np.complex128)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise DimensionMismatchError(f"expected a square array, got shape {mat.shape}")
+        mat = _as_square_complex(obj, "matrix")
         defect = hermiticity_defect(mat)
         if defect > ATOL:
             raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")

@@ -30,13 +30,13 @@ Inversion ("polarization" method) is its closed-form twin::
     eta[(i,j), (k,l)] = 2 d^2 [ (p_+ - p_-) + i (p_+i - p_-i) ]
 
 followed by symmetrization, eigenvalue clipping to the positive cone,
-and trace normalization.  A least-squares route over the explicit
-forward map is available as ``method="lstsq"``.
+and trace normalization.  The least-squares solution
+(``method="lstsq"``) differs from it only on the diagonal, which has
+its own closed form (see :func:`reconstruct`); both are O(d^4).
 
 Only the explicit operator set (``TomographySet.measurement``, 64 d^6
-bytes) and the lstsq forward matrix (64 d^8 bytes) grow faster than
-d^4; both raise ValidationError before allocating more than
-:data:`MAX_DENSE_BYTES`.
+bytes) grows faster than d^4; it raises ValidationError before
+allocating more than :data:`MAX_DENSE_BYTES`.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityVector, KrausOperator
+from .core import DensityVector, KrausOperator, _as_int
 from .errors import MalformedDataError, PostSelectionImpossibleError, ValidationError
 from .measurements import Measurement
 from .probability import DENOMINATOR_EPS
@@ -72,26 +72,11 @@ VARIANTS = ("+", "-", "+i", "-i")
 PSD_CLIP_TOL = 1e-6
 
 #: Largest dense complex array (in bytes) that tomography will allocate:
-#: the explicit operator family (64 d^6 bytes, so d <= 11) and the lstsq
-#: forward matrix (64 d^8 bytes, so d <= 6).  Larger requests raise
-#: ValidationError up front instead of exhausting memory.
+#: the explicit operator family (64 d^6 bytes, so d <= 11).  Larger
+#: requests raise ValidationError up front instead of exhausting memory.
 MAX_DENSE_BYTES = 128 * 2**20
 
 _VARIANT_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
-
-
-def _as_dim(dim) -> int:
-    """``dim`` as a positive int; bools, floats and strings are rejected."""
-    if isinstance(dim, (int, np.integer)) and not isinstance(dim, bool) and dim >= 1:
-        return int(dim)
-    raise ValidationError(f"dimension must be a positive integer, got {dim!r}")
-
-
-def _check_dense(nbytes: int, what: str) -> None:
-    if nbytes > MAX_DENSE_BYTES:
-        raise ValidationError(
-            f"{what} needs {nbytes} bytes, above the {MAX_DENSE_BYTES}-byte limit"
-        )
 
 
 def _vectorized_family(d: int) -> np.ndarray:
@@ -135,7 +120,7 @@ class TomographySet:
     dim: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dim", _as_dim(self.dim))
+        object.__setattr__(self, "dim", _as_int(self.dim, "dimension"))
 
     @property
     def n_outcomes(self) -> int:
@@ -149,7 +134,10 @@ class TomographySet:
     @cached_property
     def measurement(self) -> Measurement:
         d = self.dim
-        _check_dense(16 * self.n_outcomes * d * d, f"the dimension-{d} tomography operators")
+        nbytes = 16 * self.n_outcomes * d * d
+        if nbytes > MAX_DENSE_BYTES:
+            raise ValidationError(f"the dimension-{d} tomography operators need {nbytes} "
+                                  f"bytes, above the {MAX_DENSE_BYTES}-byte limit")
         ops = [KrausOperator(row.reshape(d, d)) for row in _vectorized_family(d)]
         names = ["({},{})({},{}){}".format(*lab) for lab in self.labels]
         return Measurement.detailed(ops, names)
@@ -221,9 +209,10 @@ def reconstruct(
     dim : int
         The system dimension d.
     method : {"polarization", "lstsq"}
-        Closed-form inversion (default) or least squares over the
-        explicit forward map.  On exact data both agree to machine
-        precision; on noisy data both end with the same symmetrize /
+        Polarization inversion (default) or the least-squares solution
+        of the linear forward map, both in closed form.  On exact data
+        both agree to machine precision; on noisy data they differ on
+        the diagonal only, and both end with the same symmetrize /
         clip / renormalize repair.
     clip_tol : float
         Most-negative eigenvalue tolerated before the data is rejected
@@ -238,14 +227,12 @@ def reconstruct(
     ------
     ValidationError
         On a dimension that is not a positive integer, a ``clip_tol``
-        that is negative or not finite, an unknown method, or
-        ``method="lstsq"`` when its dense forward matrix would exceed
-        :data:`MAX_DENSE_BYTES` (d >= 7).
+        that is negative or not finite, or an unknown method.
     MalformedDataError
         On wrong length, negative entries, a bad sum, or data whose
         inversion fails positivity beyond ``clip_tol``.
     """
-    d = _as_dim(dim)
+    d = _as_int(dim, "dimension")
     try:
         tol = float(clip_tol)
     except (TypeError, ValueError):
@@ -266,17 +253,24 @@ def reconstruct(
     if abs(total - 1.0) > 1e-9:
         raise MalformedDataError(f"probabilities sum to {total!r}, expected 1")
 
-    if method == "polarization":
-        p4 = p.reshape(d * d, d * d, 4)
-        raw = 2.0 * d * d * ((p4[..., 0] - p4[..., 1]) + 1j * (p4[..., 2] - p4[..., 3]))
-    elif method == "lstsq":
-        _check_dense(64 * d**8, f"the dimension-{d} lstsq forward matrix")
-        v = _vectorized_family(d)
-        forward = np.einsum("ma,mb->mab", v, v.conj()).reshape(v.shape[0], -1)
-        sol, *_ = np.linalg.lstsq(forward, p / d, rcond=None)
-        raw = sol.reshape(d * d, d * d)
-    else:
+    if method not in ("polarization", "lstsq"):
         raise ValidationError(f"unknown reconstruction method {method!r}")
+    n = d * d
+    p4 = p.reshape(n, n, 4)
+    raw = 2.0 * d * d * ((p4[..., 0] - p4[..., 1]) + 1j * (p4[..., 2] - p4[..., 3]))
+    if method == "lstsq":
+        # The least-squares normal equations of the forward map (fit to
+        # p / d) decouple.  Off the diagonal the solution is the
+        # Hermitized polarization entry that _clip_to_density forms.  The
+        # diagonal x solves 8 s^2 [(n + 1) I + 1 1^T] x = r / d, s^2 =
+        # 1 / (8 d^3), where r_a sums the four variants of every pair
+        # (a, b) and (b, a) with b != a, plus the repeated unit weighted
+        # |1 + phi|^2: 4 p(a,a,+) + 2 p(a,a,+i) + 2 p(a,a,-i).  By
+        # Sherman-Morrison, x_a = n (r_a - sum(r) / (2n + 1)) / (n + 1).
+        t, same = p4.sum(axis=2), p4.diagonal()
+        r = t.sum(axis=0) + t.sum(axis=1) - 2.0 * t.diagonal()
+        r += 4.0 * same[0] + 2.0 * same[2] + 2.0 * same[3]
+        np.fill_diagonal(raw, n * (r - r.sum() / (2 * n + 1)) / (n + 1))
     return _clip_to_density(raw, d, tol)
 
 
@@ -289,6 +283,6 @@ def sampling_clip_tol(dim: int, successes: int) -> float:
     data (entries from a different state, wrong ordering) still lands
     far outside.  Never below the exact-data default.
     """
-    if successes < 1:
-        raise ValidationError(f"successes must be >= 1, got {successes!r}")
-    return max(PSD_CLIP_TOL, 10.0 * dim * dim / float(successes) ** 0.5)
+    d = _as_int(dim, "dimension")
+    n = _as_int(successes, "successes")
+    return max(PSD_CLIP_TOL, 10.0 * d * d / float(n) ** 0.5)

@@ -23,6 +23,7 @@ from twotime import (
     NormalizationError,
     bipartite_to_density,
     check_completeness,
+    complete_operator_set,
     contract_pure,
     density_to_bipartite,
     kdv_to_bipartite,
@@ -31,6 +32,7 @@ from twotime import (
     measurement_partial_trace_defect,
     pair,
     pairing_equality_check,
+    positivity_check,
     povm_to_twotime,
     prob_coarse,
     prob_relative_bipartite,
@@ -210,8 +212,12 @@ NAN_OP = np.full((4, 4), np.nan)
     (lambda: measurement_partial_trace_defect([np.float64(1.0)]), DimensionMismatchError),
     (lambda: measurement_partial_trace_defect([NAN_OP]), DegenerateInputError),
     (lambda: prob_relative_bipartite(np.eye(4) / 4, [NAN_OP]), DegenerateInputError),
+    (lambda: complete_operator_set([NAN_OP]), DegenerateInputError),
+    (lambda: complete_operator_set([np.eye(3)]), DimensionMismatchError),
+    (lambda: positivity_check(NAN_OP), DegenerateInputError),
+    (lambda: positivity_check(np.ones(4)), DimensionMismatchError),
 ], ids=["povm-non-square", "povm-1d", "povm-nan", "defect-scalar", "defect-nan",
-        "relative-nan"])
+        "relative-nan", "complete-nan", "complete-side", "positivity-nan", "positivity-1d"])
 def test_raw_operators_fail_with_typed_errors(call, error):
     # Every raw array is checked for shape and finiteness before any
     # numpy routine can raise its own exception or return NaN.

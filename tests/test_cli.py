@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import E0, E1, equal_mixture_density, equal_superposition_state
+from conftest import E0, E1, equal_mixture_density, equal_superposition_state, random_density
 from twotime import (
     Measurement,
     build_tomography_set,
@@ -280,16 +280,19 @@ def test_tomography_non_numeric_probability_file(capsys, tmp_path, raw):
     assert error_code(err) == "schema"
 
 
-def test_tomography_lstsq_too_large_is_a_validation_error(capsys, tmp_path, monkeypatch):
-    # Fail fast, instead of allocating the 1 GB forward matrix, if the guard is gone.
+def test_tomography_lstsq_above_the_old_size_limit_succeeds(capsys, tmp_path, monkeypatch):
+    # d = 7 once needed a 369 MB dense forward matrix; fail fast if it comes back.
     monkeypatch.setattr("twotime.tomography._vectorized_family", None)
+    d = 7
+    eta = random_density(np.random.default_rng(7), d, n_members=d * d)
     probs_file = tmp_path / "probs.json"
-    probs_file.write_text(json.dumps([1.0 / (4 * 8**4)] * (4 * 8**4)))
-    code, out, err = run(capsys, [
-        "tomography", "--dim", "8", "--probs", str(probs_file), "--method", "lstsq",
+    probs_file.write_text(json.dumps(predict_probabilities(eta, build_tomography_set(d)).tolist()))
+    payload = run_json(capsys, [
+        "tomography", "--dim", str(d), "--probs", str(probs_file), "--method", "lstsq",
     ])
-    assert code == 2
-    assert error_code(err) == "validation"
+    assert payload["method"] == "lstsq"
+    rec = np.array([[complex(re, im) for re, im in row] for row in payload["reconstruction"]])
+    assert np.linalg.norm(rec - eta.mat) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

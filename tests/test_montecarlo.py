@@ -240,6 +240,25 @@ def test_config_validation(rng):
         SimConfig("not an ensemble", ObserverPolicy.fixed(m1), 100, 1)
 
 
+@pytest.mark.parametrize("shots, seed", [
+    (2.7, 1), (True, 1), ("5", 1), (np.nan, 1), (np.float64(5.0), 1),
+    (100, 3.9), (100, True), (100, "5"), (100, np.nan), (100, np.int64(-1)),
+])
+def test_config_rejects_non_integer_shots_and_seeds(shots, seed):
+    # Each of these once truncated silently (2.7 -> 2, True -> 1, "5" -> 5)
+    # or raised a raw ValueError (NaN).
+    ens, m1, _ = reversal_scenario()
+    with pytest.raises(ValidationError):
+        SimConfig.fixed(ens, m1, shots, seed)
+
+
+def test_config_accepts_numpy_integers():
+    ens, m1, _ = reversal_scenario()
+    cfg = SimConfig.fixed(ens, m1, np.int64(100), np.uint64(2**64 - 1))
+    assert (cfg.shots, cfg.seed) == (100, 2**64 - 1)
+    assert type(cfg.shots) is int and type(cfg.seed) is int
+
+
 def test_config_rejects_incomplete_measurements():
     ens, _, _ = reversal_scenario()
     incomplete = Measurement.detailed([np.diag([1.0, 0.0])])

@@ -27,7 +27,7 @@ from twotime import (
     reconstruct,
     sampling_clip_tol,
 )
-from twotime.tomography import _vectorized_family
+from twotime.tomography import _clip_to_density, _vectorized_family
 
 
 def loop_family(d):
@@ -44,6 +44,23 @@ def loop_family(d):
                         entries[k, l] += phase * scale
                         rows.append(entries.reshape(-1))
     return np.stack(rows)
+
+
+def dense_lstsq(p, d):
+    """Reference: least squares over the explicit (4 d^4, d^4) forward matrix.
+
+    Returns the raw (d^2, d^2) solution, before any symmetrization.
+    """
+    v = _vectorized_family(d)
+    forward = np.einsum("ma,mb->mab", v, v.conj()).reshape(v.shape[0], -1)
+    sol, *_ = np.linalg.lstsq(forward, p / d, rcond=None)
+    return sol.reshape(d * d, d * d)
+
+
+def noisy(rng, p, rel=0.1):
+    """``p`` with Gaussian noise of ``rel`` times the mean entry, clipped and renormalized."""
+    q = np.clip(p + rng.normal(scale=rel / p.size, size=p.size), 0.0, None)
+    return q / q.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -145,19 +162,20 @@ def test_operator_family_above_the_size_limit_is_rejected(no_family):
         build_tomography_set(16).measurement
 
 
-def test_lstsq_above_the_size_limit_is_rejected_before_allocating(no_family):
+def test_lstsq_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
     d = 8
     dense = 64 * d**8  # the (4 d^4 x d^4) complex forward matrix: 1.07 GB
     assert dense > MAX_DENSE_BYTES
-    p = np.full(4 * d**4, 1.0 / (4 * d**4))
+    eta = random_density(rng, d, n_members=d * d)
+    p = predict_probabilities(eta, build_tomography_set(d))
     tracemalloc.start()
     try:
-        with pytest.raises(ValidationError):
-            reconstruct(p, d, method="lstsq")
+        rec = reconstruct(p, d, method="lstsq")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak < dense / 1000
+    assert np.linalg.norm(rec.mat - eta.mat) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -213,13 +231,31 @@ def test_round_trip_on_random_densities(rng):
 
 
 def test_lstsq_agrees_with_polarization(rng):
-    for d in (2, 3):
+    for d in (1, 2, 3, 4):
         ts = build_tomography_set(d)
         eta = random_density(rng, d)
         p = predict_probabilities(eta, ts)
         a = reconstruct(p, d, method="polarization")
         b = reconstruct(p, d, method="lstsq")
         assert np.max(np.abs(a.mat - b.mat)) <= 1e-10
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lstsq_equals_the_dense_least_squares_solution(rng, d):
+    ts = build_tomography_set(d)
+    etas = [
+        random_density(rng, d, n_members=d * d),  # full rank
+        random_density(rng, d, n_members=1),  # pure
+        random_density(rng, d, n_members=2),  # rank-deficient (from d = 2)
+    ]
+    for eta in etas:
+        exact = predict_probabilities(eta, ts)
+        # Noisy data is inconsistent, so the two methods differ on the
+        # diagonal; the wide gate lets both reach the same clip.
+        for p, tol in ((exact, PSD_CLIP_TOL), (noisy(rng, exact), 1.0)):
+            ref = _clip_to_density(dense_lstsq(p, d), d, tol)
+            got = reconstruct(p, d, method="lstsq", clip_tol=tol)
+            assert np.max(np.abs(got.mat - ref.mat)) <= 1e-14
 
 
 def test_pure_state_reconstructs_rank_one(rng):
@@ -323,3 +359,11 @@ def test_sampling_clip_tol_values():
     assert sampling_clip_tol(3, 9 * 10**4) == pytest.approx(0.3)
     with pytest.raises(ValidationError):
         sampling_clip_tol(2, 0)
+
+
+@pytest.mark.parametrize("dim, successes", [
+    (2, np.nan), (2, 2.7), (2, 1e8), (2, True), (2, "100"), (2.0, 100), (True, 100), (0, 100),
+])
+def test_sampling_clip_tol_needs_integer_counts(dim, successes):
+    with pytest.raises(ValidationError):
+        sampling_clip_tol(dim, successes)
