@@ -37,7 +37,7 @@ from .errors import (
     TwoTimeError,
     ValidationError,
 )
-from .io import _complex_pairs, parse_document
+from .io import _complex_pairs, _wrap, parse_document
 from .measurements import Measurement, kraus_density_vector, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
@@ -333,7 +333,10 @@ def _policy_from_file(path: str) -> ObserverPolicy:
         raise SchemaError("--policy: expected 'choice_probs' and 'measurements' arrays")
     measurements = []
     for idx, doc in enumerate(docs):
-        obj = parse_document(doc)
+        try:
+            obj = parse_document(doc)
+        except TwoTimeError as exc:
+            raise _wrap(f"--policy: measurements[{idx}]", exc) from exc
         if not isinstance(obj, Measurement):
             raise ValidationError(f"--policy: measurements[{idx}] is not a measurement document")
         measurements.append(obj)

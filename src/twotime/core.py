@@ -71,6 +71,9 @@ PSD_ATOL = 1e-10
 # Norms below this are treated as exactly zero.
 _ZERO_NORM = 1e-14
 
+# Norm/trace slack accepted at load time; constructors renormalize.
+_LOAD_NORM_ATOL = 1e-9
+
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Vectorize a (d, d) array row-major: ``vec(a)[i*d + j] = a[i, j]``."""
@@ -116,6 +119,20 @@ def _as_square_complex(a, name: str) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _trusted(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
+
+    Runs no ``__post_init__``: no check, copy or rescale.  For values a
+    caller has validated as a whole and stored exactly as the public
+    constructor would, such as the read-only rows of a checked stack.
+    A field may also seed a ``cached_property`` of that name.
+    """
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _side_of_pair_matrix(mat: np.ndarray, name: str) -> int:
@@ -208,9 +225,7 @@ class KrausOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "KrausOperator":
-        if dim < 1:
-            raise DimensionMismatchError(f"dimension must be positive, got {dim}")
-        return cls(np.eye(dim, dtype=np.complex128))
+        return cls(np.eye(_as_int(dim, "dimension"), dtype=np.complex128))
 
 
 def identity_two_time_vector(dim: int) -> KrausOperator:
@@ -255,9 +270,7 @@ class DensityVector:
         ``DensityVector(mat)`` would: the same symmetrization and trace
         rescale.
         """
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "mat", _unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
-        return obj
+        return _trusted(cls, mat=_unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
 
     @property
     def dim(self) -> int:

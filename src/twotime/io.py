@@ -23,7 +23,7 @@ from typing import Any
 import numpy as np
 
 from .bipartite import BipartiteDensity, BipartiteOperator
-from .core import DensityVector, KrausOperator, TwoTimeState
+from .core import _LOAD_NORM_ATOL, DensityVector, KrausOperator, TwoTimeState
 from .errors import SchemaError, TwoTimeError
 from .measurements import Measurement, MeasurementOutcome
 from .states import Ensemble
@@ -46,9 +46,6 @@ KINDS = (
     "bipartite_density",
     "operator_set",
 )
-
-# Norm/trace slack accepted at load time; constructors renormalize.
-_LOAD_NORM_ATOL = 1e-9
 
 
 def _fail(path: str, message: str) -> SchemaError:
@@ -110,6 +107,17 @@ def _pair_matrix(node: list, cols: int) -> np.ndarray | None:
     return flat.view(np.complex128).reshape(len(node), cols)
 
 
+def _pair_stack(mats: list, d: int) -> np.ndarray | None:
+    """The (n, d, d) stack of ``mats`` if each is a canonical d x d matrix, else None.
+
+    One :func:`_pair_matrix` pass reads the rows of every matrix.
+    """
+    if not all(type(m) is list and len(m) == d for m in mats):
+        return None
+    flat = _pair_matrix(list(chain.from_iterable(mats)), d)
+    return None if flat is None else flat.reshape(len(mats), d, d)
+
+
 def _matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
     if not isinstance(node, list) or len(node) != rows:
         raise _fail(path, f"expected a {rows}x{cols} matrix as nested arrays")
@@ -152,10 +160,51 @@ def _parse_state_payload(payload: dict, d: int, path: str) -> TwoTimeState:
         raise _wrap(f"{path}.coeffs", exc) from exc
 
 
+def _stacked_ensemble(members: list, d: int) -> Ensemble | None:
+    """The ensemble of canonical ``members`` read as two arrays, or None.
+
+    Canonical members are objects with a finite JSON number ``weight``
+    and canonical d x d ``coeffs`` (see :func:`_pair_matrix`).  None
+    also when ``Ensemble._from_stack`` rejects them: the per-member
+    loop then reports the first failure with its JSON path.
+    """
+    if not all(isinstance(m, dict) and "weight" in m and "coeffs" in m for m in members):
+        return None
+    weights = [m["weight"] for m in members]
+    stack = _pair_stack([m["coeffs"] for m in members], d)
+    if stack is None or not set(map(type, weights)) <= {float, int}:
+        return None
+    try:
+        return Ensemble._from_stack(np.array(weights, dtype=np.float64), stack)
+    except (OverflowError, TwoTimeError):
+        return None
+
+
+def _stacked_measurement(outcomes: list, d: int) -> Measurement | None:
+    """The measurement of canonical ``outcomes`` read as one Kraus stack, or None.
+
+    Canonical outcomes are objects with a nonempty ``kraus`` array of
+    canonical d x d matrices and a string ``name``, if any.
+    """
+    if not all(isinstance(o, dict) for o in outcomes):
+        return None
+    kraus = [o.get("kraus") for o in outcomes]
+    names = [o.get("name", "") for o in outcomes]
+    if not all(type(k) is list and k for k in kraus) or not all(isinstance(n, str) for n in names):
+        return None
+    stack = _pair_stack(list(chain.from_iterable(kraus)), d)
+    if stack is None:
+        return None
+    return Measurement._from_stack(stack, list(map(len, kraus)), names)
+
+
 def _parse_measurement_payload(payload: dict, d: int, path: str) -> Measurement:
     outcomes_node = _get(payload, "outcomes", path)
     if not isinstance(outcomes_node, list) or not outcomes_node:
         raise _fail(f"{path}.outcomes", "expected a nonempty array of outcomes")
+    fast = _stacked_measurement(outcomes_node, d)
+    if fast is not None:
+        return fast
     outcomes = []
     for idx, node in enumerate(outcomes_node):
         opath = f"{path}.outcomes[{idx}]"
@@ -234,6 +283,9 @@ def parse_document(doc):
         members_node = _get(payload, "members", path)
         if not isinstance(members_node, list) or not members_node:
             raise _fail(f"{path}.members", "expected a nonempty array of members")
+        fast = _stacked_ensemble(members_node, d)
+        if fast is not None:
+            return fast
         members = []
         for idx, node in enumerate(members_node):
             mpath = f"{path}.members[{idx}]"
@@ -309,8 +361,8 @@ def serialize_document(obj) -> dict:
             "dim": obj.dim,
             "payload": {
                 "members": [
-                    {"weight": float(w), "coeffs": _emit_matrix(s.coeffs)}
-                    for w, s in obj.members
+                    {"weight": w, "coeffs": c}
+                    for w, c in zip(obj.weights.tolist(), _emit_matrix(obj.coeff_stack))
                 ]
             },
         }

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -42,6 +43,7 @@ from .core import (
     _as_square_complex,
     _freeze,
     _side_of_pair_matrix,
+    _trusted,
     hermiticity_defect,
 )
 from .errors import (
@@ -119,6 +121,22 @@ class Measurement:
         if len(dims) != 1:
             raise DimensionMismatchError(f"outcomes have mixed dimensions {sorted(dims)}")
         object.__setattr__(self, "outcomes", outcomes)
+
+    @classmethod
+    def _from_stack(cls, stack: np.ndarray, sizes: Sequence[int],
+                    names: Sequence[str]) -> "Measurement":
+        """The measurement whose outcome mu holds the next ``sizes[mu]`` rows of ``stack``.
+
+        ``stack`` is a finite (n_branches, d, d) complex128 array that
+        the measurement takes over as its ``kraus_stack``; every
+        ``KrausOperator.entries`` is a read-only view of it.  The sizes
+        are positive and sum to n_branches, one name per outcome.
+        """
+        ops = tuple(_trusted(KrausOperator, entries=a) for a in _freeze(stack))
+        bounds = list(accumulate(sizes, initial=0))
+        outcomes = tuple(MeasurementOutcome(ops[lo:hi], name)
+                         for lo, hi, name in zip(bounds, bounds[1:], names))
+        return _trusted(cls, outcomes=outcomes, kraus_stack=stack)
 
     @property
     def dim(self) -> int:

@@ -332,7 +332,7 @@ class _Tables:
         self.n_members = len(cfg.ensemble.members)
         self.members = _inverse([np.cumsum(cfg.ensemble.weights)[None]])
         self.choices = _inverse([np.cumsum(np.array(cfg.policy.choice_probs))[None]])
-        coeffs = np.stack([state.coeffs for state in cfg.ensemble.states])
+        coeffs = cfg.ensemble.coeff_stack
         self.outcome_of = []
         self.n_outcomes = []
         self.cum_branch = []
@@ -405,8 +405,8 @@ def analytic_success_rate(ensemble: Ensemble, m: Measurement) -> float:
     ``sum_r p_r sum_branches |A . alpha_r|^2 / d``; useful for sizing
     ``shots`` against a wanted number of successes.
     """
-    coeffs = np.stack([state.coeffs for state in ensemble.states])
-    return float(ensemble.weights @ _contraction_weights(m, coeffs).sum(1) / ensemble.dim)
+    return float(ensemble.weights @ _contraction_weights(m, ensemble.coeff_stack).sum(1)
+                 / ensemble.dim)
 
 
 def _binomial_z(freq: float, p: float, n: int) -> float:

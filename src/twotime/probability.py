@@ -135,8 +135,7 @@ def prob_ensemble(ensemble: Ensemble, m: Measurement) -> np.ndarray:
         raise DimensionMismatchError(f"ensemble dim {ensemble.dim} != measurement dim {m.dim}")
     _require_detailed(m)
     _require_complete(m)
-    coeffs = np.stack([state.coeffs for state in ensemble.states])
-    numerators = ensemble.weights @ _contraction_weights(m, coeffs)
+    numerators = ensemble.weights @ _contraction_weights(m, ensemble.coeff_stack)
     return _normalize(numerators, PostSelectionImpossibleError)
 
 

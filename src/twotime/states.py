@@ -10,12 +10,13 @@ summarized losslessly by their :class:`~twotime.core.DensityVector`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
-from .core import _as_square_complex
+from .core import _LOAD_NORM_ATOL, _as_square_complex, _freeze, _trusted
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -32,6 +33,9 @@ __all__ = [
     "positivity_check",
 ]
 
+# Bytes of outer-product terms that density_from_ensemble holds at once.
+_TERM_BLOCK_BYTES = 1 << 22
+
 
 @dataclass(frozen=True, eq=False)
 class Ensemble:
@@ -42,6 +46,11 @@ class Ensemble:
     members : sequence of (weight, state) pairs
         Weights must be strictly positive and sum to 1 within 1e-12;
         all states must share one dimension.
+
+    ``weights`` (n,) and ``coeff_stack`` (n, d, d) hold the same data
+    as read-only arrays, built on first use; an ensemble made by
+    :meth:`_from_stack` starts with them, and its states' ``coeffs``
+    are views of ``coeff_stack``.
     """
 
     members: tuple
@@ -63,13 +72,49 @@ class Ensemble:
             raise NormalizationError(f"ensemble weights sum to {total!r}, expected 1")
         object.__setattr__(self, "members", members)
 
+    @classmethod
+    def _from_stack(cls, weights: np.ndarray, stack: np.ndarray) -> "Ensemble":
+        """The ensemble of ``stack[r]`` at weight ``weights[r]``, checked as whole arrays.
+
+        ``weights`` is an (n,) float64 array and ``stack`` a finite,
+        writable (n, d, d) complex128 array that the ensemble takes
+        over, n >= 1.  Each member's Frobenius norm must be 1 within the
+        load slack 1e-9 (so no member is zero), and a norm off by more
+        than ``ATOL`` is divided out in place: every stored ``coeffs``
+        is a read-only view of ``stack`` bit-identical to what
+        ``TwoTimeState(stack[r])`` stores.  The weights pass or fail as
+        in ``Ensemble(members)``, with its messages.
+        """
+        v = stack.reshape(len(stack), -1)
+        norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
+                        + np.einsum("ri,ri->r", v.imag, v.imag))
+        # These batched norms are within a few ulps of np.linalg.norm,
+        # which TwoTimeState uses; members near a threshold get that norm.
+        off = np.flatnonzero(np.abs(norms - 1.0) > ATOL / 2)
+        exact = np.array([np.linalg.norm(stack[r]) for r in off], dtype=np.float64)
+        bad = np.abs(exact - 1.0) > _LOAD_NORM_ATOL
+        if bad.any():
+            raise NormalizationError(f"member {off[bad][0]} has Frobenius norm "
+                                     f"{float(exact[bad][0])!r}, expected 1")
+        rescale = np.abs(exact - 1.0) > ATOL
+        stack[off[rescale]] /= exact[rescale, None, None]
+        states = [_trusted(TwoTimeState, coeffs=c) for c in _freeze(stack)]
+        members = tuple(zip(weights.tolist(), states))
+        if not (np.all(weights > 0.0) and abs(sum(w for w, _ in members) - 1.0) <= ATOL):
+            return cls(members)  # raises the public constructor's weight error
+        return _trusted(cls, members=members, weights=_freeze(weights), coeff_stack=stack)
+
     @property
     def dim(self) -> int:
         return self.members[0][1].dim
 
-    @property
+    @cached_property
     def weights(self) -> np.ndarray:
-        return np.array([w for w, _ in self.members])
+        return _freeze(np.array([w for w, _ in self.members]))
+
+    @cached_property
+    def coeff_stack(self) -> np.ndarray:
+        return _freeze(np.stack([s.coeffs for _, s in self.members]))
 
     @property
     def states(self) -> tuple:
@@ -139,9 +184,22 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
     identical: every probability rule in this package depends on the
     ensemble only through this object.
     """
-    mats = ((w, s.coeffs.reshape(-1)) for w, s in ensemble.members)
-    acc = sum(w * np.outer(v, v.conj()) for w, v in mats)
-    return DensityVector(acc)
+    v = ensemble.coeff_stack.reshape(len(ensemble.members), -1)
+    w = ensemble.weights
+    n2 = v.shape[1]
+    block = max(1, _TERM_BLOCK_BYTES // (16 * n2 * n2))
+    terms = np.zeros((min(block, len(v)) + 1, n2, n2), dtype=np.complex128)
+    for lo in range(0, len(v), block):
+        vb = v[lo:lo + block]
+        np.multiply(w[lo:lo + block, None, None], vb[:, :, None] * vb.conj()[:, None, :],
+                    out=terms[1:len(vb) + 1])
+        # Row 0 carries the running sum, starting from 0, so the terms
+        # are added one at a time in member order, bit for bit as
+        # ``sum(p * outer(v, v.conj()))``.  Reducing the float64 view
+        # keeps the reduced axis out of numpy's pairwise inner loop,
+        # which it would otherwise take when d = 1.
+        terms[0] = np.add.reduce(terms[:len(vb) + 1].view(np.float64), axis=0).view(np.complex128)
+    return DensityVector(terms[0])
 
 
 def ensemble_from_density(eta: DensityVector, *, cutoff: float = 1e-12) -> Ensemble:
@@ -158,12 +216,7 @@ def ensemble_from_density(eta: DensityVector, *, cutoff: float = 1e-12) -> Ensem
     if not np.any(keep):
         raise DegenerateInputError("density vector has no eigenvalue above cutoff")
     lam = lam[keep]
-    weights = lam / lam.sum()
-    members = tuple(
-        (float(p), TwoTimeState(w[:, idx].reshape(eta.dim, eta.dim)))
-        for p, idx in zip(weights, np.nonzero(keep)[0])
-    )
-    return Ensemble(members)
+    return Ensemble._from_stack(lam / lam.sum(), w[:, keep].T.reshape(-1, eta.dim, eta.dim))
 
 
 def positivity_check(obj) -> tuple[bool, float]:

@@ -48,7 +48,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityVector, KrausOperator, _as_int
+from .core import DensityVector, _as_int
 from .errors import MalformedDataError, PostSelectionImpossibleError, ValidationError
 from .measurements import Measurement
 from .probability import DENOMINATOR_EPS
@@ -138,9 +138,9 @@ class TomographySet:
         if nbytes > MAX_DENSE_BYTES:
             raise ValidationError(f"the dimension-{d} tomography operators need {nbytes} "
                                   f"bytes, above the {MAX_DENSE_BYTES}-byte limit")
-        ops = [KrausOperator(row.reshape(d, d)) for row in _vectorized_family(d)]
         names = ["({},{})({},{}){}".format(*lab) for lab in self.labels]
-        return Measurement.detailed(ops, names)
+        stack = _vectorized_family(d).reshape(-1, d, d)
+        return Measurement._from_stack(stack, [1] * len(names), names)
 
 
 def build_tomography_set(dim: int) -> TomographySet:

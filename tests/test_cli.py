@@ -548,6 +548,38 @@ def test_choice_probs_integer_too_large_for_a_float_names_its_entry(capsys, docs
     assert json.loads(err)["error"]["message"].startswith("--policy: choice_probs[1]: ")
 
 
+def _policy_error(capsys, docs, tmp_path, bad_doc):
+    _, m1, _ = reversal_scenario()
+    policy = tmp_path / "policy.json"
+    policy.write_text(json.dumps({
+        "choice_probs": [0.5, 0.5],
+        "measurements": [serialize_document(m1), bad_doc],
+    }))
+    code, out, err = run(capsys, [
+        "simulate", "--ensemble", docs["ensemble"], "--policy", str(policy),
+        "--shots", "100", "--seed", "1",
+    ])
+    assert code == 2
+    assert out == ""
+    return error_code(err), json.loads(err)["error"]["message"]
+
+
+def test_policy_measurement_entry_error_names_the_document(capsys, docs, tmp_path):
+    _, _, m2 = reversal_scenario()
+    bad = serialize_document(m2)
+    bad["payload"]["outcomes"][0]["kraus"][0][0][0][0] = "1"
+    code, message = _policy_error(capsys, docs, tmp_path, bad)
+    assert code == "schema"
+    assert message == ("--policy: measurements[1]: payload.outcomes[0].kraus[0][0][0][0]: "
+                       "expected a number, got str")
+
+
+def test_policy_measurement_that_is_no_object_names_the_document(capsys, docs, tmp_path):
+    code, message = _policy_error(capsys, docs, tmp_path, 7)
+    assert code == "schema"
+    assert message == "--policy: measurements[1]: document: expected a JSON object, got int"
+
+
 def test_iso_density(capsys, docs):
     payload = run_json(capsys, ["iso", "--eta", docs["eta"]])
     assert payload["object"] == "density_vector"

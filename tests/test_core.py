@@ -24,6 +24,7 @@ from twotime import (
     NotHermitianError,
     NotPositiveError,
     TwoTimeState,
+    ValidationError,
     contract_pure,
     hermiticity_defect,
     identity_two_time_vector,
@@ -151,6 +152,13 @@ def test_trusted_constructor_stores_what_the_public_one_stores(rng, case, d):
 def test_identity_two_time_vector_entries():
     ident = identity_two_time_vector(3)
     assert np.array_equal(ident.entries, np.eye(3, dtype=complex))
+
+
+@pytest.mark.parametrize("dim", [2.5, True, "2", 0, -1, None])
+def test_identity_rejects_a_dimension_that_is_no_positive_integer(dim):
+    for build in (KrausOperator.identity, identity_two_time_vector):
+        with pytest.raises(ValidationError, match="dimension must be an integer"):
+            build(dim)
 
 
 def test_kraus_zero_allowed():

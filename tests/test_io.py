@@ -1,9 +1,12 @@
 """JSON round trips and path-precise schema errors."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     random_complete_measurement,
@@ -22,6 +25,7 @@ from twotime import (
     Measurement,
     NormalizationError,
     SchemaError,
+    TwoTimeError,
     check_completeness,
     parse_document,
     reversal_scenario,
@@ -309,3 +313,183 @@ def test_serialized_matrices_are_lists_of_floats(rng):
     coeffs = envelope["payload"]["coeffs"]
     assert type(coeffs) is list
     assert all(type(x) is float for row in coeffs for pair in row for x in pair)
+
+
+# ---------------------------------------------------------------------------
+# Stacked ensemble and measurement parses against the per-member loop.
+
+def loop_parse(document):
+    """``parse_document`` with the stacked routes declined, so every member
+    and every Kraus operator takes the per-entry loop."""
+    with mock.patch.object(tio, "_stacked_ensemble", lambda members, d: None), \
+            mock.patch.object(tio, "_stacked_measurement", lambda outcomes, d: None):
+        return parse_document(document)
+
+
+def parse_outcome(parse, text):
+    """The parsed object, or (class, code, message) of the error it raised."""
+    try:
+        return parse(text)
+    except TwoTimeError as exc:
+        return type(exc), exc.code, str(exc)
+
+
+leaf = st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.05, 1.0), st.floats(-1.0, -0.05))
+norm_offset = st.one_of(st.just(0.0), st.sampled_from([3e-13, 6e-13, 2e-12]),
+                        st.floats(1e-11, 9e-10), st.floats(-9e-10, -1e-11))
+
+
+@st.composite
+def json_matrix(draw, d, offset=st.just(0.0)):
+    """A d x d matrix node of Frobenius norm 1 + offset: [re, im] pairs with
+    signed zeros, a basis element's integer leaves, or some plain reals."""
+    if draw(st.booleans()):
+        node = [[[draw(st.sampled_from([0, 0.0, -0.0])) for _ in range(2)]
+                 for _ in range(d)] for _ in range(d)]
+        i, j, part = draw(st.integers(0, d - 1)), draw(st.integers(0, d - 1)), draw(st.integers(0, 1))
+        node[i][j][part] = draw(st.sampled_from([1, -1]))
+        return node
+    vals = np.array(draw(st.lists(leaf, min_size=2 * d * d, max_size=2 * d * d)))
+    vals[0] = vals[0] or 0.5
+    node = (vals / np.linalg.norm(vals) * (1.0 + draw(offset))).reshape(d, d, 2).tolist()
+    if draw(st.integers(0, 4)) == 0:  # plain reals where the imaginary part is +0.0
+        node = [[z[0] if z[1] == 0.0 and not np.signbit(z[1]) else z for z in row] for row in node]
+    return node
+
+
+@st.composite
+def ensemble_doc(draw):
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 6))
+    weights = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+    weights = [1] if n == 1 and draw(st.booleans()) else (weights / weights.sum()).tolist()
+    members = [{"weight": w, "coeffs": draw(json_matrix(d, norm_offset))} for w in weights]
+    return d, doc("ensemble", d, {"members": members})
+
+
+@st.composite
+def measurement_doc(draw):
+    d, n = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    outcomes = []
+    for mu in range(n):
+        out = {"kraus": [draw(json_matrix(d)) for _ in range(draw(st.integers(1, 3)))]}
+        if draw(st.booleans()):
+            out["name"] = f"o{mu}"
+        outcomes.append(out)
+    return d, doc("measurement", d, {"outcomes": outcomes})
+
+
+def _set_leaf(value):
+    """A fault that puts ``value`` into the last row's first entry."""
+    def fault(node):
+        row = node[-1]
+        row[0] = [row[0][0], value] if isinstance(row[0], list) else value
+    return fault
+
+
+def _doubled(node):
+    return [[[2.0 * x for x in z] if isinstance(z, list) else 2.0 * z for z in row]
+            for row in node]
+
+
+ENSEMBLE_FAULTS = [
+    lambda m: m.update(weight="0.5"),
+    lambda m: m.update(weight=True),
+    lambda m: m.update(weight=-0.25),
+    lambda m: m.update(weight=float("nan")),
+    lambda m: m.update(weight=10**400),
+    lambda m: m.pop("weight"),
+    lambda m: m.pop("coeffs"),
+    lambda m: m["coeffs"].pop(),
+    lambda m: _set_leaf("x")(m["coeffs"]),
+    lambda m: _set_leaf(float("inf"))(m["coeffs"]),
+    lambda m: m.update(coeffs=_doubled(m["coeffs"])),
+    lambda m: m.update(coeffs=[[[0.0, 0.0] for _ in row] for row in m["coeffs"]]),
+]
+
+MEASUREMENT_FAULTS = [
+    lambda o: o.update(kraus=[]),
+    lambda o: o.pop("kraus"),
+    lambda o: o.update(name=3),
+    lambda o: o["kraus"].append(5),
+    lambda o: o["kraus"][-1].pop(),
+    lambda o: _set_leaf("x")(o["kraus"][-1]),
+    lambda o: _set_leaf(True)(o["kraus"][-1]),
+    lambda o: _set_leaf(float("inf"))(o["kraus"][-1]),
+]
+
+
+def assert_same_ensemble(fast, slow):
+    assert fast.weights.tobytes() == slow.weights.tobytes()
+    assert fast.coeff_stack.tobytes() == slow.coeff_stack.tobytes()
+    assert [w for w, _ in fast.members] == [w for w, _ in slow.members]
+    for (_, a), (_, b) in zip(fast.members, slow.members, strict=True):
+        assert a.coeffs.tobytes() == b.coeffs.tobytes()
+
+
+def assert_same_measurement(fast, slow):
+    assert fast.kraus_stack.tobytes() == slow.kraus_stack.tobytes()
+    assert fast.outcome_of.tolist() == slow.outcome_of.tolist()
+    assert [o.name for o in fast.outcomes] == [o.name for o in slow.outcomes]
+    for a, b in zip(fast.outcomes, slow.outcomes, strict=True):
+        assert [op.entries.tobytes() for op in a.kraus] == [op.entries.tobytes() for op in b.kraus]
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensemble_doc())
+def test_stacked_ensemble_parse_matches_the_loop_bit_for_bit(case):
+    d, envelope = case
+    text = json.dumps(envelope)
+    fast, slow = parse_document(text), loop_parse(text)
+    assert_same_ensemble(fast, slow)
+    canonical = all(tio._pair_matrix(m["coeffs"], d) is not None
+                    for m in envelope["payload"]["members"])
+    assert np.shares_memory(fast.members[0][1].coeffs, fast.coeff_stack) == canonical
+
+
+@settings(max_examples=100, deadline=None)
+@given(measurement_doc())
+def test_stacked_measurement_parse_matches_the_loop_bit_for_bit(case):
+    d, envelope = case
+    text = json.dumps(envelope)
+    fast, slow = parse_document(text), loop_parse(text)
+    assert_same_measurement(fast, slow)
+    canonical = all(tio._pair_matrix(k, d) is not None
+                    for o in envelope["payload"]["outcomes"] for k in o["kraus"])
+    first = fast.outcomes[0].kraus[0].entries
+    assert np.shares_memory(first, fast.kraus_stack) == canonical
+
+
+@settings(max_examples=100, deadline=None)
+@given(ensemble_doc(), st.data())
+def test_malformed_member_reports_the_loops_error(case, data):
+    _, envelope = case
+    members = envelope["payload"]["members"]
+    idx = data.draw(st.integers(0, len(members) - 1))
+    fault = data.draw(st.sampled_from(ENSEMBLE_FAULTS + [None]))
+    if fault is None:
+        members[idx] = 7
+    else:
+        fault(members[idx])
+    text = json.dumps(envelope)
+    expected = parse_outcome(loop_parse, text)
+    got = parse_outcome(parse_document, text)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert_same_ensemble(got, expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(measurement_doc(), st.data())
+def test_malformed_operator_reports_the_loops_error(case, data):
+    _, envelope = case
+    outcomes = envelope["payload"]["outcomes"]
+    idx = data.draw(st.integers(0, len(outcomes) - 1))
+    fault = data.draw(st.sampled_from(MEASUREMENT_FAULTS + [None]))
+    if fault is None:
+        outcomes[idx] = "o"
+    else:
+        fault(outcomes[idx])
+    expected = parse_outcome(loop_parse, json.dumps(envelope))
+    assert isinstance(expected, tuple)
+    assert parse_outcome(parse_document, json.dumps(envelope)) == expected

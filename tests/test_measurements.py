@@ -64,6 +64,20 @@ def test_is_detailed_flag():
     assert not lumped.is_detailed
 
 
+def test_from_stack_entries_are_read_only_views_of_the_kraus_stack(rng):
+    stack = complex_gaussian(rng, (5, 2, 2))
+    m = Measurement._from_stack(stack, [2, 1, 2], ["a", "b", "c"])
+    assert m.kraus_stack is stack and not stack.flags.writeable
+    assert m.outcome_of.tolist() == [0, 0, 1, 2, 2]
+    assert [o.name for o in m.outcomes] == ["a", "b", "c"]
+    ops = [op for out in m.outcomes for op in out.kraus]
+    for k, op in enumerate(ops):
+        assert np.shares_memory(op.entries, stack)
+        assert op.entries.tobytes() == stack[k].tobytes()
+    rebuilt = Measurement.from_kraus_sets([ops[:2], ops[2:3], ops[3:]], ["a", "b", "c"])
+    assert rebuilt.kraus_stack.tobytes() == stack.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # kraus_density_vector.
 

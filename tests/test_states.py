@@ -181,6 +181,43 @@ def test_equal_density_implies_equal_statistics(rng):
         assert np.allclose(pa, pb, atol=1e-12)
 
 
+def outer_sum(ensemble):
+    """The density array as the Python sum of weighted outer products,
+    the order of additions (and signs of zero) the vectorized build keeps."""
+    mats = ((w, s.coeffs.reshape(-1)) for w, s in ensemble.members)
+    return sum(w * np.outer(v, v.conj()) for w, v in mats)
+
+
+def signed_zero_ensemble(rng, d, n):
+    coeffs = complex_gaussian(rng, (n, d, d))
+    coeffs.real[rng.random((n, d, d)) < 0.3] = -0.0
+    coeffs.imag[rng.random((n, d, d)) < 0.3] = -0.0
+    coeffs[:, 0, 0] = 1.0  # no member is zero
+    weights = rng.random(n) + 0.1
+    return Ensemble(tuple(zip(weights / weights.sum(), map(TwoTimeState, coeffs))))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_density_is_the_sequential_outer_product_sum_bit_for_bit(rng, d):
+    # n >= 8 on d = 1 is where a plain reduce over the member axis
+    # would sum pairwise and differ in the last bits.
+    for n in (1, 2, 7, 8, 9, 33, 70):
+        ens = signed_zero_ensemble(rng, d, n)
+        expected = DensityVector(outer_sum(ens)).mat
+        assert density_from_ensemble(ens).mat.tobytes() == expected.tobytes()
+
+
+def test_density_blocks_keep_the_sequential_sum(rng, monkeypatch):
+    import twotime.states
+
+    for d in (1, 3):
+        ens = signed_zero_ensemble(rng, d, 20)
+        expected = DensityVector(outer_sum(ens)).mat.tobytes()
+        for block in (1, 3, 7):
+            monkeypatch.setattr(twotime.states, "_TERM_BLOCK_BYTES", block * 16 * d**4)
+            assert density_from_ensemble(ens).mat.tobytes() == expected
+
+
 # ---------------------------------------------------------------------------
 # ensemble_from_density.
 
@@ -194,6 +231,73 @@ def test_ensemble_from_density_round_trips(rng):
 def test_ensemble_from_density_weights_are_eigenvalues():
     ens = ensemble_from_density(equal_mixture_density())
     assert sorted(w for w, _ in ens.members) == pytest.approx([0.5, 0.5])
+
+
+def test_ensemble_from_density_members_match_the_eigenvectors():
+    eta = density_from_ensemble(random_ensemble(np.random.default_rng(3), 3, 4))
+    ens = ensemble_from_density(eta)
+    lam, w = np.linalg.eigh(eta.mat)
+    keep = np.nonzero(lam > 1e-12)[0]
+    assert [p for p, _ in ens.members] == [float(p) for p in lam[keep] / lam[keep].sum()]
+    for (_, s), idx in zip(ens.members, keep):
+        assert s.coeffs.tobytes() == TwoTimeState(w[:, idx].reshape(3, 3)).coeffs.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Stacked ensembles: Ensemble._from_stack, weights and coeff_stack.
+
+def test_from_stack_members_are_read_only_views_of_the_stack(rng):
+    stack = complex_gaussian(rng, (3, 2, 2))
+    stack /= np.linalg.norm(stack, axis=(1, 2))[:, None, None]
+    ens = Ensemble._from_stack(np.array([0.25, 0.25, 0.5]), stack)
+    assert ens.coeff_stack is stack
+    for r, (w, s) in enumerate(ens.members):
+        assert type(w) is float
+        assert np.shares_memory(s.coeffs, stack) and s.coeffs.tobytes() == stack[r].tobytes()
+    for arr in (ens.coeff_stack, ens.weights, ens.members[0][1].coeffs):
+        assert not arr.flags.writeable
+
+
+def test_from_stack_stores_what_the_state_constructor_stores(rng):
+    # Norms off by 0 to 9e-10: the ones beyond 1e-12 are divided out.
+    for off in (0.0, 3e-13, 6e-13, 2e-12, 1e-11, -4e-10, 9e-10):
+        coeffs = complex_gaussian(rng, (4, 3, 3))
+        coeffs *= (1.0 + off) / np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
+        expected = [TwoTimeState(c).coeffs.tobytes() for c in coeffs]
+        ens = Ensemble._from_stack(np.full(4, 0.25), coeffs.copy())
+        assert [s.coeffs.tobytes() for _, s in ens.members] == expected
+
+
+def test_from_stack_rejects_members_off_the_load_norm(rng):
+    coeffs = complex_gaussian(rng, (3, 2, 2))
+    coeffs /= np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
+    coeffs[1] *= 1.0 + 2e-9
+    with pytest.raises(NormalizationError, match="member 1 has Frobenius norm"):
+        Ensemble._from_stack(np.full(3, 1 / 3), coeffs)
+    coeffs[1] = 0.0
+    with pytest.raises(NormalizationError, match="member 1 has Frobenius norm 0.0"):
+        Ensemble._from_stack(np.full(3, 1 / 3), coeffs)
+
+
+@pytest.mark.parametrize("weights", [[0.5, 0.6], [0.0, 1.0], [float("nan"), 1.0],
+                                     [float("inf"), 1.0], [-0.5, 1.5]])
+def test_from_stack_weight_errors_are_the_constructors(weights):
+    stack = np.zeros((2, 2, 2), dtype=np.complex128)
+    stack[:, 0, 0] = 1.0
+    with pytest.raises(NormalizationError) as expected:
+        Ensemble(tuple((w, TwoTimeState(c)) for w, c in zip(weights, stack)))
+    with pytest.raises(NormalizationError) as err:
+        Ensemble._from_stack(np.array(weights), stack)
+    assert str(err.value) == str(expected.value)
+
+
+def test_public_ensemble_derives_read_only_stacks(rng):
+    ens = random_ensemble(rng, 2, n_members=3)
+    assert ens.weights is ens.weights
+    assert ens.coeff_stack is ens.coeff_stack
+    assert ens.weights.tolist() == [w for w, _ in ens.members]
+    assert ens.coeff_stack.tobytes() == np.stack([s.coeffs for s in ens.states]).tobytes()
+    assert not ens.weights.flags.writeable and not ens.coeff_stack.flags.writeable
 
 
 # ---------------------------------------------------------------------------
