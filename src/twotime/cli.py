@@ -37,7 +37,7 @@ from .errors import (
     TwoTimeError,
     ValidationError,
 )
-from .io import _complex_pairs, _wrap, parse_document
+from .io import _complex_pairs, _loads, _wrap, parse_document
 from .measurements import Measurement, kraus_density_vector, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
@@ -264,7 +264,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             raise _UsageError("--shots/--seed apply to --eta inputs only")
         try:
             with open(args.probs, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
+                raw = _loads(fh.read())
         except OSError as exc:
             raise ValidationError(f"--probs: cannot read {args.probs}: {exc}") from exc
         except (ValueError, RecursionError) as exc:
@@ -320,7 +320,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
 def _policy_from_file(path: str) -> ObserverPolicy:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
+            raw = _loads(fh.read())
     except OSError as exc:
         raise ValidationError(f"--policy: cannot read {path}: {exc}") from exc
     except (ValueError, RecursionError) as exc:

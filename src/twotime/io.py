@@ -12,6 +12,10 @@ arrays.  Parsing validates the full object invariants (normalization,
 Hermiticity, positivity) and reports errors with the JSON path of the
 offending field.  ``serialize_document(parse_document(doc))`` is
 field-identical for every valid document.
+
+JSON text is decoded by :func:`_loads`: orjson when a byte-level guard
+shows it reads the text exactly as ``json.loads`` does, ``json.loads``
+otherwise.
 """
 
 from __future__ import annotations
@@ -21,12 +25,13 @@ from itertools import chain
 from typing import Any
 
 import numpy as np
+import orjson
 
 from .bipartite import BipartiteDensity, BipartiteOperator
 from .core import _LOAD_NORM_ATOL, DensityVector, KrausOperator, TwoTimeState
 from .errors import SchemaError, TwoTimeError
 from .measurements import Measurement, MeasurementOutcome
-from .states import Ensemble
+from .states import Ensemble, _unit_members
 
 __all__ = [
     "FORMAT_VERSION",
@@ -46,6 +51,58 @@ KINDS = (
     "bipartite_density",
     "operator_set",
 )
+
+
+#: Digits read as "0", and the bytes a number literal can follow
+#: (whitespace, "[", ",", ":", "-") as "|".
+_LITERAL_STARTS = bytes.maketrans(b"0123456789 \t\n\r[,:-", b"0000000000||||||||")
+_LONG_INTEGER = b"|" + b"0" * 19
+#: Every byte but the brackets and the quote, deleted to leave the nesting.
+_NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"')))
+#: Deepest nesting handed to orjson, which has no depth limit of its own.
+_ORJSON_MAX_DEPTH = 64
+
+
+def _orjson_reads_as_json(raw: bytes) -> bool:
+    """Whether orjson is safe on ``raw`` and reads it as ``json.loads`` does.
+
+    orjson 3.8 crashes the interpreter on deep nesting, and it reads an
+    integer literal outside [-2**63, 2**64) as a float where ``json``
+    keeps an int.  So this declines text with a literal of 19 or more
+    digits (a digit run in a string may decline it too), text nested
+    deeper than ``_ORJSON_MAX_DEPTH``, and text with a backslash: there
+    an escaped quote could hide where a string ends, so brackets in
+    strings could not be told from the nesting.
+    """
+    if b"\\" in raw:
+        return False
+    if _LONG_INTEGER in b"|" + raw.translate(_LITERAL_STARTS):  # "|" for the start of text
+        return False
+    # Without backslashes every quote opens or closes a string.
+    nesting = b"".join(raw.translate(None, _NOT_NESTING).split(b'"')[::2])
+    for _ in range(_ORJSON_MAX_DEPTH):
+        if not nesting:
+            return True
+        nesting = nesting.replace(b"[]", b"").replace(b"{}", b"")
+    return not nesting
+
+
+def _loads(text: str | bytes) -> Any:
+    """``json.loads(text)``: the same value, type for type and bit for bit, or the same error.
+
+    orjson decodes the text when :func:`_orjson_reads_as_json` allows
+    it; ``json.loads`` decodes everything else, and everything orjson
+    rejects (NaN and Infinity tokens, numbers that overflow to inf, lone
+    surrogates, a UTF-8 byte order mark, UTF-16 and UTF-32 bytes, and
+    malformed text, whose errors are therefore ``json``'s).
+    """
+    try:
+        raw = text.encode() if isinstance(text, str) else text
+        if _orjson_reads_as_json(raw):
+            return orjson.loads(raw)
+    except (UnicodeEncodeError, orjson.JSONDecodeError):  # lone surrogates; orjson's refusals
+        pass
+    return json.loads(text)
 
 
 def _fail(path: str, message: str) -> SchemaError:
@@ -146,7 +203,8 @@ def _wrap(path: str, exc: TwoTimeError) -> TwoTimeError:
 
 
 def _check_state_norm(coeffs: np.ndarray, path: str) -> None:
-    norm = float(np.linalg.norm(coeffs))
+    with np.errstate(over="ignore"):  # a norm past float64 reads inf and fails
+        norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _LOAD_NORM_ATOL:
         raise _fail(path, f"coefficients have Frobenius norm {norm!r}, expected 1")
 
@@ -164,9 +222,12 @@ def _stacked_ensemble(members: list, d: int) -> Ensemble | None:
     """The ensemble of canonical ``members`` read as two arrays, or None.
 
     Canonical members are objects with a finite JSON number ``weight``
-    and canonical d x d ``coeffs`` (see :func:`_pair_matrix`).  None
-    also when ``Ensemble._from_stack`` rejects them: the per-member
-    loop then reports the first failure with its JSON path.
+    and canonical d x d ``coeffs`` (see :func:`_pair_matrix`) of unit
+    norm within the load slack.  None for anything else: the
+    per-member loop then reports the first failure with its JSON path.
+    Members that pass all this are the loop's too, so a weight error is
+    the one the loop would reach, and is raised here at
+    ``payload.members``.
     """
     if not all(isinstance(m, dict) and "weight" in m and "coeffs" in m for m in members):
         return None
@@ -175,9 +236,16 @@ def _stacked_ensemble(members: list, d: int) -> Ensemble | None:
     if stack is None or not set(map(type, weights)) <= {float, int}:
         return None
     try:
-        return Ensemble._from_stack(np.array(weights, dtype=np.float64), stack)
+        weights = np.array(weights, dtype=np.float64)
+        stack = _unit_members(stack)
     except (OverflowError, TwoTimeError):
         return None
+    if not np.isfinite(weights).all():
+        return None
+    try:
+        return Ensemble._from_unit_members(weights, stack)
+    except TwoTimeError as exc:
+        raise _wrap("payload.members", exc) from exc
 
 
 def _stacked_measurement(outcomes: list, d: int) -> Measurement | None:
@@ -251,7 +319,7 @@ def parse_document(doc):
     """
     if isinstance(doc, (str, bytes)):
         try:
-            envelope = json.loads(doc)
+            envelope = _loads(doc)
         except (ValueError, RecursionError) as exc:
             # ValueError covers JSONDecodeError, bad UTF-8 and over-long
             # integer literals; RecursionError, too deeply nested arrays.

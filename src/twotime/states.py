@@ -78,26 +78,15 @@ class Ensemble:
 
         ``weights`` is an (n,) float64 array and ``stack`` a finite,
         writable (n, d, d) complex128 array that the ensemble takes
-        over, n >= 1.  Each member's Frobenius norm must be 1 within the
-        load slack 1e-9 (so no member is zero), and a norm off by more
-        than ``ATOL`` is divided out in place: every stored ``coeffs``
-        is a read-only view of ``stack`` bit-identical to what
-        ``TwoTimeState(stack[r])`` stores.  The weights pass or fail as
-        in ``Ensemble(members)``, with its messages.
+        over, n >= 1.  The members pass or fail as in
+        :func:`_unit_members`; then the weights pass or fail as in
+        ``Ensemble(members)``, with its messages.
         """
-        v = stack.reshape(len(stack), -1)
-        norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
-                        + np.einsum("ri,ri->r", v.imag, v.imag))
-        # These batched norms are within a few ulps of np.linalg.norm,
-        # which TwoTimeState uses; members near a threshold get that norm.
-        off = np.flatnonzero(np.abs(norms - 1.0) > ATOL / 2)
-        exact = np.array([np.linalg.norm(stack[r]) for r in off], dtype=np.float64)
-        bad = np.abs(exact - 1.0) > _LOAD_NORM_ATOL
-        if bad.any():
-            raise NormalizationError(f"member {off[bad][0]} has Frobenius norm "
-                                     f"{float(exact[bad][0])!r}, expected 1")
-        rescale = np.abs(exact - 1.0) > ATOL
-        stack[off[rescale]] /= exact[rescale, None, None]
+        return cls._from_unit_members(weights, _unit_members(stack))
+
+    @classmethod
+    def _from_unit_members(cls, weights: np.ndarray, stack: np.ndarray) -> "Ensemble":
+        """:meth:`_from_stack` on a ``stack`` that :func:`_unit_members` returned."""
         states = [_trusted(TwoTimeState, coeffs=c) for c in _freeze(stack)]
         members = tuple(zip(weights.tolist(), states))
         if not (np.all(weights > 0.0) and abs(sum(w for w, _ in members) - 1.0) <= ATOL):
@@ -123,6 +112,31 @@ class Ensemble:
     @classmethod
     def pure(cls, state: TwoTimeState) -> "Ensemble":
         return cls(((1.0, state),))
+
+
+def _unit_members(stack: np.ndarray) -> np.ndarray:
+    """``stack`` with every member at unit Frobenius norm, rescaled in place.
+
+    Each member's norm must be 1 within the load slack 1e-9 (so no
+    member is zero), and a norm off by more than ``ATOL`` is divided
+    out: every ``stack[r]`` is then bit-identical to what
+    ``TwoTimeState(stack[r])`` stores.
+    """
+    v = stack.reshape(len(stack), -1)
+    with np.errstate(over="ignore"):  # a norm past float64 reads inf and fails
+        norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
+                        + np.einsum("ri,ri->r", v.imag, v.imag))
+        # These batched norms are within a few ulps of np.linalg.norm,
+        # which TwoTimeState uses; members near a threshold get that norm.
+        off = np.flatnonzero(np.abs(norms - 1.0) > ATOL / 2)
+        exact = np.array([np.linalg.norm(stack[r]) for r in off], dtype=np.float64)
+    bad = np.abs(exact - 1.0) > _LOAD_NORM_ATOL
+    if bad.any():
+        raise NormalizationError(f"member {off[bad][0]} has Frobenius norm "
+                                 f"{float(exact[bad][0])!r}, expected 1")
+    rescale = np.abs(exact - 1.0) > ATOL
+    stack[off[rescale]] /= exact[rescale, None, None]
+    return stack
 
 
 def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:

@@ -249,7 +249,8 @@ def reconstruct(
         raise MalformedDataError("probabilities contain non-finite entries")
     if float(p.min()) < -1e-9:
         raise MalformedDataError(f"probabilities contain negative entries (min {p.min():.3e})")
-    total = float(p.sum())
+    with np.errstate(over="ignore"):  # a sum past float64 reads inf and fails
+        total = float(p.sum())
     if abs(total - 1.0) > 1e-9:
         raise MalformedDataError(f"probabilities sum to {total!r}, expected 1")
 

@@ -521,6 +521,27 @@ def test_check_integer_too_large_for_a_float(capsys, docs, tmp_path):
     assert "payload.matrix[0][0][0]: integer too large" in json.loads(err)["error"]["message"]
 
 
+def test_documents_at_the_float64_edge_end_in_one_typed_error(capsys, docs, tmp_path):
+    matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    matrix[0][3] = matrix[3][0] = [1.7976931348623157e308, 0.0]
+    coeffs = [[[1.797e308, 0], [0, 0]], [[0, 0], [0, 0]]]
+    cases = [
+        ("density_vector", {"matrix": matrix}, ["check", "--eta"],
+         "degenerate-input", "payload.matrix: "),
+        ("two_time_state", {"coeffs": coeffs}, ["weak", "--observable", docs["sigma_z"], "--state"],
+         "schema", "payload.coeffs: "),
+    ]
+    for kind, payload, argv, expected_code, prefix in cases:
+        bad = tmp_path / f"{kind}.json"
+        bad.write_text(json.dumps({"format_version": "1", "kind": kind, "dim": 2,
+                                   "payload": payload}))
+        code, out, err = run(capsys, argv + [str(bad)])
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert error_code(err) == expected_code
+        assert json.loads(err)["error"]["message"].startswith(prefix)
+
+
 def test_probs_integer_too_large_for_a_float_names_its_entry(capsys, tmp_path):
     probs_file = tmp_path / "probs.json"
     probs_file.write_text(json.dumps({"probabilities": [0.5, 10**400]}))

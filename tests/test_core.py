@@ -74,6 +74,14 @@ def test_state_rejects_non_finite():
         TwoTimeState(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
+def test_constructors_reject_parts_past_the_largest_accepted_magnitude():
+    for make in (TwoTimeState, KrausOperator, DensityVector):
+        with pytest.raises(DegenerateInputError, match="magnitude 1e\\+200, beyond"):
+            make(np.diag([1e200j, 0.0, 0.0, 0.0]))
+    edge = np.diag([1e150, -1e150])
+    assert KrausOperator(edge).entries.tobytes() == edge.astype(np.complex128).tobytes()
+
+
 def test_state_coeffs_are_immutable():
     s = TwoTimeState(np.eye(2))
     with pytest.raises(ValueError):

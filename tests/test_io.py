@@ -1,6 +1,9 @@
 """JSON round trips and path-precise schema errors."""
 
 import json
+import math
+import struct
+from decimal import Decimal, localcontext
 from unittest import mock
 
 import numpy as np
@@ -19,6 +22,7 @@ from twotime import io as tio
 from twotime import (
     BipartiteDensity,
     BipartiteOperator,
+    DegenerateInputError,
     Ensemble,
     FORMAT_VERSION,
     KrausOperator,
@@ -233,15 +237,183 @@ def test_integer_too_large_for_a_float_names_its_path():
         parse_document(weight)
 
 
+def test_state_norm_past_float64_names_its_path():
+    # The squared norm overflows float64; under this suite's warning
+    # filter, numpy's overflow warning would be raised instead.
+    coeffs = [[[1.797e308, 0], [0, 0]], [[0, 0], [0, 0]]]
+    with pytest.raises(SchemaError, match=r"^payload\.coeffs: coefficients have Frobenius "
+                                          r"norm inf, expected 1$"):
+        parse_document(json.dumps(doc("two_time_state", 2, {"coeffs": coeffs})))
+    members = {"members": [{"weight": 0.5, "coeffs": mat(np.eye(2) / np.sqrt(2))},
+                           {"weight": 0.5, "coeffs": coeffs}]}
+    with pytest.raises(SchemaError, match=r"^payload\.members\[1\]\.coeffs: coefficients have "
+                                          r"Frobenius norm inf"):
+        parse_document(json.dumps(doc("ensemble", 2, members)))
+
+
+def test_density_entry_at_the_float64_edge_names_its_path():
+    matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
+    matrix[0][3] = matrix[3][0] = [1.7976931348623157e308, 0.0]
+    with pytest.raises(DegenerateInputError, match=r"^payload\.matrix: mat has a part of "
+                                                   r"magnitude 1\.7976931348623157e\+308"):
+        parse_document(json.dumps(doc("density_vector", 2, {"matrix": matrix})))
+
+
 @pytest.mark.parametrize("text", [
     "[" * 100_000 + "]" * 100_000,
     '{"a": ' * 100_000 + "0" + "}" * 100_000,
     "1" + "0" * 5000,  # beyond the interpreter's integer-string limit
     b"\xff",
-], ids=["deep-array", "deep-object", "long-integer", "bad-utf8"])
+    # Every level also holds the string "]", and the innermost a string of
+    # "[": counted over the raw text, the brackets read as shallow.
+    '["]", ' * 100_000 + '"' + "[" * 100_000 + '"' + "]" * 100_000,
+    # Read with every quote as a string edge, the escaped quotes leave only "{}".
+    '{"\\"": ' + '["\\"\\"", ' * 100_000 + "0" + "]" * 100_000 + ', "x\\"": 1}',
+], ids=["deep-array", "deep-object", "long-integer", "bad-utf8", "deep-array-brackets-in-strings",
+        "deep-array-escaped-quotes"])
 def test_unparseable_json_is_a_schema_error(text):
     with pytest.raises(SchemaError, match="malformed JSON"):
         parse_document(text)
+
+
+# ---------------------------------------------------------------------------
+# The guarded decoder against json.loads.
+
+def assert_same_value(a, b):
+    """Equal type for type; floats bit for bit, the sign of zero included."""
+    assert type(a) is type(b)
+    if isinstance(a, float):
+        assert struct.pack("<d", a) == struct.pack("<d", b)
+    elif isinstance(a, list):
+        assert len(a) == len(b)
+        for x, y in zip(a, b):
+            assert_same_value(x, y)
+    elif isinstance(a, dict):
+        assert list(a) == list(b)
+        for key in a:
+            assert_same_value(a[key], b[key])
+    else:
+        assert a == b
+
+
+def decode_outcome(loads, text):
+    """("value", the decoded value), or (class, message) of the error raised."""
+    try:
+        return "value", loads(text)
+    except Exception as exc:  # noqa: BLE001 - whatever json.loads raises is the reference
+        return type(exc), str(exc)
+
+
+def halfway(x):
+    """The exact decimal midpoint between the double ``x`` and the next one up."""
+    with localcontext() as ctx:
+        ctx.prec = 2000
+        return str((Decimal(x) + Decimal(math.nextafter(x, math.inf))) / 2)
+
+
+def float_spellings(x):
+    return st.sampled_from([repr(x), f"{x:.17g}", f"{x:.25e}"])
+
+
+@st.composite
+def long_mantissa(draw):
+    """20-40 significant digits, with or without a point and an exponent."""
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", min_size=19,
+                                                                 max_size=39))
+    point = draw(st.integers(1, len(digits)))
+    body = digits if point == len(digits) else digits[:point] + "." + digits[point:]
+    exponent = draw(st.sampled_from(["", "e", "E", "e+", "e-", "E-"]))
+    if exponent:
+        body += exponent + str(draw(st.integers(0, 420)))
+    return draw(st.sampled_from(["", "-"])) + body
+
+
+float_token = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).flatmap(float_spellings),
+    st.floats(0.0, 2.2250738585072014e-308).flatmap(float_spellings),  # subnormals
+    st.floats(1e-12, 1e12).map(halfway),
+    long_mantissa(),
+)
+int64_edge_token = st.sampled_from([-(2**64), -(2**63), 2**63, 2**64]).flatmap(
+    lambda c: st.integers(c - 2, c + 2)).map(str)
+number_token = st.one_of(
+    float_token,
+    int64_edge_token,
+    st.integers(-(10**20), 10**20).map(str),
+    st.just("1" + "0" * 4999),  # beyond the interpreter's integer-string limit
+    st.sampled_from(["NaN", "Infinity", "-Infinity"]),
+)
+string_token = st.builds(json.dumps, st.one_of(st.text(max_size=6), st.text('[]{}"\\ 0123456789',
+                                                                              max_size=8),
+                                               st.just("\ud800")),
+                         ensure_ascii=st.booleans())
+separator = st.sampled_from([",", ", ", " ,\n\t"])
+json_text = st.recursive(
+    st.one_of(number_token, string_token, st.sampled_from(["true", "false", "null"])),
+    lambda kids: st.one_of(
+        st.builds(lambda items, sep: "[" + sep.join(items) + "]", st.lists(kids, max_size=4),
+                  separator),
+        st.builds(lambda pairs, sep: "{" + sep.join(f"{k}: {v}" for k, v in pairs) + "}",
+                  st.lists(st.tuples(string_token, kids), max_size=4), separator),
+    ),
+    max_leaves=10,
+)
+
+
+@st.composite
+def json_input(draw):
+    """JSON text, maybe nested 60-70 deep or cut short, as str or encoded bytes.
+
+    Half are flat arrays of numbers, which orjson mostly decodes.
+    """
+    if draw(st.booleans()):
+        numbers = st.lists(st.one_of(float_token, int64_edge_token), min_size=1, max_size=12)
+        text = "[" + ", ".join(draw(numbers)) + "]"
+    else:
+        text = draw(json_text)
+    if draw(st.integers(0, 4)) == 0:
+        depth = draw(st.integers(60, 70))
+        text = "[" * depth + text + "]" * depth
+    if draw(st.integers(0, 4)) == 0:
+        text = text[:draw(st.integers(0, len(text)))]
+    encoding = draw(st.sampled_from([None, "utf-8", "utf-8-sig", "utf-16"]))
+    return text if encoding is None else text.encode(encoding, "surrogatepass")
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_input())
+def test_loads_matches_json_loads(text):
+    expected = decode_outcome(json.loads, text)
+    got = decode_outcome(tio._loads, text)
+    if expected[0] == "value":
+        assert got[0] == "value"
+        assert_same_value(got[1], expected[1])
+    else:
+        assert got == expected
+
+
+def test_canonical_documents_take_the_orjson_route(rng):
+    objs = (random_density(rng, 3), random_ensemble(rng, 2), random_complete_measurement(rng, 2))
+    for obj in objs:
+        text = json.dumps(serialize_document(obj))
+        with mock.patch.object(tio.json, "loads", side_effect=AssertionError("json.loads")):
+            assert serialize_document(parse_document(text)) == serialize_document(obj)
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("[" * 64 + "]" * 64, True),
+    ('{"a": ["]]]", [123456789012345678, -123456789012345678]]}', True),
+    ('[0.00123456789012345678, 1.5e+0000000000000000007]', True),
+    ("[" * 65 + "]" * 65, False),
+    ('["[" , ' * 40 + "0" + "]" * 40, True),
+    ("1234567890123456789", False),
+    ("[-1234567890123456789]", False),
+    ('{"a":1234567890123456789}', False),
+    ('["\\"", 1]', False),
+], ids=["depth-64", "brackets-in-strings", "long-fractions", "depth-65", "shallow-with-strings",
+        "long-integer", "long-negative-integer", "long-integer-value", "backslash"])
+def test_orjson_guard(text, expected):
+    assert tio._orjson_reads_as_json(text.encode()) is expected
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +649,18 @@ def test_malformed_member_reports_the_loops_error(case, data):
         assert got == expected
     else:
         assert_same_ensemble(got, expected)
+
+
+def test_rejected_ensemble_weights_are_read_once(rng):
+    envelope = serialize_document(random_ensemble(rng, 3, n_members=16))
+    envelope["payload"]["members"][-1]["weight"] *= 1.5
+    text = json.dumps(envelope)
+    expected = parse_outcome(loop_parse, text)
+    with mock.patch.object(tio, "_parse_state_payload", side_effect=AssertionError("loop")):
+        got = parse_outcome(parse_document, text)
+    assert got == expected
+    assert got[:2] == (NormalizationError, "normalization")
+    assert got[2].startswith("payload.members: ensemble weights sum to ")
 
 
 @settings(max_examples=100, deadline=None)

@@ -294,6 +294,9 @@ def test_negative_entries_rejected():
 def test_bad_sum_rejected():
     with pytest.raises(MalformedDataError):
         reconstruct(np.full(64, 2.0 / 64.0), 2)
+    # The sum overflows float64; numpy's overflow warning must not escape.
+    with pytest.raises(MalformedDataError, match="sum to inf, expected 1"):
+        reconstruct(np.full(64, 1.7e308), 2)
 
 
 def test_non_finite_rejected():
