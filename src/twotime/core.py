@@ -74,12 +74,6 @@ _ZERO_NORM = 1e-14
 # Norm/trace slack accepted at load time; constructors renormalize.
 _LOAD_NORM_ATOL = 1e-9
 
-# Largest accepted magnitude of a real or imaginary part.  Past it the
-# sums, squared norms and eigenvalue routines of the constructors can
-# overflow float64; below it a d x d array's squared Frobenius norm is
-# finite for every d up to 9,000.
-_MAX_ENTRY = 1e150
-
 
 def vec(a: np.ndarray) -> np.ndarray:
     """Vectorize a (d, d) array row-major: ``vec(a)[i*d + j] = a[i, j]``."""
@@ -117,12 +111,8 @@ def _as_square_complex(a, name: str) -> np.ndarray:
     arr = np.array(a, dtype=np.complex128, copy=True)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be a square 2-d array, got shape {arr.shape}")
-    largest = float(np.max(np.abs(arr.view(np.float64))))
-    if not math.isfinite(largest):
+    if not np.all(np.isfinite(arr.view(np.float64))):
         raise DegenerateInputError(f"{name} contains non-finite entries")
-    if largest > _MAX_ENTRY:
-        raise DegenerateInputError(f"{name} has a part of magnitude {largest!r}, beyond the "
-                                   f"largest accepted {_MAX_ENTRY:g}")
     return arr
 
 

@@ -61,6 +61,11 @@ _LONG_INTEGER = b"|" + b"0" * 19
 _NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 #: Deepest nesting handed to orjson, which has no depth limit of its own.
 _ORJSON_MAX_DEPTH = 64
+#: Largest magnitude of a real or imaginary part a document may hold.
+#: Past it the norms, sums and eigenvalue routines of the constructors
+#: can overflow float64; below it a d x d matrix's squared Frobenius
+#: norm is finite for every d up to 9,000.
+_MAX_ENTRY = 1e150
 
 
 def _orjson_reads_as_json(raw: bytes) -> bool:
@@ -167,12 +172,16 @@ def _pair_matrix(node: list, cols: int) -> np.ndarray | None:
 def _pair_stack(mats: list, d: int) -> np.ndarray | None:
     """The (n, d, d) stack of ``mats`` if each is a canonical d x d matrix, else None.
 
-    One :func:`_pair_matrix` pass reads the rows of every matrix.
+    One :func:`_pair_matrix` pass reads the rows of every matrix.  None
+    also when a part exceeds ``_MAX_ENTRY``, which :func:`_bounded_matrix`
+    reports with its entry's JSON path.
     """
     if not all(type(m) is list and len(m) == d for m in mats):
         return None
     flat = _pair_matrix(list(chain.from_iterable(mats)), d)
-    return None if flat is None else flat.reshape(len(mats), d, d)
+    if flat is None or np.abs(flat.view(np.float64)).max() > _MAX_ENTRY:
+        return None
+    return flat.reshape(len(mats), d, d)
 
 
 def _matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
@@ -190,6 +199,17 @@ def _matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
     return out
 
 
+def _bounded_matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
+    """:func:`_matrix`, failing at the first entry with a part beyond ``_MAX_ENTRY``."""
+    out = _matrix(node, path, rows, cols)
+    parts = np.abs(out.view(np.float64))
+    if parts.max() > _MAX_ENTRY:
+        i, j = divmod(int(parts.argmax()) // 2, cols)
+        raise _fail(f"{path}[{i}][{j}]", f"part of magnitude {float(parts.max())!r} exceeds the "
+                                         f"largest accepted {_MAX_ENTRY:g}")
+    return out
+
+
 def _dim(envelope: dict) -> int:
     dim = _get(envelope, "dim", "document")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
@@ -203,14 +223,13 @@ def _wrap(path: str, exc: TwoTimeError) -> TwoTimeError:
 
 
 def _check_state_norm(coeffs: np.ndarray, path: str) -> None:
-    with np.errstate(over="ignore"):  # a norm past float64 reads inf and fails
-        norm = float(np.linalg.norm(coeffs))
+    norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _LOAD_NORM_ATOL:
         raise _fail(path, f"coefficients have Frobenius norm {norm!r}, expected 1")
 
 
 def _parse_state_payload(payload: dict, d: int, path: str) -> TwoTimeState:
-    coeffs = _matrix(_get(payload, "coeffs", path), f"{path}.coeffs", d, d)
+    coeffs = _bounded_matrix(_get(payload, "coeffs", path), f"{path}.coeffs", d, d)
     _check_state_norm(coeffs, f"{path}.coeffs")
     try:
         return TwoTimeState(coeffs)
@@ -222,7 +241,7 @@ def _stacked_ensemble(members: list, d: int) -> Ensemble | None:
     """The ensemble of canonical ``members`` read as two arrays, or None.
 
     Canonical members are objects with a finite JSON number ``weight``
-    and canonical d x d ``coeffs`` (see :func:`_pair_matrix`) of unit
+    and canonical d x d ``coeffs`` (see :func:`_pair_stack`) of unit
     norm within the load slack.  None for anything else: the
     per-member loop then reports the first failure with its JSON path.
     Members that pass all this are the loop's too, so a weight error is
@@ -281,7 +300,7 @@ def _parse_measurement_payload(payload: dict, d: int, path: str) -> Measurement:
             raise _fail(f"{opath}.kraus", "expected a nonempty array of matrices")
         ops = []
         for k, mat_node in enumerate(kraus_node):
-            entries = _matrix(mat_node, f"{opath}.kraus[{k}]", d, d)
+            entries = _bounded_matrix(mat_node, f"{opath}.kraus[{k}]", d, d)
             try:
                 ops.append(KrausOperator(entries))
             except TwoTimeError as exc:
@@ -366,7 +385,7 @@ def parse_document(doc):
             raise _wrap(f"{path}.members", exc) from exc
 
     if kind == "density_vector":
-        mat = _matrix(_get(payload, "matrix", path), f"{path}.matrix", d * d, d * d)
+        mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d * d, d * d)
         try:
             return DensityVector(mat)
         except TwoTimeError as exc:
@@ -376,14 +395,14 @@ def parse_document(doc):
         return _parse_measurement_payload(payload, d, path)
 
     if kind == "observable":
-        mat = _matrix(_get(payload, "matrix", path), f"{path}.matrix", d, d)
+        mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d, d)
         try:
             return KrausOperator(mat)
         except TwoTimeError as exc:
             raise _wrap(f"{path}.matrix", exc) from exc
 
     if kind == "bipartite_density":
-        mat = _matrix(_get(payload, "matrix", path), f"{path}.matrix", d * d, d * d)
+        mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d * d, d * d)
         try:
             return BipartiteDensity(mat)
         except TwoTimeError as exc:
@@ -395,7 +414,7 @@ def parse_document(doc):
         raise _fail(f"{path}.operators", "expected a nonempty array of matrices")
     ops = []
     for idx, node in enumerate(ops_node):
-        mat = _matrix(node, f"{path}.operators[{idx}]", d * d, d * d)
+        mat = _bounded_matrix(node, f"{path}.operators[{idx}]", d * d, d * d)
         try:
             ops.append(BipartiteOperator(mat))
         except TwoTimeError as exc:

@@ -123,13 +123,12 @@ def _unit_members(stack: np.ndarray) -> np.ndarray:
     ``TwoTimeState(stack[r])`` stores.
     """
     v = stack.reshape(len(stack), -1)
-    with np.errstate(over="ignore"):  # a norm past float64 reads inf and fails
-        norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
-                        + np.einsum("ri,ri->r", v.imag, v.imag))
-        # These batched norms are within a few ulps of np.linalg.norm,
-        # which TwoTimeState uses; members near a threshold get that norm.
-        off = np.flatnonzero(np.abs(norms - 1.0) > ATOL / 2)
-        exact = np.array([np.linalg.norm(stack[r]) for r in off], dtype=np.float64)
+    norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
+                    + np.einsum("ri,ri->r", v.imag, v.imag))
+    # These batched norms are within a few ulps of np.linalg.norm,
+    # which TwoTimeState uses; members near a threshold get that norm.
+    off = np.flatnonzero(np.abs(norms - 1.0) > ATOL / 2)
+    exact = np.array([np.linalg.norm(stack[r]) for r in off], dtype=np.float64)
     bad = np.abs(exact - 1.0) > _LOAD_NORM_ATOL
     if bad.any():
         raise NormalizationError(f"member {off[bad][0]} has Frobenius norm "

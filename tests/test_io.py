@@ -22,7 +22,6 @@ from twotime import io as tio
 from twotime import (
     BipartiteDensity,
     BipartiteOperator,
-    DegenerateInputError,
     Ensemble,
     FORMAT_VERSION,
     KrausOperator,
@@ -237,26 +236,36 @@ def test_integer_too_large_for_a_float_names_its_path():
         parse_document(weight)
 
 
-def test_state_norm_past_float64_names_its_path():
-    # The squared norm overflows float64; under this suite's warning
-    # filter, numpy's overflow warning would be raised instead.
-    coeffs = [[[1.797e308, 0], [0, 0]], [[0, 0], [0, 0]]]
-    with pytest.raises(SchemaError, match=r"^payload\.coeffs: coefficients have Frobenius "
-                                          r"norm inf, expected 1$"):
-        parse_document(json.dumps(doc("two_time_state", 2, {"coeffs": coeffs})))
-    members = {"members": [{"weight": 0.5, "coeffs": mat(np.eye(2) / np.sqrt(2))},
-                           {"weight": 0.5, "coeffs": coeffs}]}
-    with pytest.raises(SchemaError, match=r"^payload\.members\[1\]\.coeffs: coefficients have "
-                                          r"Frobenius norm inf"):
-        parse_document(json.dumps(doc("ensemble", 2, members)))
-
-
-def test_density_entry_at_the_float64_edge_names_its_path():
+def _edge_density():
     matrix = [[[0.25 if i == j else 0.0, 0.0] for j in range(4)] for i in range(4)]
     matrix[0][3] = matrix[3][0] = [1.7976931348623157e308, 0.0]
-    with pytest.raises(DegenerateInputError, match=r"^payload\.matrix: mat has a part of "
-                                                   r"magnitude 1\.7976931348623157e\+308"):
-        parse_document(json.dumps(doc("density_vector", 2, {"matrix": matrix})))
+    return {"matrix": matrix}
+
+
+_EDGE_COEFFS = [[[1.797e308, 0], [0, 0]], [[0, 0], [0, 0]]]
+
+
+@pytest.mark.parametrize("kind, payload, path, part", [
+    # Unchecked, the state's squared norm overflows and numpy's warning
+    # escapes (raised, under this suite's warning filter) ...
+    ("two_time_state", {"coeffs": _EDGE_COEFFS}, "payload.coeffs[0][0]", "1.797e+308"),
+    ("ensemble", {"members": [{"weight": 0.5, "coeffs": mat(np.eye(2) / np.sqrt(2))},
+                              {"weight": 0.5, "coeffs": _EDGE_COEFFS}]},
+     "payload.members[1].coeffs[0][0]", "1.797e+308"),
+    # ... and the density vector's Hermitian part overflows into a LinAlgError.
+    ("density_vector", _edge_density(), "payload.matrix[0][3]", "1.7976931348623157e+308"),
+    ("observable", {"matrix": [[1, [0, -1e151]], [0, 1]]}, "payload.matrix[0][1]", "1e+151"),
+], ids=["state", "ensemble-member", "density", "observable"])
+def test_parts_past_the_largest_accepted_magnitude_name_their_entry(kind, payload, path, part):
+    with pytest.raises(SchemaError) as info:
+        parse_document(json.dumps(doc(kind, 2, payload)))
+    assert str(info.value) == f"{path}: part of magnitude {part} exceeds the largest accepted 1e+150"
+
+
+def test_parts_at_the_largest_accepted_magnitude_keep_their_bytes():
+    edge = np.diag([1e150, -1e150j])
+    got = parse_document(json.dumps(doc("observable", 2, {"matrix": mat(edge)})))
+    assert got.entries.tobytes() == edge.tobytes()
 
 
 @pytest.mark.parametrize("text", [
@@ -661,6 +670,19 @@ def test_rejected_ensemble_weights_are_read_once(rng):
     assert got == expected
     assert got[:2] == (NormalizationError, "normalization")
     assert got[2].startswith("payload.members: ensemble weights sum to ")
+
+
+@pytest.mark.parametrize("plain_leaf", [False, True], ids=["canonical", "plain-real-leaf"])
+def test_large_kraus_entry_is_reported_alike_on_both_routes(rng, plain_leaf):
+    envelope = serialize_document(random_complete_measurement(rng, 2))
+    envelope["payload"]["outcomes"][1]["kraus"][0][1][0] = [0.0, 1e200]
+    if plain_leaf:  # a plain-real entry sends the document to the per-operator loop
+        envelope["payload"]["outcomes"][0]["kraus"][0][0][0] = 0.5
+    text = json.dumps(envelope)
+    expected = (SchemaError, "schema", "payload.outcomes[1].kraus[0][1][0]: part of magnitude "
+                                      "1e+200 exceeds the largest accepted 1e+150")
+    assert parse_outcome(parse_document, text) == expected
+    assert parse_outcome(loop_parse, text) == expected
 
 
 @settings(max_examples=100, deadline=None)
