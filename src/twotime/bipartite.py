@@ -45,8 +45,8 @@ from .core import (
 from .errors import DimensionMismatchError, NormalizationError
 from .measurements import (
     Measurement,
-    MeasurementOutcome,
     _kraus_set_from_psd_matrix,
+    _measurement_of_sets,
     _post_selection_defect,
     partial_normalization_defect,
 )
@@ -86,14 +86,16 @@ class BipartiteDensity:
 
 @dataclass(frozen=True, eq=False)
 class BipartiteOperator:
-    """A positive operator on the doubled space (no trace constraint)."""
+    """A positive operator on the doubled space (no trace constraint, so
+    its tolerances scale as a :class:`~twotime.core.KrausDensityVector`'s)."""
 
     op: np.ndarray
 
     def __post_init__(self) -> None:
         op = _as_square_complex(self.op, "op")
         _side_of_pair_matrix(op, "bipartite operator")
-        object.__setattr__(self, "op", _freeze(_check_hermitian_psd(op, "bipartite operator")))
+        op = _check_hermitian_psd(op, "bipartite operator", relative=True)
+        object.__setattr__(self, "op", _freeze(op))
 
     @property
     def dim(self) -> int:
@@ -251,13 +253,10 @@ def povm_to_twotime(ops) -> PovmPullback:
     # The pullbacks sum to conj(total), which has the same defect.
     defect = _post_selection_defect(total, d)
 
-    outcomes = tuple(
-        MeasurementOutcome(_kraus_set_from_psd_matrix(kdv.mat / d), str(idx))
-        for idx, kdv in enumerate(kdvs)
-    )
+    sets = [_kraus_set_from_psd_matrix(kdv.mat / d) for kdv in kdvs]
     return PovmPullback(
         kdvs=kdvs,
         factor=d,
         defect=defect,
-        measurement=Measurement(outcomes),
+        measurement=_measurement_of_sets(sets, list(map(str, range(len(sets))))),
     )

@@ -71,6 +71,10 @@ PSD_ATOL = 1e-10
 # Norms below this are treated as exactly zero.
 _ZERO_NORM = 1e-14
 
+# The smallest Frobenius norm whose sum of squares is a normal float64:
+# below it the squares lose digits, as above float64's range they overflow.
+_MIN_EXACT_NORM = math.sqrt(np.finfo(np.float64).tiny)
+
 # Norm/trace slack accepted at load time; constructors renormalize.
 _LOAD_NORM_ATOL = 1e-9
 
@@ -121,20 +125,6 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _trusted(cls, **fields):
-    """An instance of the frozen dataclass ``cls`` holding ``fields`` as given.
-
-    Runs no ``__post_init__``: no check, copy or rescale.  For values a
-    caller has validated as a whole and stored exactly as the public
-    constructor would, such as the read-only rows of a checked stack.
-    A field may also seed a ``cached_property`` of that name.
-    """
-    obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
-    return obj
-
-
 def _side_of_pair_matrix(mat: np.ndarray, name: str) -> int:
     d = math.isqrt(mat.shape[0])
     if d * d != mat.shape[0]:
@@ -144,14 +134,25 @@ def _side_of_pair_matrix(mat: np.ndarray, name: str) -> int:
     return d
 
 
-def _check_hermitian_psd(mat: np.ndarray, name: str) -> np.ndarray:
-    """Validate Hermiticity and positivity, return the symmetrized array."""
-    defect = hermiticity_defect(mat)
-    if defect > ATOL:
-        raise NotHermitianError(f"{name} is not Hermitian: defect {defect:.3e} exceeds {ATOL}")
-    mat = (mat + mat.conj().T) / 2.0
+def _check_hermitian_psd(mat: np.ndarray, name: str, relative: bool = False) -> np.ndarray:
+    """Validate Hermiticity and positivity, return the symmetrized array.
+
+    ``ATOL`` and ``PSD_ATOL`` are absolute, for matrices of trace 1.
+    With ``relative``, for a trace that is unconstrained, they are
+    multiplied by the largest diagonal entry when it exceeds 1.
+    """
+    scale = max(1.0, float(np.abs(mat.diagonal()).max())) if relative else 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = hermiticity_defect(mat)
+        sym = (mat + mat.conj().T) / 2.0
+    if defect > ATOL * scale:
+        raise NotHermitianError(
+            f"{name} is not Hermitian: defect {defect:.3e} exceeds {ATOL * scale}")
+    if not np.isfinite(sym.view(np.float64)).all():  # a sum beyond float64: halve first
+        sym = mat / 2.0 + mat.conj().T / 2.0
+    mat = sym
     min_eig = float(np.linalg.eigvalsh(mat)[0])
-    if min_eig < -PSD_ATOL:
+    if min_eig < -PSD_ATOL * scale:
         raise NotPositiveError(
             f"{name} is not positive semidefinite: min eigenvalue {min_eig:.3e}"
         )
@@ -160,7 +161,8 @@ def _check_hermitian_psd(mat: np.ndarray, name: str) -> np.ndarray:
 
 def _unit_trace(mat: np.ndarray, name: str) -> np.ndarray:
     """Check that the trace of ``mat`` is 1 within 1e-9, rescale it to exactly 1, freeze it."""
-    trace = float(np.trace(mat).real)
+    with np.errstate(over="ignore"):
+        trace = float(np.trace(mat).real)
     if abs(trace - 1.0) > 1e-9:
         raise NormalizationError(f"{name} trace {trace!r} is not 1")
     if abs(trace - 1.0) > ATOL:
@@ -178,7 +180,9 @@ class TwoTimeState:
         Square complex array; ``coeffs[i, j]`` weights "post-select i,
         prepare j".  The constructor copies and rescales to unit
         Frobenius norm (the storage convention), so any nonzero square
-        array is accepted.
+        array is accepted, at any scale float64 holds: an array whose
+        norm is below ``_MIN_EXACT_NORM`` or overflows is first divided
+        by its largest real or imaginary part.
 
     Raises
     ------
@@ -192,14 +196,26 @@ class TwoTimeState:
 
     def __post_init__(self) -> None:
         c = _as_square_complex(self.coeffs, "coeffs")
-        norm = float(np.linalg.norm(c))
-        if norm <= _ZERO_NORM:
-            raise DegenerateInputError("two-time state coefficients are all zero")
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(c))
+        if not _MIN_EXACT_NORM <= norm < math.inf:
+            peak = float(np.abs(c.view(np.float64)).max())
+            if peak == 0.0:
+                raise DegenerateInputError("two-time state coefficients are all zero")
+            c = (c.view(np.float64) / peak).view(np.complex128)
+            norm = float(np.linalg.norm(c))
         # Dividing by a norm already equal to 1 up to rounding would
         # perturb last bits and break exact serialization round trips.
         if abs(norm - 1.0) > ATOL:
             c = c / norm
         object.__setattr__(self, "coeffs", _freeze(c))
+
+    @classmethod
+    def _view(cls, coeffs: np.ndarray) -> "TwoTimeState":
+        """The state whose ``coeffs`` is ``coeffs`` itself, a read-only row of a checked stack."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "coeffs", coeffs)
+        return state
 
     @property
     def dim(self) -> int:
@@ -218,6 +234,13 @@ class KrausOperator:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "entries", _freeze(_as_square_complex(self.entries, "entries")))
+
+    @classmethod
+    def _view(cls, entries: np.ndarray) -> "KrausOperator":
+        """The operator whose ``entries`` is ``entries`` itself, a read-only row of a stack."""
+        op = object.__new__(cls)
+        object.__setattr__(op, "entries", entries)
+        return op
 
     @property
     def dim(self) -> int:
@@ -270,7 +293,9 @@ class DensityVector:
         ``DensityVector(mat)`` would: the same symmetrization and trace
         rescale.
         """
-        return _trusted(cls, mat=_unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
+        eta = object.__new__(cls)
+        object.__setattr__(eta, "mat", _unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
+        return eta
 
     @property
     def dim(self) -> int:
@@ -287,7 +312,8 @@ class KrausDensityVector:
     """A Kraus family in vectorized form: ``sum_chi vec(A_chi) vec(A_chi)^dag``.
 
     Hermitian and positive semidefinite by construction; unlike a
-    :class:`DensityVector` its trace is unconstrained.
+    :class:`DensityVector` its trace is unconstrained, so its Hermiticity
+    and positivity tolerances scale with its largest diagonal entry.
     """
 
     mat: np.ndarray
@@ -295,7 +321,7 @@ class KrausDensityVector:
     def __post_init__(self) -> None:
         mat = _as_square_complex(self.mat, "mat")
         _side_of_pair_matrix(mat, "Kraus density vector")
-        mat = _check_hermitian_psd(mat, "Kraus density vector")
+        mat = _check_hermitian_psd(mat, "Kraus density vector", relative=True)
         object.__setattr__(self, "mat", _freeze(mat))
 
     @property

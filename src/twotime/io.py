@@ -30,7 +30,7 @@ import orjson
 from .bipartite import BipartiteDensity, BipartiteOperator
 from .core import _LOAD_NORM_ATOL, DensityVector, KrausOperator, TwoTimeState
 from .errors import SchemaError, TwoTimeError
-from .measurements import Measurement, MeasurementOutcome
+from .measurements import Measurement
 from .states import Ensemble, _unit_members
 
 __all__ = [
@@ -222,31 +222,23 @@ def _wrap(path: str, exc: TwoTimeError) -> TwoTimeError:
     return type(exc)(f"{path}: {exc}")
 
 
-def _check_state_norm(coeffs: np.ndarray, path: str) -> None:
+def _parse_state_payload(payload: dict, d: int, path: str) -> np.ndarray:
+    """The ``coeffs`` of a state payload, of Frobenius norm 1 within the load slack."""
+    coeffs = _bounded_matrix(_get(payload, "coeffs", path), f"{path}.coeffs", d, d)
     norm = float(np.linalg.norm(coeffs))
     if abs(norm - 1.0) > _LOAD_NORM_ATOL:
-        raise _fail(path, f"coefficients have Frobenius norm {norm!r}, expected 1")
+        raise _fail(f"{path}.coeffs", f"coefficients have Frobenius norm {norm!r}, expected 1")
+    return coeffs
 
 
-def _parse_state_payload(payload: dict, d: int, path: str) -> TwoTimeState:
-    coeffs = _bounded_matrix(_get(payload, "coeffs", path), f"{path}.coeffs", d, d)
-    _check_state_norm(coeffs, f"{path}.coeffs")
-    try:
-        return TwoTimeState(coeffs)
-    except TwoTimeError as exc:
-        raise _wrap(f"{path}.coeffs", exc) from exc
-
-
-def _stacked_ensemble(members: list, d: int) -> Ensemble | None:
-    """The ensemble of canonical ``members`` read as two arrays, or None.
+def _stacked_ensemble(members: list, d: int) -> tuple | None:
+    """The weights and unit coefficient stack of canonical ``members``, or None.
 
     Canonical members are objects with a finite JSON number ``weight``
     and canonical d x d ``coeffs`` (see :func:`_pair_stack`) of unit
     norm within the load slack.  None for anything else: the
-    per-member loop then reports the first failure with its JSON path.
-    Members that pass all this are the loop's too, so a weight error is
-    the one the loop would reach, and is raised here at
-    ``payload.members``.
+    per-member loop :func:`_member_arrays` then reads the members and
+    reports the first failure with its JSON path.
     """
     if not all(isinstance(m, dict) and "weight" in m and "coeffs" in m for m in members):
         return None
@@ -259,16 +251,22 @@ def _stacked_ensemble(members: list, d: int) -> Ensemble | None:
         stack = _unit_members(stack)
     except (OverflowError, TwoTimeError):
         return None
-    if not np.isfinite(weights).all():
-        return None
-    try:
-        return Ensemble._from_unit_members(weights, stack)
-    except TwoTimeError as exc:
-        raise _wrap("payload.members", exc) from exc
+    return (weights, stack) if np.isfinite(weights).all() else None
 
 
-def _stacked_measurement(outcomes: list, d: int) -> Measurement | None:
-    """The measurement of canonical ``outcomes`` read as one Kraus stack, or None.
+def _member_arrays(members: list, d: int, path: str) -> tuple:
+    """:func:`_stacked_ensemble` member by member, failing at the first bad member's path."""
+    weights = np.empty(len(members))
+    stack = np.empty((len(members), d, d), dtype=np.complex128)
+    for idx, node in enumerate(members):
+        mpath = f"{path}.members[{idx}]"
+        weights[idx] = _number(_get(node, "weight", mpath), f"{mpath}.weight")
+        stack[idx] = _parse_state_payload(node, d, mpath)
+    return weights, _unit_members(stack)
+
+
+def _stacked_measurement(outcomes: list, d: int) -> tuple | None:
+    """The Kraus stack, outcome sizes and names of canonical ``outcomes``, or None.
 
     Canonical outcomes are objects with a nonempty ``kraus`` array of
     canonical d x d matrices and a string ``name``, if any.
@@ -280,42 +278,24 @@ def _stacked_measurement(outcomes: list, d: int) -> Measurement | None:
     if not all(type(k) is list and k for k in kraus) or not all(isinstance(n, str) for n in names):
         return None
     stack = _pair_stack(list(chain.from_iterable(kraus)), d)
-    if stack is None:
-        return None
-    return Measurement._from_stack(stack, list(map(len, kraus)), names)
+    return None if stack is None else (stack, list(map(len, kraus)), names)
 
 
-def _parse_measurement_payload(payload: dict, d: int, path: str) -> Measurement:
-    outcomes_node = _get(payload, "outcomes", path)
-    if not isinstance(outcomes_node, list) or not outcomes_node:
-        raise _fail(f"{path}.outcomes", "expected a nonempty array of outcomes")
-    fast = _stacked_measurement(outcomes_node, d)
-    if fast is not None:
-        return fast
-    outcomes = []
-    for idx, node in enumerate(outcomes_node):
+def _outcome_arrays(outcomes: list, d: int, path: str) -> tuple:
+    """:func:`_stacked_measurement` operator by operator, failing at the first bad entry's path."""
+    mats, sizes, names = [], [], []
+    for idx, node in enumerate(outcomes):
         opath = f"{path}.outcomes[{idx}]"
-        kraus_node = _get(node, "kraus", opath)
-        if not isinstance(kraus_node, list) or not kraus_node:
+        kraus = _get(node, "kraus", opath)
+        if not isinstance(kraus, list) or not kraus:
             raise _fail(f"{opath}.kraus", "expected a nonempty array of matrices")
-        ops = []
-        for k, mat_node in enumerate(kraus_node):
-            entries = _bounded_matrix(mat_node, f"{opath}.kraus[{k}]", d, d)
-            try:
-                ops.append(KrausOperator(entries))
-            except TwoTimeError as exc:
-                raise _wrap(f"{opath}.kraus[{k}]", exc) from exc
-        name = node.get("name", "") if isinstance(node, dict) else ""
+        mats += [_bounded_matrix(m, f"{opath}.kraus[{k}]", d, d) for k, m in enumerate(kraus)]
+        name = node.get("name", "")
         if not isinstance(name, str):
             raise _fail(f"{opath}.name", f"expected a string, got {type(name).__name__}")
-        try:
-            outcomes.append(MeasurementOutcome(tuple(ops), name))
-        except TwoTimeError as exc:
-            raise _wrap(opath, exc) from exc
-    try:
-        return Measurement(tuple(outcomes))
-    except TwoTimeError as exc:
-        raise _wrap(f"{path}.outcomes", exc) from exc
+        sizes.append(len(kraus))
+        names.append(name)
+    return np.stack(mats), sizes, names
 
 
 def parse_document(doc):
@@ -364,23 +344,15 @@ def parse_document(doc):
     path = "payload"
 
     if kind == "two_time_state":
-        return _parse_state_payload(payload, d, path)
+        return TwoTimeState(_parse_state_payload(payload, d, path))
 
     if kind == "ensemble":
-        members_node = _get(payload, "members", path)
-        if not isinstance(members_node, list) or not members_node:
+        members = _get(payload, "members", path)
+        if not isinstance(members, list) or not members:
             raise _fail(f"{path}.members", "expected a nonempty array of members")
-        fast = _stacked_ensemble(members_node, d)
-        if fast is not None:
-            return fast
-        members = []
-        for idx, node in enumerate(members_node):
-            mpath = f"{path}.members[{idx}]"
-            weight = _number(_get(node, "weight", mpath), f"{mpath}.weight")
-            state = _parse_state_payload(node, d, mpath)
-            members.append((weight, state))
+        weights, stack = _stacked_ensemble(members, d) or _member_arrays(members, d, path)
         try:
-            return Ensemble(tuple(members))
+            return Ensemble._from_stack(weights, stack)
         except TwoTimeError as exc:
             raise _wrap(f"{path}.members", exc) from exc
 
@@ -392,7 +364,11 @@ def parse_document(doc):
             raise _wrap(f"{path}.matrix", exc) from exc
 
     if kind == "measurement":
-        return _parse_measurement_payload(payload, d, path)
+        outcomes = _get(payload, "outcomes", path)
+        if not isinstance(outcomes, list) or not outcomes:
+            raise _fail(f"{path}.outcomes", "expected a nonempty array of outcomes")
+        arrays = _stacked_measurement(outcomes, d) or _outcome_arrays(outcomes, d, path)
+        return Measurement._from_stack(*arrays)
 
     if kind == "observable":
         mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d, d)

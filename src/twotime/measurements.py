@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ from .core import (
     _as_square_complex,
     _freeze,
     _side_of_pair_matrix,
-    _trusted,
     hermiticity_defect,
 )
 from .errors import (
@@ -98,20 +96,24 @@ class MeasurementOutcome:
         return self.kraus[0].dim
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Measurement:
     """An ordered list of measurement outcomes over one dimension.
 
-    ``kraus_stack`` is the read-only (n_branches, d, d) complex array of
-    every outcome's Kraus operators in order, and ``outcome_of`` the
-    read-only (n_branches,) index of the outcome each branch belongs
-    to; both are built once, on first use.
+    The measurement stores its Kraus operators as read-only arrays:
+    ``kraus_stack``, the (n_branches, d, d) stack of every outcome's
+    operators in order, and ``outcome_of``, the (n_branches,) index of
+    the outcome each branch belongs to, beside the outcome names.
+    ``outcomes`` is a view built on first read, whose operators'
+    ``entries`` are rows of ``kraus_stack``.
     """
 
-    outcomes: tuple
+    kraus_stack: np.ndarray
+    outcome_of: np.ndarray
+    _names: tuple
 
-    def __post_init__(self) -> None:
-        outcomes = tuple(self.outcomes)
+    def __init__(self, outcomes) -> None:
+        outcomes = tuple(outcomes)
         if not outcomes:
             raise DegenerateInputError("measurement has no outcomes")
         for out in outcomes:
@@ -120,7 +122,8 @@ class Measurement:
         dims = {out.dim for out in outcomes}
         if len(dims) != 1:
             raise DimensionMismatchError(f"outcomes have mixed dimensions {sorted(dims)}")
-        object.__setattr__(self, "outcomes", outcomes)
+        self._store(np.stack([op.entries for out in outcomes for op in out.kraus]),
+                    [len(out.kraus) for out in outcomes], [out.name for out in outcomes])
 
     @classmethod
     def _from_stack(cls, stack: np.ndarray, sizes: Sequence[int],
@@ -128,37 +131,38 @@ class Measurement:
         """The measurement whose outcome mu holds the next ``sizes[mu]`` rows of ``stack``.
 
         ``stack`` is a finite (n_branches, d, d) complex128 array that
-        the measurement takes over as its ``kraus_stack``; every
-        ``KrausOperator.entries`` is a read-only view of it.  The sizes
+        the measurement takes over as its ``kraus_stack``.  The sizes
         are positive and sum to n_branches, one name per outcome.
         """
-        ops = tuple(_trusted(KrausOperator, entries=a) for a in _freeze(stack))
-        bounds = list(accumulate(sizes, initial=0))
-        outcomes = tuple(MeasurementOutcome(ops[lo:hi], name)
-                         for lo, hi, name in zip(bounds, bounds[1:], names))
-        return _trusted(cls, outcomes=outcomes, kraus_stack=stack)
+        m = cls.__new__(cls)
+        m._store(stack, sizes, names)
+        return m
+
+    def _store(self, stack: np.ndarray, sizes: Sequence[int], names: Sequence[str]) -> None:
+        outcome_of = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
+        object.__setattr__(self, "kraus_stack", _freeze(stack))
+        object.__setattr__(self, "outcome_of", _freeze(outcome_of))
+        object.__setattr__(self, "_names", tuple(names))
+
+    @cached_property
+    def outcomes(self) -> tuple:
+        ops = tuple(map(KrausOperator._view, self.kraus_stack))
+        ends = np.cumsum(np.bincount(self.outcome_of)).tolist()
+        return tuple(MeasurementOutcome(ops[lo:hi], name)
+                     for lo, hi, name in zip([0] + ends, ends, self._names))
 
     @property
     def dim(self) -> int:
-        return self.outcomes[0].dim
+        return self.kraus_stack.shape[1]
 
     @property
     def n_outcomes(self) -> int:
-        return len(self.outcomes)
+        return len(self._names)
 
     @property
     def is_detailed(self) -> bool:
         """True when every outcome has exactly one Kraus operator."""
-        return all(len(out.kraus) == 1 for out in self.outcomes)
-
-    @cached_property
-    def kraus_stack(self) -> np.ndarray:
-        return _freeze(np.stack([op.entries for out in self.outcomes for op in out.kraus]))
-
-    @cached_property
-    def outcome_of(self) -> np.ndarray:
-        sizes = [len(out.kraus) for out in self.outcomes]
-        return _freeze(np.repeat(np.arange(self.n_outcomes, dtype=np.intp), sizes))
+        return len(self.kraus_stack) == len(self._names)
 
     @cached_property
     def completeness_defect(self) -> float:
@@ -172,13 +176,11 @@ class Measurement:
     def detailed(cls, ops: Iterable[KrausOperator], names: Sequence[str] | None = None) -> "Measurement":
         """One outcome per operator, in order."""
         ops = tuple(ops)
-        if names is None:
-            names = [""] * len(ops)
-        if len(names) != len(ops):
+        if names is not None and len(names) != len(ops):
             raise DimensionMismatchError(
                 f"{len(names)} names for {len(ops)} operators"
             )
-        return cls(tuple(MeasurementOutcome((op,), name) for op, name in zip(ops, names)))
+        return cls.from_kraus_sets(((op,) for op in ops), names)
 
     @classmethod
     def from_kraus_sets(cls, sets: Iterable[Iterable[KrausOperator]],
@@ -188,7 +190,7 @@ class Measurement:
             names = [""] * len(sets)
         if len(names) != len(sets):
             raise DimensionMismatchError(f"{len(names)} names for {len(sets)} outcomes")
-        return cls(tuple(MeasurementOutcome(s, name) for s, name in zip(sets, names)))
+        return cls(MeasurementOutcome(s, name) for s, name in zip(sets, names))
 
 
 def kraus_density_vector(outcome) -> KrausDensityVector:
@@ -260,24 +262,24 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
     return True
 
 
-def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> tuple:
-    """Kraus operators realizing a PSD vectorized operator.
+def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> np.ndarray:
+    """The (k, d, d) stack of Kraus operators realizing a PSD vectorized operator.
 
     Eigendecomposes ``mat`` and keeps branches with eigenvalue above
     ``cutoff``; returns a single zero operator when none survive (so the
     realization is always a valid, possibly trivial, outcome).
     """
-    d2 = mat.shape[0]
     d = _side_of_pair_matrix(mat, "vectorized operator")
     lam, w = np.linalg.eigh((mat + mat.conj().T) / 2.0)
-    ops = [
-        KrausOperator(np.sqrt(lam[k]) * w[:, k].reshape(d, d))
-        for k in range(d2)
-        if lam[k] > cutoff
-    ]
-    if not ops:
-        ops = [KrausOperator(np.zeros((d, d), dtype=np.complex128))]
-    return tuple(ops)
+    keep = lam > cutoff
+    if not keep.any():
+        return np.zeros((1, d, d), dtype=np.complex128)
+    return (np.sqrt(lam[keep]) * w[:, keep]).T.reshape(-1, d, d)
+
+
+def _measurement_of_sets(sets: list, names: list) -> Measurement:
+    """The measurement whose outcome mu is ``names[mu]``, realized by the stack ``sets[mu]``."""
+    return Measurement._from_stack(np.concatenate(sets), list(map(len, sets)), names)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,16 +360,11 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
             )
     remainder = np.eye(n, dtype=np.complex128) - c * total
 
-    outcomes = [
-        MeasurementOutcome(_kraus_set_from_psd_matrix((c / d) * arr.conj()), str(idx))
-        for idx, arr in enumerate(arrays)
-    ]
-    outcomes.append(
-        MeasurementOutcome(_kraus_set_from_psd_matrix(remainder.conj() / d), "discard")
-    )
+    sets = [_kraus_set_from_psd_matrix((c / d) * arr.conj()) for arr in arrays]
+    sets.append(_kraus_set_from_psd_matrix(remainder.conj() / d))
     return CompletionResult(
         scale=c,
         remainder=remainder,
-        completed=Measurement(tuple(outcomes)),
+        completed=_measurement_of_sets(sets, [*map(str, range(len(arrays))), "discard"]),
         discard_index=len(arrays),
     )

@@ -329,7 +329,7 @@ class _Tables:
 
     def __init__(self, cfg: SimConfig) -> None:
         d = cfg.ensemble.dim
-        self.n_members = len(cfg.ensemble.members)
+        self.n_members = len(cfg.ensemble.weights)
         self.members = _inverse([np.cumsum(cfg.ensemble.weights)[None]])
         self.choices = _inverse([np.cumsum(np.array(cfg.policy.choice_probs))[None]])
         coeffs = cfg.ensemble.coeff_stack

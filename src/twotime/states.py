@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
-from .core import _LOAD_NORM_ATOL, _as_square_complex, _freeze, _trusted
+from .core import _LOAD_NORM_ATOL, _as_square_complex, _freeze
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -37,7 +37,7 @@ __all__ = [
 _TERM_BLOCK_BYTES = 1 << 22
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class Ensemble:
     """A classical mixture of pure two-time states.
 
@@ -47,63 +47,58 @@ class Ensemble:
         Weights must be strictly positive and sum to 1 within 1e-12;
         all states must share one dimension.
 
-    ``weights`` (n,) and ``coeff_stack`` (n, d, d) hold the same data
-    as read-only arrays, built on first use; an ensemble made by
-    :meth:`_from_stack` starts with them, and its states' ``coeffs``
-    are views of ``coeff_stack``.
+    The ensemble stores its members as two read-only arrays: ``weights``
+    (n,) and ``coeff_stack`` (n, d, d).  ``members`` and ``states`` are
+    views built on first read, whose states' ``coeffs`` are rows of
+    ``coeff_stack``.
     """
 
-    members: tuple
+    weights: np.ndarray
+    coeff_stack: np.ndarray
 
-    def __post_init__(self) -> None:
-        members = tuple((float(w), s) for (w, s) in self.members)
+    def __init__(self, members) -> None:
+        members = tuple((float(w), s) for (w, s) in members)
         if not members:
             raise DegenerateInputError("ensemble has no members")
         for w, s in members:
             if not isinstance(s, TwoTimeState):
                 raise DimensionMismatchError(f"ensemble member {s!r} is not a TwoTimeState")
-            if not np.isfinite(w) or w <= 0.0:
-                raise NormalizationError(f"ensemble weight {w!r} is not strictly positive")
+            _check_weight(w)
         dims = {s.dim for _, s in members}
         if len(dims) != 1:
             raise DimensionMismatchError(f"ensemble members have mixed dimensions {sorted(dims)}")
-        total = sum(w for w, _ in members)
-        if abs(total - 1.0) > ATOL:
-            raise NormalizationError(f"ensemble weights sum to {total!r}, expected 1")
-        object.__setattr__(self, "members", members)
+        self._store(np.array([w for w, _ in members]), np.stack([s.coeffs for _, s in members]))
 
     @classmethod
     def _from_stack(cls, weights: np.ndarray, stack: np.ndarray) -> "Ensemble":
         """The ensemble of ``stack[r]`` at weight ``weights[r]``, checked as whole arrays.
 
-        ``weights`` is an (n,) float64 array and ``stack`` a finite,
-        writable (n, d, d) complex128 array that the ensemble takes
-        over, n >= 1.  The members pass or fail as in
-        :func:`_unit_members`; then the weights pass or fail as in
-        ``Ensemble(members)``, with its messages.
+        ``weights`` is an (n,) float64 array and ``stack`` an (n, d, d)
+        complex128 array of unit rows, as :func:`_unit_members` returns
+        them, that the ensemble takes over; n >= 1.  The weights pass
+        or fail as in ``Ensemble(members)``, with its messages.
         """
-        return cls._from_unit_members(weights, _unit_members(stack))
+        ens = cls.__new__(cls)
+        ens._store(weights, stack)
+        return ens
 
-    @classmethod
-    def _from_unit_members(cls, weights: np.ndarray, stack: np.ndarray) -> "Ensemble":
-        """:meth:`_from_stack` on a ``stack`` that :func:`_unit_members` returned."""
-        states = [_trusted(TwoTimeState, coeffs=c) for c in _freeze(stack)]
-        members = tuple(zip(weights.tolist(), states))
-        if not (np.all(weights > 0.0) and abs(sum(w for w, _ in members) - 1.0) <= ATOL):
-            return cls(members)  # raises the public constructor's weight error
-        return _trusted(cls, members=members, weights=_freeze(weights), coeff_stack=stack)
+    def _store(self, weights: np.ndarray, stack: np.ndarray) -> None:
+        listed = weights.tolist()
+        for w in listed:
+            _check_weight(w)
+        total = sum(listed)
+        if abs(total - 1.0) > ATOL:
+            raise NormalizationError(f"ensemble weights sum to {total!r}, expected 1")
+        object.__setattr__(self, "weights", _freeze(weights))
+        object.__setattr__(self, "coeff_stack", _freeze(stack))
 
     @property
     def dim(self) -> int:
-        return self.members[0][1].dim
+        return self.coeff_stack.shape[1]
 
     @cached_property
-    def weights(self) -> np.ndarray:
-        return _freeze(np.array([w for w, _ in self.members]))
-
-    @cached_property
-    def coeff_stack(self) -> np.ndarray:
-        return _freeze(np.stack([s.coeffs for _, s in self.members]))
+    def members(self) -> tuple:
+        return tuple(zip(self.weights.tolist(), map(TwoTimeState._view, self.coeff_stack)))
 
     @property
     def states(self) -> tuple:
@@ -112,6 +107,11 @@ class Ensemble:
     @classmethod
     def pure(cls, state: TwoTimeState) -> "Ensemble":
         return cls(((1.0, state),))
+
+
+def _check_weight(w: float) -> None:
+    if not np.isfinite(w) or w <= 0.0:
+        raise NormalizationError(f"ensemble weight {w!r} is not strictly positive")
 
 
 def _unit_members(stack: np.ndarray) -> np.ndarray:
@@ -197,8 +197,8 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
     identical: every probability rule in this package depends on the
     ensemble only through this object.
     """
-    v = ensemble.coeff_stack.reshape(len(ensemble.members), -1)
     w = ensemble.weights
+    v = ensemble.coeff_stack.reshape(len(w), -1)
     n2 = v.shape[1]
     block = max(1, _TERM_BLOCK_BYTES // (16 * n2 * n2))
     terms = np.zeros((min(block, len(v)) + 1, n2, n2), dtype=np.complex128)
@@ -229,7 +229,8 @@ def ensemble_from_density(eta: DensityVector, *, cutoff: float = 1e-12) -> Ensem
     if not np.any(keep):
         raise DegenerateInputError("density vector has no eigenvalue above cutoff")
     lam = lam[keep]
-    return Ensemble._from_stack(lam / lam.sum(), w[:, keep].T.reshape(-1, eta.dim, eta.dim))
+    stack = _unit_members(w[:, keep].T.reshape(-1, eta.dim, eta.dim))
+    return Ensemble._from_stack(lam / lam.sum(), stack)
 
 
 def positivity_check(obj) -> tuple[bool, float]:

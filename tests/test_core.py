@@ -64,6 +64,15 @@ def test_state_rejects_zero():
         TwoTimeState(np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("scale", [1e200, 1.7976931348623157e308, 1e-100, 1e-160, 1e-200, 5e-324])
+def test_state_at_the_edges_of_float64_stores_the_unit_array(scale):
+    # Past 1e154 the squared norm overflows, and below 1e-154 it loses
+    # digits or underflows to zero; either way the state is diag(1, 0).
+    unit = np.diag([1.0, 0.0]).astype(complex)
+    assert TwoTimeState(np.diag([scale, 0.0])).coeffs.tobytes() == unit.tobytes()
+    assert np.array_equal(TwoTimeState(np.diag([0.0, -1j * scale])).coeffs, -1j * unit[::-1, ::-1])
+
+
 def test_state_rejects_non_square():
     with pytest.raises(DimensionMismatchError):
         TwoTimeState(np.ones((2, 3)))
@@ -120,6 +129,20 @@ def test_density_rejects_wrong_trace():
 def test_density_rescales_near_unit_trace():
     eta = DensityVector(np.diag([0.5 + 3e-10, 0.5, 0.0, 0.0]).astype(complex))
     assert np.trace(eta.mat).real == pytest.approx(1.0, abs=1e-12)
+
+
+def test_density_with_an_entry_at_the_float64_limit_fails_typed():
+    mat = np.eye(4) / 4.0
+    mat[0, 1] = mat[1, 0] = 1.7976931348623157e308
+    with pytest.raises(NotPositiveError, match="min eigenvalue -1.798e"):
+        DensityVector(mat)
+    with pytest.raises(NormalizationError, match="trace inf is not 1"):
+        DensityVector(np.diag([1e308, 1e308, 0.0, 0.0]))
+
+
+def test_kraus_density_vector_beyond_half_the_float64_range_is_kept():
+    mat = np.diag([1.5e308, 0.0, 0.0, 1.0]).astype(complex)
+    assert KrausDensityVector(mat).mat.tobytes() == mat.tobytes()
 
 
 def test_density_rejects_non_square_side():

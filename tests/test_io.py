@@ -618,26 +618,21 @@ def assert_same_measurement(fast, slow):
 @settings(max_examples=100, deadline=None)
 @given(ensemble_doc())
 def test_stacked_ensemble_parse_matches_the_loop_bit_for_bit(case):
-    d, envelope = case
+    _, envelope = case
     text = json.dumps(envelope)
     fast, slow = parse_document(text), loop_parse(text)
     assert_same_ensemble(fast, slow)
-    canonical = all(tio._pair_matrix(m["coeffs"], d) is not None
-                    for m in envelope["payload"]["members"])
-    assert np.shares_memory(fast.members[0][1].coeffs, fast.coeff_stack) == canonical
+    assert np.shares_memory(fast.members[0][1].coeffs, fast.coeff_stack)
 
 
 @settings(max_examples=100, deadline=None)
 @given(measurement_doc())
 def test_stacked_measurement_parse_matches_the_loop_bit_for_bit(case):
-    d, envelope = case
+    _, envelope = case
     text = json.dumps(envelope)
     fast, slow = parse_document(text), loop_parse(text)
     assert_same_measurement(fast, slow)
-    canonical = all(tio._pair_matrix(k, d) is not None
-                    for o in envelope["payload"]["outcomes"] for k in o["kraus"])
-    first = fast.outcomes[0].kraus[0].entries
-    assert np.shares_memory(first, fast.kraus_stack) == canonical
+    assert np.shares_memory(fast.outcomes[0].kraus[0].entries, fast.kraus_stack)
 
 
 @settings(max_examples=100, deadline=None)

@@ -5,17 +5,27 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conftest import complex_gaussian, random_weights
+from conftest import complex_gaussian, random_hermitian, random_weights
 from twotime import (
+    DENOMINATOR_EPS,
     PSD_ATOL,
+    DensityVector,
     Ensemble,
     KrausOperator,
     Measurement,
+    NoEquivalentStateError,
     PostSelectionImpossibleError,
     TwoTimeState,
+    UndefinedWeakValueError,
     check_completeness,
     contract_pure,
     density_from_ensemble,
+    kraus_density_vector,
+    pairing_equality_check,
+    sandwich,
+    weak_equivalent_pure,
+    weak_value_ensemble,
+    weak_value_vector,
     prob_coarse,
     prob_density,
     prob_ensemble,
@@ -186,3 +196,79 @@ def test_rules_agree_over_the_shared_kernels(case):
     if m.is_detailed:
         assert np.array_equal(coarse, prob_density(eta, m))
         assert np.max(np.abs(prob_ensemble(ens, m) - prob_density(eta, m))) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Two-time pairing = bipartite Born rule, and weak-value vector = partial
+# contraction, over random and near-degenerate inputs.
+
+@st.composite
+def density_and_kraus_family(draw):
+    """A density vector of any rank and a Kraus family of 1 to d^2 + 1
+    operators (so of any rank, possibly with a zero operator) at d <= 4."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = complex_gaussian(rng, (d * d, draw(st.integers(1, d * d))))
+    mat = g @ g.conj().T
+    eta = DensityVector(mat / np.trace(mat).real)
+    ops = complex_gaussian(rng, (draw(st.integers(1, d * d + 1)), d, d))
+    ops *= draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    if draw(st.booleans()):
+        ops[-1] = 0.0
+    return eta, [KrausOperator(a) for a in ops]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(density_and_kraus_family())
+def test_two_time_pairing_equals_the_bipartite_born_rule(case):
+    eta, ops = case
+    kdv = kraus_density_vector(ops)
+    two_time, born, defect = pairing_equality_check(kdv, eta)
+    scale = max(1.0, float(np.trace(kdv.mat).real))
+    assert defect == abs(two_time - born) <= 1e-12 * scale
+    assert abs(two_time - sum(sandwich(op, eta) for op in ops)) <= 1e-12 * scale
+
+
+@st.composite
+def ensemble_near_traceless(draw):
+    """An ensemble at d <= 4 whose members are random, or traceless up to
+    a trace of 0 to 1e-6, so that the identity contraction of its density
+    vector, sum_r p_r |tr alpha_r|^2, sits at or near DENOMINATOR_EPS."""
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    trace = draw(st.sampled_from([None, 0.0, 1e-8, 5e-8, 1e-7, 2e-7, 1e-6]))
+    members = []
+    for w in random_weights(rng, draw(st.integers(1, 4))):
+        coeffs = complex_gaussian(rng, (d, d))
+        if trace is not None and d > 1:
+            coeffs /= np.linalg.norm(coeffs)
+            coeffs += (trace * np.exp(2j * np.pi * rng.random()) - np.trace(coeffs)) / d * np.eye(d)
+        members.append((w, TwoTimeState(coeffs)))
+    return Ensemble(tuple(members)), random_hermitian(rng, d)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(ensemble_near_traceless())
+def test_weak_value_vector_equals_the_partial_contraction(case):
+    ens, obs = case
+    eta = density_from_ensemble(ens)
+    traces = np.einsum("rii->r", ens.coeff_stack)
+    ref = np.einsum("r,r,rij->ij", ens.weights, traces.conj(), ens.coeff_stack)
+    wvv = weak_value_vector(eta)
+    assert np.max(np.abs(wvv.coeffs - ref)) <= 1e-12
+    den = float(ens.weights @ np.abs(traces) ** 2)
+    try:
+        value = weak_value_ensemble(KrausOperator(obs), eta)
+    except UndefinedWeakValueError:
+        assert den <= 2 * DENOMINATOR_EPS
+    else:
+        assert np.isfinite(value) and den >= DENOMINATOR_EPS / 2
+        expected = np.sum(obs * ref) / den
+        assert abs(value - expected) <= 1e-12 * (1.0 + abs(expected)) / den
+    try:
+        state = weak_equivalent_pure(eta)
+    except NoEquivalentStateError:
+        assert np.linalg.norm(ref) <= 2 * DENOMINATOR_EPS
+    else:
+        assert np.isfinite(state.coeffs.view(np.float64)).all()
+        assert np.max(np.abs(state.coeffs - ref / np.linalg.norm(ref))) <= 1e-12 / np.linalg.norm(ref)

@@ -33,6 +33,7 @@ from twotime import (
     sandwich,
     superpose,
 )
+from twotime.states import _unit_members
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +245,7 @@ def test_ensemble_from_density_members_match_the_eigenvectors():
 
 
 # ---------------------------------------------------------------------------
-# Stacked ensembles: Ensemble._from_stack, weights and coeff_stack.
+# Stacked ensembles: Ensemble._from_stack, _unit_members, weights and coeff_stack.
 
 def test_from_stack_members_are_read_only_views_of_the_stack(rng):
     stack = complex_gaussian(rng, (3, 2, 2))
@@ -258,25 +259,25 @@ def test_from_stack_members_are_read_only_views_of_the_stack(rng):
         assert not arr.flags.writeable
 
 
-def test_from_stack_stores_what_the_state_constructor_stores(rng):
+def test_unit_members_store_what_the_state_constructor_stores(rng):
     # Norms off by 0 to 9e-10: the ones beyond 1e-12 are divided out.
     for off in (0.0, 3e-13, 6e-13, 2e-12, 1e-11, -4e-10, 9e-10):
         coeffs = complex_gaussian(rng, (4, 3, 3))
         coeffs *= (1.0 + off) / np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
         expected = [TwoTimeState(c).coeffs.tobytes() for c in coeffs]
-        ens = Ensemble._from_stack(np.full(4, 0.25), coeffs.copy())
+        ens = Ensemble._from_stack(np.full(4, 0.25), _unit_members(coeffs.copy()))
         assert [s.coeffs.tobytes() for _, s in ens.members] == expected
 
 
-def test_from_stack_rejects_members_off_the_load_norm(rng):
+def test_unit_members_reject_members_off_the_load_norm(rng):
     coeffs = complex_gaussian(rng, (3, 2, 2))
     coeffs /= np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
     coeffs[1] *= 1.0 + 2e-9
     with pytest.raises(NormalizationError, match="member 1 has Frobenius norm"):
-        Ensemble._from_stack(np.full(3, 1 / 3), coeffs)
+        _unit_members(coeffs)
     coeffs[1] = 0.0
     with pytest.raises(NormalizationError, match="member 1 has Frobenius norm 0.0"):
-        Ensemble._from_stack(np.full(3, 1 / 3), coeffs)
+        _unit_members(coeffs)
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.6], [0.0, 1.0], [float("nan"), 1.0],
