@@ -259,8 +259,9 @@ def test_from_stack_members_are_read_only_views_of_the_stack(rng):
         assert not arr.flags.writeable
 
 
-def test_unit_members_store_what_the_state_constructor_stores(rng):
-    # Norms off by 0 to 9e-10: the ones beyond 1e-12 are divided out.
+def test_from_stack_stores_what_the_state_constructor_stores(rng):
+    # The stacked load path: _unit_members, then _from_stack.  Norms off
+    # by 0 to 9e-10: the ones beyond 1e-12 are divided out.
     for off in (0.0, 3e-13, 6e-13, 2e-12, 1e-11, -4e-10, 9e-10):
         coeffs = complex_gaussian(rng, (4, 3, 3))
         coeffs *= (1.0 + off) / np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
@@ -269,15 +270,15 @@ def test_unit_members_store_what_the_state_constructor_stores(rng):
         assert [s.coeffs.tobytes() for _, s in ens.members] == expected
 
 
-def test_unit_members_reject_members_off_the_load_norm(rng):
+def test_from_stack_rejects_members_off_the_load_norm(rng):
     coeffs = complex_gaussian(rng, (3, 2, 2))
     coeffs /= np.linalg.norm(coeffs, axis=(1, 2))[:, None, None]
     coeffs[1] *= 1.0 + 2e-9
     with pytest.raises(NormalizationError, match="member 1 has Frobenius norm"):
-        _unit_members(coeffs)
+        Ensemble._from_stack(np.full(3, 1 / 3), _unit_members(coeffs))
     coeffs[1] = 0.0
     with pytest.raises(NormalizationError, match="member 1 has Frobenius norm 0.0"):
-        _unit_members(coeffs)
+        Ensemble._from_stack(np.full(3, 1 / 3), _unit_members(coeffs))
 
 
 @pytest.mark.parametrize("weights", [[0.5, 0.6], [0.0, 1.0], [float("nan"), 1.0],
