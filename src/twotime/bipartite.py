@@ -44,6 +44,7 @@ from .core import (
 )
 from .errors import DimensionMismatchError, NormalizationError
 from .measurements import (
+    COMPLETENESS_ATOL,
     Measurement,
     _kraus_set_from_psd_matrix,
     _measurement_of_sets,
@@ -223,7 +224,7 @@ def povm_to_twotime(ops) -> PovmPullback:
     ----------
     ops : sequence of BipartiteOperator or (d^2, d^2) arrays
         Positive operators summing to the identity on the doubled space
-        (within 1e-10); anything else raises
+        (within ``COMPLETENESS_ATOL``); anything else raises
         :class:`~twotime.errors.NormalizationError`.
 
     The pullbacks ``conj(E_mu)`` sum to the full d^2-dimensional
@@ -244,7 +245,7 @@ def povm_to_twotime(ops) -> PovmPullback:
     n = total.shape[0]
     d = math.isqrt(n)
     id_defect = float(np.max(np.abs(total - np.eye(n))))
-    if id_defect > 1e-10:
+    if id_defect > COMPLETENESS_ATOL:
         raise NormalizationError(
             f"operators do not sum to the identity (defect {id_defect:.3e}); not a POVM"
         )

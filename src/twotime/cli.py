@@ -23,13 +23,8 @@ import sys
 import numpy as np
 
 from ._floattext import dumps_array
-from .bipartite import (
-    BipartiteDensity,
-    density_to_bipartite,
-    kdv_to_bipartite,
-    measurement_partial_trace_defect,
-)
-from .core import DensityVector, KrausOperator, TwoTimeState, hermiticity_defect
+from .bipartite import density_to_bipartite, kdv_to_bipartite, measurement_partial_trace_defect
+from .core import hermiticity_defect
 from .errors import (
     DomainError,
     PostSelectionImpossibleError,
@@ -37,7 +32,7 @@ from .errors import (
     TwoTimeError,
     ValidationError,
 )
-from .io import _complex_pairs, _loads, _wrap, parse_document
+from .io import _complex_pairs, _kind_of, _loads, _wrap, parse_document
 from .measurements import Measurement, kraus_density_vector, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
@@ -47,7 +42,7 @@ from .montecarlo import (
     simulate_proportion_reversal,
 )
 from .probability import prob_coarse, prob_density, prob_ensemble, prob_pure
-from .states import Ensemble, density_from_ensemble, ensemble_from_density, positivity_check
+from .states import density_from_ensemble, ensemble_from_density, positivity_check
 from .tomography import (
     build_tomography_set,
     predict_probabilities,
@@ -154,16 +149,6 @@ def _emit(args, payload: dict, csv_rows) -> None:
 # ---------------------------------------------------------------------------
 # Input helpers.
 
-_KIND_TYPES = {
-    "two_time_state": TwoTimeState,
-    "ensemble": Ensemble,
-    "density_vector": DensityVector,
-    "measurement": Measurement,
-    "observable": KrausOperator,
-    "bipartite_density": BipartiteDensity,
-}
-
-
 def _load(path: str, kind: str, flag: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -173,11 +158,8 @@ def _load(path: str, kind: str, flag: str):
     except UnicodeDecodeError as exc:
         raise SchemaError(f"{flag}: malformed JSON: {exc}") from exc
     obj = parse_document(text)
-    expected = _KIND_TYPES[kind]
-    if not isinstance(obj, expected):
-        actual = next(
-            (k for k, t in _KIND_TYPES.items() if isinstance(obj, t)), "operator_set"
-        )
+    actual = _kind_of(obj)
+    if actual != kind:
         raise ValidationError(
             f"{flag}: {path} holds a {actual!r} document, expected {kind!r}"
         )
@@ -245,7 +227,7 @@ def _cmd_prob(args) -> tuple[dict, tuple | None]:
         "kind": "probabilities",
         "rule": rule,
         "dim": dim,
-        "outcomes": [out.name for out in measurement.outcomes],
+        "outcomes": measurement.names,
         "probabilities": np.asarray(probs, dtype=np.float64),
     }
     rows = [(i, float(p)) for i, p in enumerate(probs)]
@@ -373,7 +355,7 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
             z = _binomial_z(float(freqs[mu]), float(targets[mu]), successes_c)
             outcomes.append({
                 "index": mu,
-                "name": m.outcomes[mu].name,
+                "name": m.names[mu],
                 "count": int(counts[mu]),
                 "frequency": float(freqs[mu]),
                 "analytic": float(targets[mu]),

@@ -13,6 +13,14 @@ Hermiticity, positivity) and reports errors with the JSON path of the
 offending field.  ``serialize_document(parse_document(doc))`` is
 field-identical for every valid document.
 
+``_KINDS`` maps each kind to its type, and for a single-matrix kind to
+its payload field, array attribute and side; parsing, serialization
+and the CLI all read it.  An ensemble or a measurement is read by one
+loop over its members or outcomes, which checks their fields and
+collects their matrices; :func:`_matrices` then reads those as one
+stack.  So a document with several faults reports a field error before
+an entry error, and an entry error before a norm error.
+
 JSON text is decoded by :func:`_loads`: orjson when a byte-level guard
 shows it reads the text exactly as ``json.loads`` does, ``json.loads``
 otherwise.
@@ -21,8 +29,10 @@ otherwise.
 from __future__ import annotations
 
 import json
-from itertools import chain
-from typing import Any
+import math
+from bisect import bisect_right
+from itertools import chain, islice
+from typing import Any, NamedTuple
 
 import numpy as np
 import orjson
@@ -41,17 +51,6 @@ __all__ = [
 ]
 
 FORMAT_VERSION = "1"
-
-KINDS = (
-    "two_time_state",
-    "ensemble",
-    "density_vector",
-    "measurement",
-    "observable",
-    "bipartite_density",
-    "operator_set",
-)
-
 
 #: Digits read as "0", and the bytes a number literal can follow
 #: (whitespace, "[", ",", ":", "-") as "|".
@@ -129,7 +128,7 @@ def _number(node: Any, path: str) -> float:
         val = float(node)
     except OverflowError:
         raise _fail(path, "integer too large for a float") from None
-    if not np.isfinite(val):
+    if not math.isfinite(val):
         raise _fail(path, f"non-finite number {node!r}")
     return val
 
@@ -222,80 +221,115 @@ def _wrap(path: str, exc: TwoTimeError) -> TwoTimeError:
     return type(exc)(f"{path}: {exc}")
 
 
-def _parse_state_payload(payload: dict, d: int, path: str) -> np.ndarray:
-    """The ``coeffs`` of a state payload, of Frobenius norm 1 within the load slack."""
-    coeffs = _bounded_matrix(_get(payload, "coeffs", path), f"{path}.coeffs", d, d)
-    norm = float(np.linalg.norm(coeffs))
-    if abs(norm - 1.0) > _LOAD_NORM_ATOL:
-        raise _fail(f"{path}.coeffs", f"coefficients have Frobenius norm {norm!r}, expected 1")
-    return coeffs
+def _norm_error(path: str, norm: float) -> SchemaError:
+    """The error for state coefficients at ``path`` whose Frobenius norm is not 1."""
+    return _fail(path, f"coefficients have Frobenius norm {norm!r}, expected 1")
 
 
-def _stacked_ensemble(members: list, d: int) -> tuple | None:
-    """The weights and unit coefficient stack of canonical ``members``, or None.
+def _matrices(nodes: list, d: int, path_of) -> np.ndarray:
+    """The (n, d, d) stack of the matrix ``nodes``, node i reported at ``path_of(i)``.
 
-    Canonical members are objects with a finite JSON number ``weight``
-    and canonical d x d ``coeffs`` (see :func:`_pair_stack`) of unit
-    norm within the load slack.  None for anything else: the
-    per-member loop :func:`_member_arrays` then reads the members and
-    reports the first failure with its JSON path.
+    Canonical nodes are read in one :func:`_pair_stack` pass; anything
+    else, such as plain-real leaves, is read matrix by matrix through
+    :func:`_bounded_matrix`, which names the first bad entry.
     """
-    if not all(isinstance(m, dict) and "weight" in m and "coeffs" in m for m in members):
-        return None
-    weights = [m["weight"] for m in members]
-    stack = _pair_stack([m["coeffs"] for m in members], d)
-    if stack is None or not set(map(type, weights)) <= {float, int}:
-        return None
-    try:
-        weights = np.array(weights, dtype=np.float64)
-        stack = _unit_members(stack)
-    except (OverflowError, TwoTimeError):
-        return None
-    return (weights, stack) if np.isfinite(weights).all() else None
+    stack = _pair_stack(nodes, d)
+    if stack is None:
+        stack = np.stack([_bounded_matrix(node, path_of(i), d, d) for i, node in enumerate(nodes)])
+    return stack
 
 
-def _member_arrays(members: list, d: int, path: str) -> tuple:
-    """:func:`_stacked_ensemble` member by member, failing at the first bad member's path."""
-    weights = np.empty(len(members))
-    stack = np.empty((len(members), d, d), dtype=np.complex128)
+def _read_ensemble(payload: dict, d: int) -> Ensemble:
+    members = _get(payload, "members", "payload")
+    if not isinstance(members, list) or not members:
+        raise _fail("payload.members", "expected a nonempty array of members")
+    weights, nodes = [], []
     for idx, node in enumerate(members):
-        mpath = f"{path}.members[{idx}]"
-        weights[idx] = _number(_get(node, "weight", mpath), f"{mpath}.weight")
-        stack[idx] = _parse_state_payload(node, d, mpath)
-    return weights, _unit_members(stack)
+        where = f"payload.members[{idx}]"
+        weights.append(_number(_get(node, "weight", where), f"{where}.weight"))
+        nodes.append(_get(node, "coeffs", where))
+    coeffs_at = "payload.members[{}].coeffs".format
+    stack = _unit_members(_matrices(nodes, d, coeffs_at),
+                          lambda r, norm: _norm_error(coeffs_at(r), norm))
+    try:
+        return Ensemble._from_stack(np.array(weights), stack)
+    except TwoTimeError as exc:
+        raise _wrap("payload.members", exc) from exc
 
 
-def _stacked_measurement(outcomes: list, d: int) -> tuple | None:
-    """The Kraus stack, outcome sizes and names of canonical ``outcomes``, or None.
-
-    Canonical outcomes are objects with a nonempty ``kraus`` array of
-    canonical d x d matrices and a string ``name``, if any.
-    """
-    if not all(isinstance(o, dict) for o in outcomes):
-        return None
-    kraus = [o.get("kraus") for o in outcomes]
-    names = [o.get("name", "") for o in outcomes]
-    if not all(type(k) is list and k for k in kraus) or not all(isinstance(n, str) for n in names):
-        return None
-    stack = _pair_stack(list(chain.from_iterable(kraus)), d)
-    return None if stack is None else (stack, list(map(len, kraus)), names)
-
-
-def _outcome_arrays(outcomes: list, d: int, path: str) -> tuple:
-    """:func:`_stacked_measurement` operator by operator, failing at the first bad entry's path."""
-    mats, sizes, names = [], [], []
+def _read_measurement(payload: dict, d: int) -> Measurement:
+    outcomes = _get(payload, "outcomes", "payload")
+    if not isinstance(outcomes, list) or not outcomes:
+        raise _fail("payload.outcomes", "expected a nonempty array of outcomes")
+    nodes, firsts, sizes, names = [], [], [], []
     for idx, node in enumerate(outcomes):
-        opath = f"{path}.outcomes[{idx}]"
-        kraus = _get(node, "kraus", opath)
+        where = f"payload.outcomes[{idx}]"
+        kraus = _get(node, "kraus", where)
         if not isinstance(kraus, list) or not kraus:
-            raise _fail(f"{opath}.kraus", "expected a nonempty array of matrices")
-        mats += [_bounded_matrix(m, f"{opath}.kraus[{k}]", d, d) for k, m in enumerate(kraus)]
+            raise _fail(f"{where}.kraus", "expected a nonempty array of matrices")
         name = node.get("name", "")
         if not isinstance(name, str):
-            raise _fail(f"{opath}.name", f"expected a string, got {type(name).__name__}")
+            raise _fail(f"{where}.name", f"expected a string, got {type(name).__name__}")
+        firsts.append(len(nodes))
+        nodes += kraus
         sizes.append(len(kraus))
         names.append(name)
-    return np.stack(mats), sizes, names
+
+    def kraus_at(i: int) -> str:
+        mu = bisect_right(firsts, i) - 1
+        return f"payload.outcomes[{mu}].kraus[{i - firsts[mu]}]"
+
+    return Measurement._from_stack(_matrices(nodes, d, kraus_at), sizes, names)
+
+
+def _read_operator_set(payload: dict, d: int) -> tuple:
+    ops_node = _get(payload, "operators", "payload")
+    if not isinstance(ops_node, list) or not ops_node:
+        raise _fail("payload.operators", "expected a nonempty array of matrices")
+    ops = []
+    for idx, node in enumerate(ops_node):
+        where = f"payload.operators[{idx}]"
+        mat = _bounded_matrix(node, where, d * d, d * d)
+        try:
+            ops.append(BipartiteOperator(mat))
+        except TwoTimeError as exc:
+            raise _wrap(where, exc) from exc
+    return tuple(ops)
+
+
+class _Kind(NamedTuple):
+    """The type a document kind reads as.
+
+    A single-matrix kind also names its payload field, the type's array
+    attribute and the matrix side as a power of the document's ``dim``.
+    """
+
+    type: type
+    field: str = ""
+    attr: str = ""
+    power: int = 1
+
+
+_KINDS = {
+    "two_time_state": _Kind(TwoTimeState, "coeffs", "coeffs"),
+    "ensemble": _Kind(Ensemble),
+    "density_vector": _Kind(DensityVector, "matrix", "mat", 2),
+    "measurement": _Kind(Measurement),
+    "observable": _Kind(KrausOperator, "matrix", "entries"),
+    "bipartite_density": _Kind(BipartiteDensity, "matrix", "rho", 2),
+    "operator_set": _Kind(tuple),
+}
+
+KINDS = tuple(_KINDS)
+
+
+def _kind_of(obj) -> str | None:
+    """The kind whose type ``obj`` is (a nonempty tuple of operators for
+    ``operator_set``), or None."""
+    if isinstance(obj, tuple):
+        is_set = obj and all(isinstance(x, BipartiteOperator) for x in obj)
+        return "operator_set" if is_set else None
+    return next((kind for kind, spec in _KINDS.items() if isinstance(obj, spec.type)), None)
 
 
 def parse_document(doc):
@@ -341,61 +375,24 @@ def parse_document(doc):
         )
     d = _dim(envelope)
     payload = _get(envelope, "payload", "document")
-    path = "payload"
-
-    if kind == "two_time_state":
-        return TwoTimeState(_parse_state_payload(payload, d, path))
-
     if kind == "ensemble":
-        members = _get(payload, "members", path)
-        if not isinstance(members, list) or not members:
-            raise _fail(f"{path}.members", "expected a nonempty array of members")
-        weights, stack = _stacked_ensemble(members, d) or _member_arrays(members, d, path)
-        try:
-            return Ensemble._from_stack(weights, stack)
-        except TwoTimeError as exc:
-            raise _wrap(f"{path}.members", exc) from exc
-
-    if kind == "density_vector":
-        mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d * d, d * d)
-        try:
-            return DensityVector(mat)
-        except TwoTimeError as exc:
-            raise _wrap(f"{path}.matrix", exc) from exc
-
+        return _read_ensemble(payload, d)
     if kind == "measurement":
-        outcomes = _get(payload, "outcomes", path)
-        if not isinstance(outcomes, list) or not outcomes:
-            raise _fail(f"{path}.outcomes", "expected a nonempty array of outcomes")
-        arrays = _stacked_measurement(outcomes, d) or _outcome_arrays(outcomes, d, path)
-        return Measurement._from_stack(*arrays)
-
-    if kind == "observable":
-        mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d, d)
-        try:
-            return KrausOperator(mat)
-        except TwoTimeError as exc:
-            raise _wrap(f"{path}.matrix", exc) from exc
-
-    if kind == "bipartite_density":
-        mat = _bounded_matrix(_get(payload, "matrix", path), f"{path}.matrix", d * d, d * d)
-        try:
-            return BipartiteDensity(mat)
-        except TwoTimeError as exc:
-            raise _wrap(f"{path}.matrix", exc) from exc
-
-    # operator_set
-    ops_node = _get(payload, "operators", path)
-    if not isinstance(ops_node, list) or not ops_node:
-        raise _fail(f"{path}.operators", "expected a nonempty array of matrices")
-    ops = []
-    for idx, node in enumerate(ops_node):
-        mat = _bounded_matrix(node, f"{path}.operators[{idx}]", d * d, d * d)
-        try:
-            ops.append(BipartiteOperator(mat))
-        except TwoTimeError as exc:
-            raise _wrap(f"{path}.operators[{idx}]", exc) from exc
-    return tuple(ops)
+        return _read_measurement(payload, d)
+    if kind == "operator_set":
+        return _read_operator_set(payload, d)
+    spec = _KINDS[kind]
+    side = d ** spec.power
+    where = f"payload.{spec.field}"
+    mat = _bounded_matrix(_get(payload, spec.field, "payload"), where, side, side)
+    if spec.type is TwoTimeState:
+        norm = float(np.linalg.norm(mat))
+        if abs(norm - 1.0) > _LOAD_NORM_ATOL:
+            raise _norm_error(where, norm)
+    try:
+        return spec.type(mat)
+    except TwoTimeError as exc:
+        raise _wrap(where, exc) from exc
 
 
 def _complex_pairs(values) -> np.ndarray:
@@ -410,66 +407,21 @@ def _emit_matrix(mat: np.ndarray) -> list:
 
 def serialize_document(obj) -> dict:
     """Serialize a domain object back to its envelope dict."""
-    if isinstance(obj, TwoTimeState):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "two_time_state",
-            "dim": obj.dim,
-            "payload": {"coeffs": _emit_matrix(obj.coeffs)},
-        }
-    if isinstance(obj, Ensemble):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "ensemble",
-            "dim": obj.dim,
-            "payload": {
-                "members": [
-                    {"weight": w, "coeffs": c}
-                    for w, c in zip(obj.weights.tolist(), _emit_matrix(obj.coeff_stack))
-                ]
-            },
-        }
-    if isinstance(obj, DensityVector):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "density_vector",
-            "dim": obj.dim,
-            "payload": {"matrix": _emit_matrix(obj.mat)},
-        }
-    if isinstance(obj, Measurement):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "measurement",
-            "dim": obj.dim,
-            "payload": {
-                "outcomes": [
-                    {
-                        "name": out.name,
-                        "kraus": [_emit_matrix(op.entries) for op in out.kraus],
-                    }
-                    for out in obj.outcomes
-                ]
-            },
-        }
-    if isinstance(obj, KrausOperator):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "observable",
-            "dim": obj.dim,
-            "payload": {"matrix": _emit_matrix(obj.entries)},
-        }
-    if isinstance(obj, BipartiteDensity):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "bipartite_density",
-            "dim": obj.dim,
-            "payload": {"matrix": _emit_matrix(obj.rho)},
-        }
-    if isinstance(obj, tuple) and obj and all(isinstance(x, BipartiteOperator) for x in obj):
-        return {
-            "format_version": FORMAT_VERSION,
-            "kind": "operator_set",
-            "dim": obj[0].dim,
-            "payload": {"operators": [_emit_matrix(x.op) for x in obj]},
-        }
-    raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
+    kind = _kind_of(obj)
+    if kind is None:
+        raise SchemaError(f"cannot serialize object of type {type(obj).__name__}")
+    if kind == "ensemble":
+        payload = {"members": [{"weight": w, "coeffs": c} for w, c in
+                               zip(obj.weights.tolist(), _emit_matrix(obj.coeff_stack))]}
+    elif kind == "measurement":
+        mats = iter(_emit_matrix(obj.kraus_stack))
+        sizes = np.bincount(obj.outcome_of).tolist()
+        payload = {"outcomes": [{"name": name, "kraus": list(islice(mats, n))}
+                                for name, n in zip(obj.names, sizes)]}
+    elif kind == "operator_set":
+        payload = {"operators": [_emit_matrix(x.op) for x in obj]}
+    else:
+        spec = _KINDS[kind]
+        payload = {spec.field: _emit_matrix(getattr(obj, spec.attr))}
+    dim = obj[0].dim if kind == "operator_set" else obj.dim
+    return {"format_version": FORMAT_VERSION, "kind": kind, "dim": dim, "payload": payload}

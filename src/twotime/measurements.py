@@ -35,22 +35,14 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
-    ATOL,
-    PSD_ATOL,
     KrausDensityVector,
     KrausOperator,
     _as_square_complex,
+    _check_hermitian_psd,
     _freeze,
     _side_of_pair_matrix,
-    hermiticity_defect,
 )
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    NotHermitianError,
-    NotPositiveError,
-    ValidationError,
-)
+from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
 
 __all__ = [
     "COMPLETENESS_ATOL",
@@ -103,14 +95,14 @@ class Measurement:
     The measurement stores its Kraus operators as read-only arrays:
     ``kraus_stack``, the (n_branches, d, d) stack of every outcome's
     operators in order, and ``outcome_of``, the (n_branches,) index of
-    the outcome each branch belongs to, beside the outcome names.
-    ``outcomes`` is a view built on first read, whose operators'
-    ``entries`` are rows of ``kraus_stack``.
+    the outcome each branch belongs to, beside ``names``, the tuple of
+    outcome names.  ``outcomes`` is a view built on first read, whose
+    operators' ``entries`` are rows of ``kraus_stack``.
     """
 
     kraus_stack: np.ndarray
     outcome_of: np.ndarray
-    _names: tuple
+    names: tuple
 
     def __init__(self, outcomes) -> None:
         outcomes = tuple(outcomes)
@@ -142,14 +134,14 @@ class Measurement:
         outcome_of = np.repeat(np.arange(len(sizes), dtype=np.intp), sizes)
         object.__setattr__(self, "kraus_stack", _freeze(stack))
         object.__setattr__(self, "outcome_of", _freeze(outcome_of))
-        object.__setattr__(self, "_names", tuple(names))
+        object.__setattr__(self, "names", tuple(names))
 
     @cached_property
     def outcomes(self) -> tuple:
         ops = tuple(map(KrausOperator._view, self.kraus_stack))
         ends = np.cumsum(np.bincount(self.outcome_of)).tolist()
         return tuple(MeasurementOutcome(ops[lo:hi], name)
-                     for lo, hi, name in zip([0] + ends, ends, self._names))
+                     for lo, hi, name in zip([0] + ends, ends, self.names))
 
     @property
     def dim(self) -> int:
@@ -157,12 +149,12 @@ class Measurement:
 
     @property
     def n_outcomes(self) -> int:
-        return len(self._names)
+        return len(self.names)
 
     @property
     def is_detailed(self) -> bool:
         """True when every outcome has exactly one Kraus operator."""
-        return len(self.kraus_stack) == len(self._names)
+        return len(self.kraus_stack) == len(self.names)
 
     @cached_property
     def completeness_defect(self) -> float:
@@ -316,7 +308,10 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
     ----------
     ops : sequence of (d^2, d^2) arrays
         Hermitian positive semidefinite operators (objects with an
-        ``.op`` or ``.mat`` array attribute are also accepted).
+        ``.op`` or ``.mat`` array attribute are also accepted).  As for
+        :class:`~twotime.core.KrausDensityVector`, the Hermiticity and
+        positivity tolerances scale with each operator's largest
+        diagonal entry when it exceeds 1.
     scale : float, optional
         The rescaling factor ``c``.  Defaults to the largest valid
         value, ``1 / max_eigenvalue(sum(ops))``, which minimizes the
@@ -330,20 +325,15 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
     """
     arrays = []
     for idx, raw in enumerate(ops):
-        arr = _as_square_complex(getattr(raw, "op", getattr(raw, "mat", raw)), f"operator {idx}")
-        if hermiticity_defect(arr) > ATOL:
-            raise NotHermitianError(f"operator {idx} is not Hermitian")
-        arrays.append((arr + arr.conj().T) / 2.0)
+        name = f"operator {idx}"
+        arr = _as_square_complex(getattr(raw, "op", getattr(raw, "mat", raw)), name)
+        arrays.append(_check_hermitian_psd(arr, name, relative=True))
     if not arrays:
         raise DegenerateInputError("cannot complete an empty operator set")
     n = arrays[0].shape[0]
     d = _side_of_pair_matrix(arrays[0], "operators")
-    for idx, arr in enumerate(arrays):
-        if arr.shape[0] != n:
-            raise DimensionMismatchError("operators have mixed shapes")
-        min_eig = float(np.linalg.eigvalsh(arr)[0])
-        if min_eig < -PSD_ATOL:
-            raise NotPositiveError(f"operator {idx} has min eigenvalue {min_eig:.3e}")
+    if any(arr.shape[0] != n for arr in arrays):
+        raise DimensionMismatchError("operators have mixed shapes")
 
     total = sum(arrays)
     max_eig = float(np.linalg.eigvalsh(total)[-1])

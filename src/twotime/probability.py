@@ -194,5 +194,5 @@ def prob_relative_bipartite(rho, ops) -> np.ndarray:
                 f"operator {idx} shape {mat.shape} does not match state shape {rho_mat.shape}"
             )
     numerators = np.array([float(np.trace(mat @ rho_mat).real) for mat in mats])
-    numerators[(numerators < 0.0) & (numerators > -1e-10)] = 0.0
+    numerators[(numerators < 0.0) & (numerators > -PSD_ATOL)] = 0.0
     return _normalize(numerators, AllDiscardedError)

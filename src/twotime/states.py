@@ -114,13 +114,18 @@ def _check_weight(w: float) -> None:
         raise NormalizationError(f"ensemble weight {w!r} is not strictly positive")
 
 
-def _unit_members(stack: np.ndarray) -> np.ndarray:
+def _member_misfit(r: int, norm: float) -> NormalizationError:
+    return NormalizationError(f"member {r} has Frobenius norm {norm!r}, expected 1")
+
+
+def _unit_members(stack: np.ndarray, misfit=_member_misfit) -> np.ndarray:
     """``stack`` with every member at unit Frobenius norm, rescaled in place.
 
     Each member's norm must be 1 within the load slack 1e-9 (so no
     member is zero), and a norm off by more than ``ATOL`` is divided
     out: every ``stack[r]`` is then bit-identical to what
-    ``TwoTimeState(stack[r])`` stores.
+    ``TwoTimeState(stack[r])`` stores.  The first member r off by more
+    raises ``misfit(r, norm)``.
     """
     v = stack.reshape(len(stack), -1)
     norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
@@ -131,8 +136,7 @@ def _unit_members(stack: np.ndarray) -> np.ndarray:
     exact = np.array([np.linalg.norm(stack[r]) for r in off], dtype=np.float64)
     bad = np.abs(exact - 1.0) > _LOAD_NORM_ATOL
     if bad.any():
-        raise NormalizationError(f"member {off[bad][0]} has Frobenius norm "
-                                 f"{float(exact[bad][0])!r}, expected 1")
+        raise misfit(int(off[bad][0]), float(exact[bad][0]))
     rescale = np.abs(exact - 1.0) > ATOL
     stack[off[rescale]] /= exact[rescale, None, None]
     return stack

@@ -19,6 +19,7 @@ from twotime import (
     Measurement,
     MeasurementOutcome,
     KrausOperator,
+    NotHermitianError,
     NotPositiveError,
     ValidationError,
     check_completeness,
@@ -229,6 +230,30 @@ def test_completion_rejects_all_zero():
 def test_completion_rejects_non_psd():
     with pytest.raises(NotPositiveError):
         complete_operator_set([np.diag([1.0, -0.2, 0.0, 0.0])])
+    with pytest.raises(NotPositiveError, match="operator 1 is not positive semidefinite"):
+        complete_operator_set([np.eye(4), np.diag([1e12, -1e3, 0.0, 0.0])])
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_completion_rejects_non_hermitian(scale):
+    op = np.diag([1.0, 1.0, 0.0, 0.0]) * scale**2
+    op[0, 1] = 0.5 * scale**2
+    with pytest.raises(NotHermitianError, match="operator 1 is not Hermitian"):
+        complete_operator_set([np.eye(4), op])
+
+
+def test_completion_accepts_psd_families_at_large_scale(rng):
+    # Rank-2 g g^dag with entries near 1e6: rounding leaves eigenvalues
+    # near -1e-4 and a Hermiticity defect far above the absolute
+    # tolerances, which scale with the largest diagonal entry.
+    for d in (2, 3):
+        ops = []
+        for _ in range(3):
+            g = complex_gaussian(rng, (d * d, 2)) * 1e6
+            ops.append(g @ g.conj().T)
+        res = complete_operator_set(ops)
+        assert res.completed.is_complete
+        assert np.allclose(res.scale * sum(ops) + res.remainder, np.eye(d * d), atol=1e-10)
 
 
 def test_kept_outcome_ratios_independent_of_scale(rng):

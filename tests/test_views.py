@@ -21,6 +21,7 @@ from twotime import (
     parse_document,
     serialize_document,
 )
+from twotime.cli import run_cli
 
 
 def _counting(counts, name, fn):
@@ -64,6 +65,33 @@ def test_parsed_ensemble_builds_no_member_until_members_are_read(rng):
         members = ens.members
     assert counts == {"TwoTimeState": 64}
     assert ens.members is members and ens.states == tuple(s for _, s in members)
+
+
+def test_outcome_names_are_read_without_building_outcomes(rng, tmp_path, capsys):
+    detailed = random_complete_measurement(rng, 2, n_outcomes=4)
+    ops = [out.kraus[0] for out in detailed.outcomes]
+    m = Measurement.from_kraus_sets([ops[:1], ops[1:3], ops[3:]], ["up", "mid", "down"])
+    ens = random_ensemble(rng, 2, n_members=4)
+    ens_path, eta_path, m_path = (tmp_path / name for name in ("ens.json", "eta.json", "m.json"))
+    ens_path.write_text(json.dumps(serialize_document(ens)))
+    eta_path.write_text(json.dumps(serialize_document(density_from_ensemble(ens))))
+    with entry_objects_built() as counts:
+        assert m.names == ("up", "mid", "down")
+        envelope = serialize_document(m)
+        m_path.write_text(json.dumps(envelope))
+        assert run_cli(["prob", "--eta", str(eta_path), "--coarse",
+                        "--measurement", str(m_path)]) == 0
+        prob = json.loads(capsys.readouterr().out)
+        assert run_cli(["simulate", "--ensemble", str(ens_path), "--measurement", str(m_path),
+                        "--shots", "200", "--seed", "3"]) == 0
+        sim = json.loads(capsys.readouterr().out)
+    assert not counts
+    assert [o["name"] for o in envelope["payload"]["outcomes"]] == ["up", "mid", "down"]
+    assert [len(o["kraus"]) for o in envelope["payload"]["outcomes"]] == [1, 2, 1]
+    assert prob["outcomes"] == ["up", "mid", "down"]
+    assert [o["name"] for o in sim["choices"][0]["outcomes"]] == ["up", "mid", "down"]
+    with pytest.raises(AttributeError):
+        m.names = ()
 
 
 def assert_ensemble_views(ens):
