@@ -37,9 +37,8 @@ from .core import (
     TwoTimeState,
     _as_square_complex,
     _check_hermitian_psd,
-    _freeze,
+    _set_pair_matrix,
     _side_of_pair_matrix,
-    _unit_trace,
     pair,
 )
 from .errors import DimensionMismatchError, NormalizationError
@@ -75,10 +74,7 @@ class BipartiteDensity:
     rho: np.ndarray
 
     def __post_init__(self) -> None:
-        rho = _as_square_complex(self.rho, "rho")
-        _side_of_pair_matrix(rho, "bipartite density")
-        rho = _check_hermitian_psd(rho, "bipartite density")
-        object.__setattr__(self, "rho", _unit_trace(rho, "bipartite density"))
+        _set_pair_matrix(self, "rho", "bipartite density", unit_trace=True)
 
     @property
     def dim(self) -> int:
@@ -93,10 +89,7 @@ class BipartiteOperator:
     op: np.ndarray
 
     def __post_init__(self) -> None:
-        op = _as_square_complex(self.op, "op")
-        _side_of_pair_matrix(op, "bipartite operator")
-        op = _check_hermitian_psd(op, "bipartite operator", relative=True)
-        object.__setattr__(self, "op", _freeze(op))
+        _set_pair_matrix(self, "op", "bipartite operator", unit_trace=False)
 
     @property
     def dim(self) -> int:
@@ -177,6 +170,23 @@ def measurement_partial_trace_defect(ops) -> float:
     mats = [_as_square_complex(getattr(op, "op", op), f"operator {idx}")
             for idx, op in enumerate(ops)]
     return _post_selection_defect(_summed(mats))
+
+
+def _outcome_images(m: Measurement) -> np.ndarray:
+    """The stack of ``kdv_to_bipartite(kraus_density_vector(out)).op`` over the outcomes.
+
+    Built from each outcome's rows V of ``kraus_stack`` as ``V^T V*`` with
+    both constructors' symmetrizations, so bit for bit, but with no
+    per-outcome object and no eigenvalue check: a Gram matrix is PSD.
+    """
+    v = m.kraus_stack.reshape(len(m.kraus_stack), -1)
+    ends = np.cumsum(np.bincount(m.outcome_of)).tolist()
+    images = np.empty((len(ends), v.shape[1], v.shape[1]), dtype=np.complex128)
+    for mu, (lo, hi) in enumerate(zip([0] + ends, ends)):
+        kdv = v[lo:hi].T @ v[lo:hi].conj()
+        op = ((kdv + kdv.conj().T) / 2.0).conj()
+        images[mu] = (op + op.conj().T) / 2.0
+    return images
 
 
 def _summed(mats: list) -> np.ndarray:

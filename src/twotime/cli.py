@@ -23,7 +23,7 @@ import sys
 import numpy as np
 
 from ._floattext import dumps_array
-from .bipartite import density_to_bipartite, kdv_to_bipartite, measurement_partial_trace_defect
+from .bipartite import _outcome_images, density_to_bipartite, measurement_partial_trace_defect
 from .core import hermiticity_defect
 from .errors import (
     DomainError,
@@ -33,7 +33,7 @@ from .errors import (
     ValidationError,
 )
 from .io import _complex_pairs, _kind_of, _loads, _wrap, parse_document
-from .measurements import Measurement, kraus_density_vector, partial_normalization_defect
+from .measurements import Measurement, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
     SimConfig,
@@ -449,13 +449,13 @@ def _cmd_iso(args) -> tuple[dict, tuple | None]:
         }
     else:
         m = _load(args.measurement, "measurement", "--measurement")
-        ops = [kdv_to_bipartite(kraus_density_vector(out)) for out in m.outcomes]
+        images = _outcome_images(m)
         payload = {
             "kind": "bipartite_image",
             "object": "measurement",
             "dim": m.dim,
-            "operators": [_complex_pairs(op.op) for op in ops],
-            "partial_trace_defect": measurement_partial_trace_defect(ops),
+            "operators": _complex_pairs(images),
+            "partial_trace_defect": measurement_partial_trace_defect(images),
         }
     return payload, None
 

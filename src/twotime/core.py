@@ -26,8 +26,8 @@ storage conventions used by the whole package:
   single operator against it is :func:`sandwich`; the weight of a whole
   Kraus family is :func:`pair`.
 
-Tolerances: ``ATOL`` (1e-12) for numerical equality and Hermiticity,
-``PSD_ATOL`` (1e-10) of slack on eigenvalues when testing positivity.
+Every tolerance the package decides validity with is defined once, in
+the tolerance table below; the other modules import their entries.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ from .errors import (
 __all__ = [
     "ATOL",
     "PSD_ATOL",
+    "COMPLETENESS_ATOL",
+    "DENOMINATOR_EPS",
+    "PSD_CLIP_TOL",
     "TwoTimeState",
     "KrausOperator",
     "DensityVector",
@@ -62,21 +65,65 @@ __all__ = [
     "hermiticity_defect",
 ]
 
-#: Absolute tolerance for numerical equality checks.
+# ---------------------------------------------------------------------------
+# The tolerance table: every validity decision in the package reads one of
+# these entries, and no other module spells a tolerance of its own.  Each
+# entry says what it protects against and which checks read it.
+
+#: Rounding read as a violation, or a rescale by a factor already 1
+#: moving last bits.  Read by the Hermiticity checks, the sums of ensemble
+#: weights and choice probabilities, the renormalization of states,
+#: members and traces, the tomography weight clamp, the upper limit of
+#: ``complete_operator_set(scale=)`` and the simulator's degenerate z.
 ATOL = 1e-12
 
-#: Eigenvalue slack allowed when testing positive semidefiniteness.
+#: Eigensolver or sandwich rounding read as a negative weight.  Read by
+#: the positivity checks and the clamps of ``sandwich``, ``pair`` and the
+#: probability rules.
 PSD_ATOL = 1e-10
 
-# Norms below this are treated as exactly zero.
+#: A measurement with rounded Kraus operators read as incomplete
+#: (``max|sum A^dag A - I|``).  Read by ``Measurement.is_complete``,
+#: ``check_completeness``, ``measurements_equal`` and ``povm_to_twotime``.
+COMPLETENESS_ATOL = 1e-10
+
+#: Division by a vanishing total weight: a post-selection that never
+#: succeeds.  Read by the probability rules, ``predict_probabilities``,
+#: the tomography clip and the weak values.
+DENOMINATOR_EPS = 1e-14
+
+#: A reconstruction far from positive repaired silently: below
+#: -PSD_CLIP_TOL it is malformed.  Read by ``reconstruct`` (default
+#: ``clip_tol``) and ``sampling_clip_tol`` (its floor).
+PSD_CLIP_TOL = 1e-6
+
+#: Inputs written to fewer digits than float64 holds rejected at load.
+#: Read by ``_unit_trace``, ``states._unit_members``, the state-document
+#: norm check and ``reconstruct``'s probability checks.
+_LOAD_NORM_ATOL = 1e-9
+
+#: Rounding noise normalized into a state.  Read by ``pure_product`` and
+#: ``superpose``.
 _ZERO_NORM = 1e-14
 
-# The smallest Frobenius norm whose sum of squares is a normal float64:
-# below it the squares lose digits, as above float64's range they overflow.
+#: Rounding noise realized as a Kraus branch or an ensemble member.  Read
+#: by ``_kraus_set_from_psd_matrix``, ``complete_operator_set`` and the
+#: default ``cutoff`` of ``ensemble_from_density``.
+_EIG_CUTOFF = 1e-12
+
+#: inf or NaN success probabilities from a vanishing Born weight.  Read by
+#: ``montecarlo._Tables``.
+_ZERO_BORN = 1e-300
+
+#: Squared norms that lose digits below float64's normal range (the
+#: smallest norm whose square is normal, about 1.5e-154).  Read by
+#: ``TwoTimeState``, which divides such an array by its largest part.
 _MIN_EXACT_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
-# Norm/trace slack accepted at load time; constructors renormalize.
-_LOAD_NORM_ATOL = 1e-9
+#: Norms, sums and eigenvalue routines overflowing float64: the largest
+#: real or imaginary part a document may hold, which keeps a d x d squared
+#: Frobenius norm finite up to d = 9,000.  Read by ``io``'s matrix readers.
+_MAX_ENTRY = 1e150
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -160,14 +207,31 @@ def _check_hermitian_psd(mat: np.ndarray, name: str, relative: bool = False) -> 
 
 
 def _unit_trace(mat: np.ndarray, name: str) -> np.ndarray:
-    """Check that the trace of ``mat`` is 1 within 1e-9, rescale it to exactly 1, freeze it."""
+    """Check that ``mat``'s trace is 1 within ``_LOAD_NORM_ATOL``; rescale it to 1, freeze it."""
     with np.errstate(over="ignore"):
         trace = float(np.trace(mat).real)
-    if abs(trace - 1.0) > 1e-9:
+    if abs(trace - 1.0) > _LOAD_NORM_ATOL:
         raise NormalizationError(f"{name} trace {trace!r} is not 1")
     if abs(trace - 1.0) > ATOL:
         mat = mat / trace
     return _freeze(mat)
+
+
+def _set_pair_matrix(obj, field: str, name: str, *, unit_trace: bool) -> None:
+    """Validate ``obj.field`` as a (d^2, d^2) Hermitian PSD matrix and store it frozen.
+
+    The one check behind :class:`DensityVector`,
+    :class:`KrausDensityVector` and the bipartite density and operator.
+    A ``unit_trace`` matrix is held to the absolute ``ATOL`` and
+    ``PSD_ATOL`` and stored rescaled to trace exactly 1; any other has an
+    unconstrained trace, so its tolerances scale with its largest
+    diagonal entry.  ``field`` names the argument in shape and finiteness
+    errors, ``name`` the object in the others.
+    """
+    mat = _as_square_complex(getattr(obj, field), field)
+    _side_of_pair_matrix(mat, name)
+    mat = _check_hermitian_psd(mat, name, relative=not unit_trace)
+    object.__setattr__(obj, field, _unit_trace(mat, name) if unit_trace else _freeze(mat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -267,19 +331,17 @@ class DensityVector:
 
     ``mat`` is the (d^2, d^2) array ``sum_r p_r vec(state_r) vec(state_r)^dag``
     for some ensemble of unit-norm states with weights summing to 1.  The
-    constructor validates Hermiticity (within 1e-12), positivity (min
-    eigenvalue >= -1e-10) and unit trace (within 1e-9), then stores the
-    symmetrized array rescaled to trace exactly 1 (the storage
-    convention, matching the unit-norm convention for pure states).
+    constructor validates Hermiticity (within ``ATOL``), positivity (min
+    eigenvalue >= -``PSD_ATOL``) and unit trace (within
+    ``_LOAD_NORM_ATOL``), then stores the symmetrized array rescaled to
+    trace exactly 1 (the storage convention, matching the unit-norm
+    convention for pure states).
     """
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_square_complex(self.mat, "mat")
-        _side_of_pair_matrix(mat, "density vector")
-        mat = _check_hermitian_psd(mat, "density vector")
-        object.__setattr__(self, "mat", _unit_trace(mat, "density vector"))
+        _set_pair_matrix(self, "mat", "density vector", unit_trace=True)
 
     @classmethod
     def _from_psd(cls, mat: np.ndarray) -> "DensityVector":
@@ -287,11 +349,11 @@ class DensityVector:
 
         Precondition: ``mat`` is a (d^2, d^2) complex128 array built
         as ``W diag(lam) W^dag`` from eigenpairs with every ``lam >= 0``
-        (for example a clipped ``eigh``), with trace 1 within 1e-9.  It
-        skips the Hermiticity and ``eigvalsh`` checks, which such an
-        array passes by construction, and stores the bit-identical array
-        ``DensityVector(mat)`` would: the same symmetrization and trace
-        rescale.
+        (for example a clipped ``eigh``), with trace 1 within
+        ``_LOAD_NORM_ATOL``.  It skips the Hermiticity and ``eigvalsh``
+        checks, which such an array passes by construction, and stores
+        the bit-identical array ``DensityVector(mat)`` would: the same
+        symmetrization and trace rescale.
         """
         eta = object.__new__(cls)
         object.__setattr__(eta, "mat", _unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
@@ -319,10 +381,7 @@ class KrausDensityVector:
     mat: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = _as_square_complex(self.mat, "mat")
-        _side_of_pair_matrix(mat, "Kraus density vector")
-        mat = _check_hermitian_psd(mat, "Kraus density vector", relative=True)
-        object.__setattr__(self, "mat", _freeze(mat))
+        _set_pair_matrix(self, "mat", "Kraus density vector", unit_trace=False)
 
     @property
     def dim(self) -> int:

@@ -38,7 +38,7 @@ import numpy as np
 import orjson
 
 from .bipartite import BipartiteDensity, BipartiteOperator
-from .core import _LOAD_NORM_ATOL, DensityVector, KrausOperator, TwoTimeState
+from .core import _LOAD_NORM_ATOL, _MAX_ENTRY, DensityVector, KrausOperator, TwoTimeState
 from .errors import SchemaError, TwoTimeError
 from .measurements import Measurement
 from .states import Ensemble, _unit_members
@@ -60,11 +60,6 @@ _LONG_INTEGER = b"|" + b"0" * 19
 _NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"')))
 #: Deepest nesting handed to orjson, which has no depth limit of its own.
 _ORJSON_MAX_DEPTH = 64
-#: Largest magnitude of a real or imaginary part a document may hold.
-#: Past it the norms, sums and eigenvalue routines of the constructors
-#: can overflow float64; below it a d x d matrix's squared Frobenius
-#: norm is finite for every d up to 9,000.
-_MAX_ENTRY = 1e150
 
 
 def _orjson_reads_as_json(raw: bytes) -> bool:

@@ -35,6 +35,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .core import (
+    ATOL,
+    COMPLETENESS_ATOL,
+    _EIG_CUTOFF,
     KrausDensityVector,
     KrausOperator,
     _as_square_complex,
@@ -55,13 +58,6 @@ __all__ = [
     "measurements_equal",
     "complete_operator_set",
 ]
-
-#: Tolerance on the completeness defect ``max|sum A^dag A - I|``.
-COMPLETENESS_ATOL = 1e-10
-
-# Eigenvalues at or below this are dropped when realizing Kraus
-# operators from a positive vectorized operator.
-_EIG_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,7 +340,7 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
         c = max_scale
     else:
         c = float(scale)
-        if not (0.0 < c <= max_scale * (1.0 + 1e-12)):
+        if not (0.0 < c <= max_scale * (1.0 + ATOL)):
             raise ValidationError(
                 f"scale {c!r} outside (0, {max_scale!r}] leaves a non-positive remainder"
             )

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .core import KrausOperator, _as_int
+from .core import ATOL, _ZERO_BORN, KrausOperator, _as_int
 from .errors import (
     DimensionMismatchError,
     IncompleteMeasurementError,
@@ -86,7 +86,7 @@ class ObserverPolicy:
     measurements : tuple of Measurement
         All complete, all of one dimension.
     choice_probs : tuple of float
-        Strictly positive, summing to 1 within 1e-12.
+        Strictly positive, summing to 1 within ``ATOL``.
     """
 
     measurements: tuple
@@ -111,7 +111,7 @@ class ObserverPolicy:
             if not math.isfinite(p) or p <= 0.0:
                 raise NormalizationError(f"choice probability {p!r} is not strictly positive")
         total = sum(ps)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > ATOL:
             raise NormalizationError(f"choice probabilities sum to {total!r}, expected 1")
         object.__setattr__(self, "measurements", ms)
         object.__setattr__(self, "choice_probs", ps)
@@ -348,7 +348,7 @@ class _Tables:
                 ).real
             with np.errstate(divide="ignore", invalid="ignore"):
                 succ = _contraction_weights(m, coeffs) / (d * born)
-            succ[born <= 1e-300] = 0.0
+            succ[born <= _ZERO_BORN] = 0.0
             self.outcome_of.append(m.outcome_of)
             self.n_outcomes.append(m.n_outcomes)
             self.cum_branch.append(np.cumsum(born, axis=1))
@@ -413,11 +413,11 @@ def _binomial_z(freq: float, p: float, n: int) -> float:
     """z-score of a frequency ``freq`` over ``n`` trials against ``p``.
 
     Degenerate cases (``n == 0`` or ``p`` in {0, 1}) give 0 when ``freq``
-    equals ``p`` within 1e-12 and ``inf`` otherwise.
+    equals ``p`` within ``ATOL`` and ``inf`` otherwise.
     """
     se = math.sqrt(p * (1.0 - p) / n) if n > 0 else 0.0
     if se == 0.0:
-        return 0.0 if abs(freq - p) < 1e-12 else math.inf
+        return 0.0 if abs(freq - p) < ATOL else math.inf
     return (freq - p) / se
 
 

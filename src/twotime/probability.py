@@ -25,16 +25,16 @@ every branch with a density vector's array and sums the branches of
 each outcome.  Detailed measurements therefore give bit-identical
 results under :func:`prob_density` and :func:`prob_coarse`.
 
-A denominator at or below 1e-14 means the post-selection never succeeds
-and the conditional probabilities are undefined; the rules raise typed
-domain errors instead of returning garbage.
+A denominator at or below ``DENOMINATOR_EPS`` means the post-selection
+never succeeds and the conditional probabilities are undefined; the
+rules raise typed domain errors instead of returning garbage.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import PSD_ATOL, DensityVector, TwoTimeState, _as_square_complex
+from .core import DENOMINATOR_EPS, PSD_ATOL, DensityVector, TwoTimeState, _as_square_complex
 from .errors import (
     AllDiscardedError,
     DimensionMismatchError,
@@ -53,9 +53,6 @@ __all__ = [
     "prob_coarse",
     "prob_relative_bipartite",
 ]
-
-#: Outcome-weight totals at or below this are treated as zero.
-DENOMINATOR_EPS = 1e-14
 
 
 def _require_complete(m: Measurement) -> None:

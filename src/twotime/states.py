@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
-from .core import _LOAD_NORM_ATOL, _as_square_complex, _freeze
+from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_square_complex, _freeze
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -44,7 +44,7 @@ class Ensemble:
     Parameters
     ----------
     members : sequence of (weight, state) pairs
-        Weights must be strictly positive and sum to 1 within 1e-12;
+        Weights must be strictly positive and sum to 1 within ``ATOL``;
         all states must share one dimension.
 
     The ensemble stores its members as two read-only arrays: ``weights``
@@ -121,11 +121,11 @@ def _member_misfit(r: int, norm: float) -> NormalizationError:
 def _unit_members(stack: np.ndarray, misfit=_member_misfit) -> np.ndarray:
     """``stack`` with every member at unit Frobenius norm, rescaled in place.
 
-    Each member's norm must be 1 within the load slack 1e-9 (so no
-    member is zero), and a norm off by more than ``ATOL`` is divided
-    out: every ``stack[r]`` is then bit-identical to what
-    ``TwoTimeState(stack[r])`` stores.  The first member r off by more
-    raises ``misfit(r, norm)``.
+    Each member's norm must be 1 within the load slack
+    ``_LOAD_NORM_ATOL`` (so no member is zero), and a norm off by more
+    than ``ATOL`` is divided out: every ``stack[r]`` is then
+    bit-identical to what ``TwoTimeState(stack[r])`` stores.  The first
+    member r off by more raises ``misfit(r, norm)``.
     """
     v = stack.reshape(len(stack), -1)
     norms = np.sqrt(np.einsum("ri,ri->r", v.real, v.real)
@@ -219,7 +219,7 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
     return DensityVector(terms[0])
 
 
-def ensemble_from_density(eta: DensityVector, *, cutoff: float = 1e-12) -> Ensemble:
+def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) -> Ensemble:
     """An ensemble whose density vector reproduces ``eta``.
 
     Uses the eigendecomposition: eigenvalues above ``cutoff`` become
@@ -242,14 +242,14 @@ def positivity_check(obj) -> tuple[bool, float]:
 
     Accepts a :class:`DensityVector` or a raw Hermitian array and
     returns ``(is_positive, min_eigenvalue)`` where positivity means the
-    smallest eigenvalue is >= -1e-10.
+    smallest eigenvalue is >= -``PSD_ATOL``.
 
     Raises
     ------
     DimensionMismatchError, DegenerateInputError
         If a raw array is not square, or not finite.
     NotHermitianError
-        If a raw array fails Hermiticity within 1e-12.
+        If a raw array fails Hermiticity within ``ATOL``.
     """
     if isinstance(obj, DensityVector):
         mat = obj.mat

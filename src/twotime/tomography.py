@@ -48,10 +48,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import DensityVector, _as_int
+from .core import ATOL, DENOMINATOR_EPS, PSD_CLIP_TOL, _LOAD_NORM_ATOL, DensityVector, _as_int
 from .errors import MalformedDataError, PostSelectionImpossibleError, ValidationError
 from .measurements import Measurement
-from .probability import DENOMINATOR_EPS
 
 __all__ = [
     "VARIANTS",
@@ -66,10 +65,6 @@ __all__ = [
 
 #: The four variants attached to each ordered pair of matrix units.
 VARIANTS = ("+", "-", "+i", "-i")
-
-#: Reconstructions whose spectrum dips below -PSD_CLIP_TOL are rejected
-#: as malformed rather than silently repaired.
-PSD_CLIP_TOL = 1e-6
 
 #: Largest dense complex array (in bytes) that tomography will allocate:
 #: the explicit operator family (64 d^6 bytes, so d <= 11).  Larger
@@ -169,7 +164,7 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     cross = (np.conj(_VARIANT_PHASES) * mat[:, :, None]).real
     weights = (diag[:, None, None] + diag[None, :, None]) + 2.0 * cross
     numerators = (weights / (8.0 * d**3)).reshape(-1)
-    numerators = np.where((numerators < 0.0) & (numerators > -1e-12), 0.0, numerators)
+    numerators = np.where((numerators < 0.0) & (numerators > -ATOL), 0.0, numerators)
     total = float(numerators.sum())
     if total <= DENOMINATOR_EPS:
         raise PostSelectionImpossibleError("tomography outcome weights vanish")
@@ -247,11 +242,11 @@ def reconstruct(
         )
     if not np.all(np.isfinite(p)):
         raise MalformedDataError("probabilities contain non-finite entries")
-    if float(p.min()) < -1e-9:
+    if float(p.min()) < -_LOAD_NORM_ATOL:
         raise MalformedDataError(f"probabilities contain negative entries (min {p.min():.3e})")
     with np.errstate(over="ignore"):  # a sum past float64 reads inf and fails
         total = float(p.sum())
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > _LOAD_NORM_ATOL:
         raise MalformedDataError(f"probabilities sum to {total!r}, expected 1")
 
     if method not in ("polarization", "lstsq"):

@@ -24,14 +24,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, DensityVector, KrausOperator, TwoTimeState, hermiticity_defect
+from .core import ATOL, DENOMINATOR_EPS, DensityVector, KrausOperator, TwoTimeState
+from .core import hermiticity_defect
 from .errors import (
     DimensionMismatchError,
     NoEquivalentStateError,
     NotHermitianError,
     UndefinedWeakValueError,
 )
-from .probability import DENOMINATOR_EPS
 
 __all__ = [
     "WeakValueVector",

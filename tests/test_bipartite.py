@@ -40,6 +40,7 @@ from twotime import (
     state_from_bipartite,
     state_to_bipartite,
 )
+from twotime.bipartite import _outcome_images
 
 
 def bell_basis_povm(d):
@@ -168,6 +169,19 @@ def test_completeness_and_partial_trace_agree(rng):
         ok_scaled, _ = check_completeness(scaled)
         assert not ok_scaled
         assert measurement_partial_trace_defect(scaled) > 1e-6
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_outcome_images_are_the_per_outcome_images_bit_for_bit(rng, d):
+    for scale, sizes in ((1.0, [1, 1, 1]), (1e-7, [2, 1, 3]), (1e6, [1] * 12)):
+        ops = [KrausOperator(scale * random_kraus(rng, d).entries) for _ in range(sum(sizes))]
+        ends = np.cumsum(sizes).tolist()
+        m = Measurement.from_kraus_sets([ops[lo:hi] for lo, hi in zip([0] + ends, ends)])
+        images = _outcome_images(m)
+        reference = [kdv_to_bipartite(kraus_density_vector(out)).op for out in m.outcomes]
+        assert images.tobytes() == np.stack(reference).tobytes()
+        assert measurement_partial_trace_defect(images) == measurement_partial_trace_defect(
+            reference)
 
 
 def test_povm_overweights_by_the_dimension():

@@ -1,5 +1,7 @@
 """The batch CLI: output formats, exit codes, seeds, error reporting."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -11,8 +13,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from conftest import E0, E1, equal_mixture_density, equal_superposition_state, random_density
+from conftest import (
+    E0,
+    E1,
+    equal_mixture_density,
+    equal_superposition_state,
+    random_coarse_measurement,
+    random_complete_measurement,
+    random_density,
+    random_ensemble,
+    random_state,
+)
 from twotime import (
+    KrausOperator,
     Measurement,
     build_tomography_set,
     density_from_ensemble,
@@ -613,6 +626,113 @@ def test_iso_measurement(capsys, docs):
     assert payload["object"] == "measurement"
     assert len(payload["operators"]) == 2
     assert payload["partial_trace_defect"] <= 1e-10
+
+
+# ---------------------------------------------------------------------------
+# Mutated canonical documents: every subcommand ends in exit status 0, 2
+# or 3, and a failure prints exactly one JSON error line.
+
+#: Replacement leaves: both ends of float64, subnormals, the values json
+#: writes as NaN and Infinity, and integers past int64 and float64.
+EDGE_LEAVES = (
+    1.7976931348623157e308, -1.7976931348623157e308, 1e308, 2.2250738585072014e-308,
+    5e-324, -5e-324, math.nan, math.inf, -math.inf, -0.0, 0,
+    2**63, -(2**63) - 1, 2**64, 10**400, -(10**400),
+)
+
+#: One invocation per subcommand and input route; names of documents
+#: stand for their files and "dim" for the dimension.
+INVOCATIONS = (
+    ("prob", "--state", "state", "--measurement", "measurement"),
+    ("prob", "--ensemble", "ensemble", "--measurement", "measurement"),
+    ("prob", "--eta", "eta", "--measurement", "coarse"),
+    ("prob", "--eta", "eta", "--measurement", "coarse", "--coarse"),
+    ("tomography", "--dim", "dim", "--eta", "eta"),
+    ("tomography", "--dim", "dim", "--probs", "probs", "--method", "lstsq"),
+    ("simulate", "--ensemble", "ensemble", "--measurement", "measurement",
+     "--shots", "40", "--seed", "1"),
+    ("simulate", "--ensemble", "ensemble", "--policy", "policy", "--shots", "40", "--seed", "1"),
+    ("weak", "--state", "state", "--observable", "observable"),
+    ("weak", "--eta", "eta", "--observable", "observable"),
+    ("check", "--eta", "eta"),
+    ("check", "--measurement", "coarse"),
+    ("iso", "--eta", "eta"),
+    ("iso", "--measurement", "coarse"),
+)
+
+
+@pytest.fixture(scope="module")
+def canonical_inputs():
+    """The decoded canonical input documents of each subcommand, for d = 1..4."""
+    rng = np.random.default_rng(2024)
+    inputs = {}
+    for d in range(1, 5):
+        ens = random_ensemble(rng, d, n_members=3)
+        eta = density_from_ensemble(ens)
+        m = random_complete_measurement(rng, d, n_outcomes=3)
+        coarse = random_coarse_measurement(rng, d)
+        h = rng.normal(size=(d, d))
+        docs = {name: serialize_document(obj) for name, obj in (
+            ("state", random_state(rng, d)), ("ensemble", ens), ("eta", eta),
+            ("measurement", m), ("coarse", coarse), ("observable", KrausOperator(h + h.T)))}
+        probs = predict_probabilities(eta, build_tomography_set(d))
+        docs["probs"] = {"probabilities": probs.tolist()}
+        docs["policy"] = {"choice_probs": [0.25, 0.75],
+                          "measurements": [docs["measurement"], docs["coarse"]]}
+        inputs[d] = json.loads(json.dumps(docs))
+    return inputs
+
+
+def mutate(doc, data):
+    """``doc`` with one drawn subtree replaced by an edge leaf, deleted or duplicated."""
+    op = data.draw(st.sampled_from(("leaf", "delete", "duplicate")))
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        if parent is not None and op != "leaf" and data.draw(st.booleans()):
+            break
+        keys = list(node) if isinstance(node, dict) else range(len(node))
+        parent, key = node, data.draw(st.sampled_from(keys))
+        node = parent[key]
+    if parent is None:
+        return data.draw(st.sampled_from(EDGE_LEAVES))
+    if op == "leaf":
+        parent[key] = data.draw(st.one_of(st.sampled_from(EDGE_LEAVES), st.floats()))
+    elif op == "delete":
+        del parent[key]
+    elif isinstance(parent, list):
+        parent.insert(key, json.loads(json.dumps(node)))
+    else:
+        parent[f"{key}_"] = json.loads(json.dumps(node))
+    return doc
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_documents_end_in_a_typed_exit(canonical_inputs, tmp_path_factory, data):
+    d = data.draw(st.integers(1, 4))
+    invocation = data.draw(st.sampled_from(INVOCATIONS))
+    docs = json.loads(json.dumps(canonical_inputs[d]))
+    target = data.draw(st.sampled_from([t for t in invocation if t in docs]))
+    for _ in range(data.draw(st.integers(1, 3))):
+        docs[target] = mutate(docs[target], data)
+    folder = tmp_path_factory.mktemp("mutated")
+    argv = []
+    for token in invocation:
+        if token in docs:
+            path = folder / f"{token}.json"
+            path.write_text(json.dumps(docs[token]))
+            token = str(path)
+        argv.append(str(d) if token == "dim" else token)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        assert err.getvalue() == "" and out.getvalue().count("\n") == 1
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        error = json.loads(err.getvalue())["error"]
+        assert set(error) == {"code", "message"} and isinstance(error["message"], str)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,92 @@
+"""The tolerance table in ``twotime.core``: its values, its re-exports and its uniqueness."""
+
+import ast
+import math
+import pathlib
+import re
+
+import numpy as np
+import pytest
+
+import twotime
+from twotime import bipartite, cli, core, io, measurements, montecarlo, probability, states
+from twotime import tomography, weak_values
+
+#: Every entry of the table and its value.
+TABLE = {
+    "ATOL": 1e-12,
+    "PSD_ATOL": 1e-10,
+    "COMPLETENESS_ATOL": 1e-10,
+    "DENOMINATOR_EPS": 1e-14,
+    "PSD_CLIP_TOL": 1e-6,
+    "_LOAD_NORM_ATOL": 1e-9,
+    "_ZERO_NORM": 1e-14,
+    "_EIG_CUTOFF": 1e-12,
+    "_ZERO_BORN": 1e-300,
+    "_MIN_EXACT_NORM": math.sqrt(np.finfo(np.float64).tiny),
+    "_MAX_ENTRY": 1e150,
+}
+
+MODULES = (twotime, bipartite, cli, core, io, measurements, montecarlo, probability, states,
+           tomography, weak_values)
+
+SRC = pathlib.Path(core.__file__).parent
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+@pytest.mark.parametrize("name", sorted(TABLE))
+def test_every_entry_keeps_its_value(name):
+    value = getattr(core, name)
+    assert type(value) is float and value == TABLE[name]
+
+
+def test_public_entries_are_exported_from_core_and_their_old_homes():
+    public = [name for name in TABLE if not name.startswith("_")]
+    assert set(public) <= set(core.__all__) and set(public) <= set(twotime.__all__)
+    assert measurements.COMPLETENESS_ATOL is core.COMPLETENESS_ATOL
+    assert probability.DENOMINATOR_EPS is core.DENOMINATOR_EPS
+    assert tomography.PSD_CLIP_TOL is core.PSD_CLIP_TOL
+    assert "COMPLETENESS_ATOL" in measurements.__all__
+    assert "DENOMINATOR_EPS" in probability.__all__
+    assert "PSD_CLIP_TOL" in tomography.__all__
+
+
+@pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
+def test_every_module_binds_the_core_entry_itself(module):
+    for name in TABLE:
+        if hasattr(module, name):
+            assert getattr(module, name) is getattr(core, name), (module.__name__, name)
+
+
+#: Small float literals allowed outside core: the writer's documented
+#: lower domain bound is a property of the digit algorithm, not a tolerance.
+EXEMPT = {("_floattext.py", 1e-200)}
+
+
+def small_float_literals(path: pathlib.Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted((path.name, node.lineno, node.value) for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and isinstance(node.value, float)
+                  and 0.0 < abs(node.value) <= 1e-5 and (path.name, node.value) not in EXEMPT)
+
+
+def test_no_module_but_core_spells_a_tolerance():
+    found = [site for path in sorted(SRC.glob("*.py")) if path.name != "core.py"
+             for site in small_float_literals(path)]
+    assert found == []
+
+
+def test_the_literal_check_sees_literals(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("x = 1e-12\ny = -2e-9 * z\nw = 1e-200\nv = 1e-4\n")
+    assert small_float_literals(sample) == [("sample.py", 1, 1e-12), ("sample.py", 2, 2e-9),
+                                            ("sample.py", 3, 1e-200)]
+
+
+def test_readme_renders_the_table():
+    section = README.read_text(encoding="utf-8").split("## Tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.M))
+    assert set(rows) == set(TABLE)
+    for name, cell in rows.items():
+        if name != "_MIN_EXACT_NORM":
+            assert float(cell) == TABLE[name], name

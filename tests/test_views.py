@@ -8,7 +8,13 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from conftest import complex_gaussian, random_complete_measurement, random_ensemble, random_state
+from conftest import (
+    complex_gaussian,
+    random_coarse_measurement,
+    random_complete_measurement,
+    random_ensemble,
+    random_state,
+)
 from twotime import (
     Ensemble,
     KrausOperator,
@@ -92,6 +98,16 @@ def test_outcome_names_are_read_without_building_outcomes(rng, tmp_path, capsys)
     assert [o["name"] for o in sim["choices"][0]["outcomes"]] == ["up", "mid", "down"]
     with pytest.raises(AttributeError):
         m.names = ()
+
+
+def test_iso_measurement_builds_no_entry_object(rng, tmp_path, capsys):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(serialize_document(random_coarse_measurement(rng, 3))))
+    with entry_objects_built() as counts:
+        assert run_cli(["iso", "--measurement", str(path)]) == 0
+    assert not counts
+    payload = json.loads(capsys.readouterr().out)
+    assert np.array(payload["operators"]).shape == (2, 9, 9, 2)
 
 
 def assert_ensemble_views(ens):
