@@ -36,18 +36,20 @@ from .core import (
     KrausOperator,
     TwoTimeState,
     _as_square_complex,
-    _check_hermitian_psd,
-    _set_pair_matrix,
-    _side_of_pair_matrix,
+    _PairMatrix,
+    _hermitian_part,
     pair,
 )
 from .errors import DimensionMismatchError, NormalizationError
 from .measurements import (
     COMPLETENESS_ATOL,
     Measurement,
+    _checked_operators,
+    _kraus_density_stack,
     _kraus_set_from_psd_matrix,
     _measurement_of_sets,
     _post_selection_defect,
+    _summed,
     partial_normalization_defect,
 )
 
@@ -68,32 +70,20 @@ __all__ = [
 
 
 @dataclass(frozen=True, eq=False)
-class BipartiteDensity:
+class BipartiteDensity(_PairMatrix):
     """A density matrix on the doubled space: Hermitian, PSD, trace 1."""
 
     rho: np.ndarray
-
-    def __post_init__(self) -> None:
-        _set_pair_matrix(self, "rho", "bipartite density", unit_trace=True)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.rho.shape[0])
+    _field, _name, _trace_one = "rho", "bipartite density", True
 
 
 @dataclass(frozen=True, eq=False)
-class BipartiteOperator:
+class BipartiteOperator(_PairMatrix):
     """A positive operator on the doubled space (no trace constraint, so
     its tolerances scale as a :class:`~twotime.core.KrausDensityVector`'s)."""
 
     op: np.ndarray
-
-    def __post_init__(self) -> None:
-        _set_pair_matrix(self, "op", "bipartite operator", unit_trace=False)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.op.shape[0])
+    _field, _name, _trace_one = "op", "bipartite operator", False
 
 
 def state_to_bipartite(state: TwoTimeState) -> np.ndarray:
@@ -114,12 +104,12 @@ def state_from_bipartite(vector: np.ndarray) -> TwoTimeState:
 
 def density_to_bipartite(eta: DensityVector) -> BipartiteDensity:
     """The bipartite density matrix of a density vector: the same array."""
-    return BipartiteDensity(eta.mat)
+    return BipartiteDensity._from_psd(eta.mat)
 
 
 def bipartite_to_density(rho: BipartiteDensity) -> DensityVector:
     """Inverse of :func:`density_to_bipartite`."""
-    return DensityVector(rho.rho)
+    return DensityVector._from_psd(rho.rho)
 
 
 def kraus_to_bipartite_vector(op: KrausOperator) -> np.ndarray:
@@ -134,7 +124,7 @@ def kraus_to_bipartite_vector(op: KrausOperator) -> np.ndarray:
 
 def kdv_to_bipartite(kdv: KrausDensityVector) -> BipartiteOperator:
     """The positive bipartite operator of a Kraus density vector: ``conj(K)``."""
-    return BipartiteOperator(kdv.mat.conj())
+    return BipartiteOperator._from_psd(kdv.mat.conj())
 
 
 def pairing_equality_check(kdv: KrausDensityVector, eta: DensityVector) -> tuple[float, float, float]:
@@ -169,37 +159,18 @@ def measurement_partial_trace_defect(ops) -> float:
         return partial_normalization_defect(ops)
     mats = [_as_square_complex(getattr(op, "op", op), f"operator {idx}")
             for idx, op in enumerate(ops)]
-    return _post_selection_defect(_summed(mats))
+    return _post_selection_defect(_summed(mats, DimensionMismatchError("no operators to check")))
 
 
 def _outcome_images(m: Measurement) -> np.ndarray:
     """The stack of ``kdv_to_bipartite(kraus_density_vector(out)).op`` over the outcomes.
 
-    Built from each outcome's rows V of ``kraus_stack`` as ``V^T V*`` with
-    both constructors' symmetrizations, so bit for bit, but with no
+    The conjugate of the stacked Kraus density vectors, symmetrized once
+    more as :class:`BipartiteOperator` does (which turns the diagonal's
+    imaginary ``-0`` back into ``+0``), so bit for bit, but with no
     per-outcome object and no eigenvalue check: a Gram matrix is PSD.
     """
-    v = m.kraus_stack.reshape(len(m.kraus_stack), -1)
-    ends = np.cumsum(np.bincount(m.outcome_of)).tolist()
-    images = np.empty((len(ends), v.shape[1], v.shape[1]), dtype=np.complex128)
-    for mu, (lo, hi) in enumerate(zip([0] + ends, ends)):
-        kdv = v[lo:hi].T @ v[lo:hi].conj()
-        op = ((kdv + kdv.conj().T) / 2.0).conj()
-        images[mu] = (op + op.conj().T) / 2.0
-    return images
-
-
-def _summed(mats: list) -> np.ndarray:
-    """The sum of nonempty equal-shape (d^2, d^2) operators."""
-    if not mats:
-        raise DimensionMismatchError("no operators to check")
-    n = _side_of_pair_matrix(mats[0], "operators") ** 2
-    total = np.zeros((n, n), dtype=np.complex128)
-    for idx, mat in enumerate(mats):
-        if mat.shape != (n, n):
-            raise DimensionMismatchError(f"operator {idx} has shape {mat.shape}, expected {(n, n)}")
-        total += mat
-    return total
+    return _hermitian_part(_kraus_density_stack(m.kraus_stack, m.outcome_of).conj())
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,7 +206,9 @@ def povm_to_twotime(ops) -> PovmPullback:
     ops : sequence of BipartiteOperator or (d^2, d^2) arrays
         Positive operators summing to the identity on the doubled space
         (within ``COMPLETENESS_ATOL``); anything else raises
-        :class:`~twotime.errors.NormalizationError`.
+        :class:`~twotime.errors.NormalizationError`.  They are read and
+        checked as by :func:`~twotime.measurements.complete_operator_set`,
+        with absolute tolerances.
 
     The pullbacks ``conj(E_mu)`` sum to the full d^2-dimensional
     identity, whose partial contraction is ``d * I`` rather than ``I``:
@@ -244,14 +217,8 @@ def povm_to_twotime(ops) -> PovmPullback:
     rescaling, invisible to every probability ratio) yields the valid
     measurement returned alongside the raw pullbacks.
     """
-    mats = [
-        _check_hermitian_psd(_as_square_complex(getattr(op, "op", op), f"operator {idx}"),
-                             f"operator {idx}")
-        for idx, op in enumerate(ops)
-    ]
-    if not mats:
-        raise DimensionMismatchError("empty operator set")
-    total = _summed(mats)
+    mats, total = _checked_operators(
+        ops, relative=False, empty=DimensionMismatchError("empty operator set"))
     n = total.shape[0]
     d = math.isqrt(n)
     id_defect = float(np.max(np.abs(total - np.eye(n))))
@@ -260,7 +227,7 @@ def povm_to_twotime(ops) -> PovmPullback:
             f"operators do not sum to the identity (defect {id_defect:.3e}); not a POVM"
         )
 
-    kdvs = tuple(KrausDensityVector(mat.conj()) for mat in mats)
+    kdvs = tuple(KrausDensityVector._from_psd(mat.conj()) for mat in mats)
     # The pullbacks sum to conj(total), which has the same defect.
     defect = _post_selection_defect(total, d)
 

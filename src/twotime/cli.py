@@ -149,15 +149,19 @@ def _emit(args, payload: dict, csv_rows) -> None:
 # ---------------------------------------------------------------------------
 # Input helpers.
 
-def _load(path: str, kind: str, flag: str):
+def _read_json(path: str, flag: str):
+    """The JSON value of the UTF-8 file at ``path``; a read or decode failure names ``flag``."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            return _loads(fh.read())
     except OSError as exc:
         raise ValidationError(f"{flag}: cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, malformed or too deeply nested JSON
         raise SchemaError(f"{flag}: malformed JSON: {exc}") from exc
-    obj = parse_document(text)
+
+
+def _load(path: str, kind: str, flag: str):
+    obj = parse_document(_read_json(path, flag))
     actual = _kind_of(obj)
     if actual != kind:
         raise ValidationError(
@@ -244,13 +248,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
     if args.probs:
         if args.shots is not None or args.seed is not None:
             raise _UsageError("--shots/--seed apply to --eta inputs only")
-        try:
-            with open(args.probs, "r", encoding="utf-8") as fh:
-                raw = _loads(fh.read())
-        except OSError as exc:
-            raise ValidationError(f"--probs: cannot read {args.probs}: {exc}") from exc
-        except (ValueError, RecursionError) as exc:
-            raise SchemaError(f"--probs: malformed JSON: {exc}") from exc
+        raw = _read_json(args.probs, "--probs")
         if isinstance(raw, dict):
             raw = raw.get("probabilities")
         if not isinstance(raw, list):
@@ -300,13 +298,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
 
 
 def _policy_from_file(path: str) -> ObserverPolicy:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = _loads(fh.read())
-    except OSError as exc:
-        raise ValidationError(f"--policy: cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise SchemaError(f"--policy: malformed JSON: {exc}") from exc
+    raw = _read_json(path, "--policy")
     if not isinstance(raw, dict):
         raise SchemaError("--policy: expected an object with 'choice_probs' and 'measurements'")
     probs = raw.get("choice_probs")

@@ -181,6 +181,16 @@ def _side_of_pair_matrix(mat: np.ndarray, name: str) -> int:
     return d
 
 
+def _hermitian_part(mat: np.ndarray) -> np.ndarray:
+    """``(mat + mat^dag) / 2`` over the last two axes; halved first where the sum overflows."""
+    adj = np.swapaxes(mat, -1, -2).conj()
+    with np.errstate(over="ignore", invalid="ignore"):
+        herm = (mat + adj) / 2.0
+    if not np.isfinite(herm).all():
+        herm = mat / 2.0 + adj / 2.0
+    return herm
+
+
 def _check_hermitian_psd(mat: np.ndarray, name: str, relative: bool = False) -> np.ndarray:
     """Validate Hermiticity and positivity, return the symmetrized array.
 
@@ -191,13 +201,10 @@ def _check_hermitian_psd(mat: np.ndarray, name: str, relative: bool = False) -> 
     scale = max(1.0, float(np.abs(mat.diagonal()).max())) if relative else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
         defect = hermiticity_defect(mat)
-        sym = (mat + mat.conj().T) / 2.0
     if defect > ATOL * scale:
         raise NotHermitianError(
             f"{name} is not Hermitian: defect {defect:.3e} exceeds {ATOL * scale}")
-    if not np.isfinite(sym.view(np.float64)).all():  # a sum beyond float64: halve first
-        sym = mat / 2.0 + mat.conj().T / 2.0
-    mat = sym
+    mat = _hermitian_part(mat)
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     if min_eig < -PSD_ATOL * scale:
         raise NotPositiveError(
@@ -217,21 +224,44 @@ def _unit_trace(mat: np.ndarray, name: str) -> np.ndarray:
     return _freeze(mat)
 
 
-def _set_pair_matrix(obj, field: str, name: str, *, unit_trace: bool) -> None:
-    """Validate ``obj.field`` as a (d^2, d^2) Hermitian PSD matrix and store it frozen.
+class _PairMatrix:
+    """A (d^2, d^2) Hermitian PSD matrix in one field, checked once and stored frozen.
 
-    The one check behind :class:`DensityVector`,
-    :class:`KrausDensityVector` and the bipartite density and operator.
-    A ``unit_trace`` matrix is held to the absolute ``ATOL`` and
-    ``PSD_ATOL`` and stored rescaled to trace exactly 1; any other has an
-    unconstrained trace, so its tolerances scale with its largest
-    diagonal entry.  ``field`` names the argument in shape and finiteness
-    errors, ``name`` the object in the others.
+    The base of :class:`DensityVector`, :class:`KrausDensityVector` and
+    the bipartite density and operator.  ``_field`` names the field and
+    the argument in shape and finiteness errors, ``_name`` the object in
+    the others.  A ``_trace_one`` matrix is held to the absolute ``ATOL``
+    and ``PSD_ATOL`` and stored rescaled to trace exactly 1; any other
+    has an unconstrained trace, so its tolerances scale with its largest
+    diagonal entry.
     """
-    mat = _as_square_complex(getattr(obj, field), field)
-    _side_of_pair_matrix(mat, name)
-    mat = _check_hermitian_psd(mat, name, relative=not unit_trace)
-    object.__setattr__(obj, field, _unit_trace(mat, name) if unit_trace else _freeze(mat))
+
+    def __post_init__(self) -> None:
+        mat = _as_square_complex(getattr(self, self._field), self._field)
+        _side_of_pair_matrix(mat, self._name)
+        self._store(_check_hermitian_psd(mat, self._name, relative=not self._trace_one))
+
+    @classmethod
+    def _from_psd(cls, mat: np.ndarray):
+        """``cls(mat)`` for a finite ``mat`` that is Hermitian PSD by construction.
+
+        Such as a Gram matrix ``V^T V*``, a clipped ``eigh``, or the
+        conjugate of a checked matrix, with trace 1 within
+        ``_LOAD_NORM_ATOL`` where ``cls`` needs it.  It skips the
+        Hermiticity and ``eigvalsh`` checks and stores the bit-identical
+        array: the same symmetrization and trace rescale.
+        """
+        obj = object.__new__(cls)
+        obj._store(_hermitian_part(mat))
+        return obj
+
+    def _store(self, mat: np.ndarray) -> None:
+        mat = _unit_trace(mat, self._name) if self._trace_one else _freeze(mat)
+        object.__setattr__(self, self._field, mat)
+
+    @property
+    def dim(self) -> int:
+        return math.isqrt(getattr(self, self._field).shape[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,7 +356,7 @@ def identity_two_time_vector(dim: int) -> KrausOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityVector:
+class DensityVector(_PairMatrix):
     """A mixture of two-time states in vectorized form.
 
     ``mat`` is the (d^2, d^2) array ``sum_r p_r vec(state_r) vec(state_r)^dag``
@@ -339,29 +369,7 @@ class DensityVector:
     """
 
     mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        _set_pair_matrix(self, "mat", "density vector", unit_trace=True)
-
-    @classmethod
-    def _from_psd(cls, mat: np.ndarray) -> "DensityVector":
-        """A density vector from a matrix that is Hermitian and PSD by construction.
-
-        Precondition: ``mat`` is a (d^2, d^2) complex128 array built
-        as ``W diag(lam) W^dag`` from eigenpairs with every ``lam >= 0``
-        (for example a clipped ``eigh``), with trace 1 within
-        ``_LOAD_NORM_ATOL``.  It skips the Hermiticity and ``eigvalsh``
-        checks, which such an array passes by construction, and stores
-        the bit-identical array ``DensityVector(mat)`` would: the same
-        symmetrization and trace rescale.
-        """
-        eta = object.__new__(cls)
-        object.__setattr__(eta, "mat", _unit_trace((mat + mat.conj().T) / 2.0, "density vector"))
-        return eta
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.mat.shape[0])
+    _field, _name, _trace_one = "mat", "density vector", True
 
     @classmethod
     def from_pure(cls, state: TwoTimeState) -> "DensityVector":
@@ -370,7 +378,7 @@ class DensityVector:
 
 
 @dataclass(frozen=True, eq=False)
-class KrausDensityVector:
+class KrausDensityVector(_PairMatrix):
     """A Kraus family in vectorized form: ``sum_chi vec(A_chi) vec(A_chi)^dag``.
 
     Hermitian and positive semidefinite by construction; unlike a
@@ -379,13 +387,7 @@ class KrausDensityVector:
     """
 
     mat: np.ndarray
-
-    def __post_init__(self) -> None:
-        _set_pair_matrix(self, "mat", "Kraus density vector", unit_trace=False)
-
-    @property
-    def dim(self) -> int:
-        return math.isqrt(self.mat.shape[0])
+    _field, _name, _trace_one = "mat", "Kraus density vector", False
 
 
 def _require_same_dim(a: int, b: int, what: str) -> None:

@@ -43,6 +43,7 @@ from .core import (
     _as_square_complex,
     _check_hermitian_psd,
     _freeze,
+    _hermitian_part,
     _side_of_pair_matrix,
 )
 from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
@@ -181,6 +182,25 @@ class Measurement:
         return cls(MeasurementOutcome(s, name) for s, name in zip(sets, names))
 
 
+def _kraus_density_stack(kraus_stack: np.ndarray, outcome_of: np.ndarray) -> np.ndarray:
+    """The (n_outcomes, d^2, d^2) stack of the outcomes' Kraus density vectors.
+
+    Entry mu is the Hermitian part of ``V^T V*``, V the vectorized
+    (consecutive) rows of ``kraus_stack`` whose ``outcome_of`` is mu: the
+    array :class:`KrausDensityVector` stores, bit for bit, with no
+    eigenvalue check, since a Gram matrix is PSD.
+    """
+    v = kraus_stack.reshape(len(kraus_stack), -1)
+    ends = np.cumsum(np.bincount(outcome_of)).tolist()
+    gram = np.empty((len(ends), v.shape[1], v.shape[1]), dtype=np.complex128)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        for mu, (lo, hi) in enumerate(zip([0] + ends, ends)):
+            gram[mu] = v[lo:hi].T @ v[lo:hi].conj()
+    if not np.isfinite(gram).all():
+        raise DegenerateInputError("Kraus density vector contains non-finite entries")
+    return _hermitian_part(gram)
+
+
 def kraus_density_vector(outcome) -> KrausDensityVector:
     """Vectorize one outcome: ``sum_chi vec(A_chi) vec(A_chi)^dag``.
 
@@ -192,8 +212,8 @@ def kraus_density_vector(outcome) -> KrausDensityVector:
         raise DegenerateInputError("cannot vectorize an empty Kraus set")
     if len({op.dim for op in ops}) != 1:
         raise DimensionMismatchError("Kraus operators have mixed dimensions")
-    v = np.array([op.entries.reshape(-1) for op in ops])
-    return KrausDensityVector(v.T @ v.conj())
+    stack = np.array([op.entries for op in ops])
+    return KrausDensityVector._from_psd(_kraus_density_stack(stack, np.zeros(len(ops), np.intp))[0])
 
 
 def _post_selection_defect(total: np.ndarray, factor: float = 1.0) -> float:
@@ -234,7 +254,8 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
 
     Two outcomes realized by different Kraus sets are the same physical
     outcome exactly when their vectorized forms coincide.  Comparison is
-    positional; mismatched outcome counts (or dimensions) raise.
+    positional, of the two stacks of Kraus density vectors at once;
+    mismatched outcome counts (or dimensions) raise.
     """
     if m1.dim != m2.dim:
         raise DimensionMismatchError(f"dimensions differ: {m1.dim} != {m2.dim}")
@@ -242,12 +263,36 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
         raise ValidationError(
             f"outcome counts differ: {m1.n_outcomes} != {m2.n_outcomes}"
         )
-    for out1, out2 in zip(m1.outcomes, m2.outcomes):
-        k1 = kraus_density_vector(out1).mat
-        k2 = kraus_density_vector(out2).mat
-        if float(np.max(np.abs(k1 - k2))) > atol:
-            return False
-    return True
+    k1, k2 = (_kraus_density_stack(m.kraus_stack, m.outcome_of) for m in (m1, m2))
+    return float(np.max(np.abs(k1 - k2))) <= atol
+
+
+def _checked_operators(ops, *, relative: bool, empty: Exception) -> tuple[list, np.ndarray]:
+    """The symmetrized (d^2, d^2) operators ``ops``, each checked once, and their sum.
+
+    Reads each entry as an array or as an object's ``.op`` or ``.mat``
+    array, named "operator idx", and checks it as Hermitian PSD, with
+    tolerances scaled by ``relative`` as in ``_check_hermitian_psd``.
+    """
+    mats = []
+    for idx, op in enumerate(ops):
+        name = f"operator {idx}"
+        arr = _as_square_complex(getattr(op, "op", getattr(op, "mat", op)), name)
+        mats.append(_check_hermitian_psd(arr, name, relative=relative))
+    return mats, _summed(mats, empty)
+
+
+def _summed(mats: list, empty: Exception) -> np.ndarray:
+    """The sum of equal-shape (d^2, d^2) operators; raises ``empty`` for none."""
+    if not mats:
+        raise empty
+    n = _side_of_pair_matrix(mats[0], "operators") ** 2
+    total = np.zeros((n, n), dtype=np.complex128)
+    for idx, mat in enumerate(mats):
+        if mat.shape != (n, n):
+            raise DimensionMismatchError(f"operator {idx} has shape {mat.shape}, expected {(n, n)}")
+        total += mat
+    return total
 
 
 def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> np.ndarray:
@@ -258,7 +303,7 @@ def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> 
     realization is always a valid, possibly trivial, outcome).
     """
     d = _side_of_pair_matrix(mat, "vectorized operator")
-    lam, w = np.linalg.eigh((mat + mat.conj().T) / 2.0)
+    lam, w = np.linalg.eigh(_hermitian_part(mat))
     keep = lam > cutoff
     if not keep.any():
         return np.zeros((1, d, d), dtype=np.complex128)
@@ -319,19 +364,10 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
     weights ``tr(E_mu rho) / sum_nu tr(E_nu rho)`` for every state, and
     those ratios are independent of the chosen scale.
     """
-    arrays = []
-    for idx, raw in enumerate(ops):
-        name = f"operator {idx}"
-        arr = _as_square_complex(getattr(raw, "op", getattr(raw, "mat", raw)), name)
-        arrays.append(_check_hermitian_psd(arr, name, relative=True))
-    if not arrays:
-        raise DegenerateInputError("cannot complete an empty operator set")
-    n = arrays[0].shape[0]
-    d = _side_of_pair_matrix(arrays[0], "operators")
-    if any(arr.shape[0] != n for arr in arrays):
-        raise DimensionMismatchError("operators have mixed shapes")
-
-    total = sum(arrays)
+    arrays, total = _checked_operators(
+        ops, relative=True, empty=DegenerateInputError("cannot complete an empty operator set"))
+    n = total.shape[0]
+    d = math.isqrt(n)
     max_eig = float(np.linalg.eigvalsh(total)[-1])
     if max_eig <= _EIG_CUTOFF:
         raise DegenerateInputError("operator set sums to zero; nothing to complete")

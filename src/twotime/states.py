@@ -216,7 +216,7 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
         # keeps the reduced axis out of numpy's pairwise inner loop,
         # which it would otherwise take when d = 1.
         terms[0] = np.add.reduce(terms[:len(vb) + 1].view(np.float64), axis=0).view(np.complex128)
-    return DensityVector(terms[0])
+    return DensityVector._from_psd(terms[0])
 
 
 def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) -> Ensemble:

@@ -81,6 +81,20 @@ def random_bloch_projector(rng):
     return np.outer(v, v.conj())
 
 
+def bell_basis_povm(d):
+    """The d^2 maximally entangled basis projectors on the doubled space."""
+    shift = np.roll(np.eye(d), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    phi = np.eye(d).reshape(-1) / np.sqrt(d)
+    ops = []
+    for m in range(d):
+        for n in range(d):
+            u = np.linalg.matrix_power(shift, m) @ np.linalg.matrix_power(clock, n)
+            v = np.kron(u, np.eye(d)) @ phi
+            ops.append(np.outer(v, v.conj()))
+    return ops
+
+
 def projective_measurement(projector):
     p = np.asarray(projector, dtype=complex)
     return Measurement.detailed([KrausOperator(p), KrausOperator(np.eye(len(p)) - p)])

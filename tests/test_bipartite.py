@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     E0,
     E1,
+    bell_basis_povm,
     equal_superposition_state,
     random_complete_measurement,
     random_density,
@@ -41,20 +42,6 @@ from twotime import (
     state_to_bipartite,
 )
 from twotime.bipartite import _outcome_images
-
-
-def bell_basis_povm(d):
-    """The d^2 maximally entangled basis projectors on the doubled space."""
-    shift = np.roll(np.eye(d), 1, axis=0)
-    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    phi = np.eye(d).reshape(-1) / np.sqrt(d)
-    ops = []
-    for m in range(d):
-        for n in range(d):
-            u = np.linalg.matrix_power(shift, m) @ np.linalg.matrix_power(clock, n)
-            v = np.kron(u, np.eye(d)) @ phi
-            ops.append(np.outer(v, v.conj()))
-    return ops
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +224,17 @@ def test_raw_operators_fail_with_typed_errors(call, error):
     # numpy routine can raise its own exception or return NaN.
     with pytest.raises(error):
         call()
+
+
+def test_povm_operators_are_read_from_op_mat_or_arrays():
+    # One reader serves povm_to_twotime and complete_operator_set.  The
+    # pullbacks conj(E_mu) (objects with a .mat) resolve the identity too,
+    # and pull back to the POVM itself.
+    povm = bell_basis_povm(2)
+    res = povm_to_twotime([BipartiteOperator(e) for e in povm])
+    again = povm_to_twotime(res.kdvs)
+    assert max(np.max(np.abs(k.mat - e)) for k, e in zip(again.kdvs, povm)) <= 1e-15
+    assert complete_operator_set(res.kdvs).scale == pytest.approx(1.0)
 
 
 def test_povm_rejects_non_resolving_sets():

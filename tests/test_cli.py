@@ -495,6 +495,41 @@ def test_deeply_nested_json_is_a_schema_error(capsys, docs, tmp_path, flag):
 # ---------------------------------------------------------------------------
 # check and iso.
 
+#: Every flag that names an input file, in a call where it is read, with
+#: "bad" standing for the file under test; --probs and --policy are read
+#: after --ensemble, and --state, --ensemble and --eta before --measurement.
+FILE_FLAG_CALLS = {
+    "--state": ["prob", "--state", "bad", "--measurement", "measurement"],
+    "--ensemble": ["simulate", "--ensemble", "bad", "--measurement", "measurement",
+                   "--shots", "10", "--seed", "1"],
+    "--eta": ["check", "--eta", "bad"],
+    "--measurement": ["simulate", "--ensemble", "ensemble", "--measurement", "bad",
+                      "--shots", "10", "--seed", "1"],
+    "--observable": ["weak", "--observable", "bad", "--state", "state"],
+    "--probs": ["tomography", "--dim", "2", "--probs", "bad"],
+    "--policy": ["simulate", "--ensemble", "ensemble", "--policy", "bad",
+                 "--shots", "10", "--seed", "1"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(FILE_FLAG_CALLS))
+@pytest.mark.parametrize("content, reason", [
+    (b'{"format_version": "1", "kind": ', "malformed JSON: Expecting value"),
+    (b"\xff\xfe{}", "malformed JSON: 'utf-8' codec can't decode"),
+    (None, "cannot read"),
+], ids=["malformed", "utf16", "missing"])
+def test_every_file_read_or_decode_failure_names_its_flag(capsys, docs, tmp_path, flag,
+                                                          content, reason):
+    bad = tmp_path / "bad.json"
+    if content is not None:
+        bad.write_bytes(content)
+    argv = [str(bad) if a == "bad" else docs.get(a, a) for a in FILE_FLAG_CALLS[flag]]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert error_code(err) == ("validation" if content is None else "schema")
+    assert json.loads(err)["error"]["message"].startswith(f"{flag}: {reason}")
+
+
 def test_check_density(capsys, docs):
     payload = run_json(capsys, ["check", "--eta", docs["eta"]])
     assert payload["object"] == "density_vector"

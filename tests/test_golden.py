@@ -18,11 +18,19 @@ repository root, with::
 It writes only files that do not exist yet, so adding a case never
 re-pins an existing one.  To re-pin a file after an intended output
 change, delete it first.
+
+Run every call through the installed ``twotime`` console script
+instead, one process per call, with::
+
+    python tests/test_golden.py --installed
 """
 
 import contextlib
 import io
 import json
+import os
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -123,26 +131,46 @@ def write_golden() -> None:
             (GOLDEN / name).write_text(out)
 
 
+def check_call(name, argv, code: int, out: str, err: str) -> None:
+    """Assert that one call of ``CALLS`` ended as pinned."""
+    if argv == ["--help"]:
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: twotime")
+    elif name is None:  # the usage error
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"]["code"] == "usage"
+    else:
+        assert (code, err) == (0, ""), argv
+        assert out.encode() == (GOLDEN / name).read_bytes(), name
+
+
+def check_installed_script() -> None:
+    """Run every call through the ``twotime`` console script on PATH and check it."""
+    script = shutil.which("twotime")
+    if script is None:
+        sys.exit("no twotime console script on PATH")
+    env = {key: value for key, value in os.environ.items() if key != "TWOTIME_SEED"}
+    for name, argv in CALLS:
+        proc = subprocess.run([script, *argv], capture_output=True, encoding="utf-8", env=env)
+        check_call(name, argv, proc.returncode, proc.stdout, proc.stderr)
+        print("ok", " ".join(argv[:1]), name or "")
+
+
 def test_cli_output_matches_golden_files(monkeypatch):
     monkeypatch.delenv("TWOTIME_SEED", raising=False)
     cli._build_parser.cache_clear()
     for (name, argv), (code, out, err) in zip(CALLS, run_calls()):
-        if argv == ["--help"]:
-            assert (code, err) == (0, "")
-            assert out.startswith("usage: twotime")
-        elif name is None:  # the usage error
-            assert (code, out) == (2, "")
-            assert json.loads(err)["error"]["code"] == "usage"
-        else:
-            assert (code, err) == (0, ""), argv
-            assert out.encode() == (GOLDEN / name).read_bytes(), name
+        check_call(name, argv, code, out, err)
     # One parser served the whole sequence.
     info = cli._build_parser.cache_info()
     assert (info.misses, info.hits) == (1, len(CALLS) - 1)
 
 
 if __name__ == "__main__":
-    if sys.argv[1:] != ["--write"]:
+    if sys.argv[1:] == ["--write"]:
+        write_inputs()
+        write_golden()
+    elif sys.argv[1:] == ["--installed"]:
+        check_installed_script()
+    else:
         sys.exit(__doc__)
-    write_inputs()
-    write_golden()

@@ -181,6 +181,16 @@ def test_distinct_measurements_are_unequal():
     assert not measurements_equal(projective_pair(), half_success_pair())
 
 
+def test_overflowing_kraus_density_vectors_fail_typed():
+    # Entries past 1e154 square beyond float64: the Gram matrix holds inf,
+    # which must not compare as equal or unequal.
+    m = Measurement.detailed([1e160 * np.eye(2)])
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        kraus_density_vector(m.outcomes[0])
+    with pytest.raises(DegenerateInputError, match="non-finite"):
+        measurements_equal(m, m)
+
+
 def test_equality_requires_matching_outcome_count():
     m1 = projective_pair()
     m2 = Measurement.detailed([np.eye(2)])

@@ -1,6 +1,7 @@
 """Property-based checks over machine-generated inputs."""
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -32,10 +33,15 @@ from twotime import (
     prob_pure,
     predict_probabilities,
     build_tomography_set,
+    measurements_equal,
+    povm_to_twotime,
     reconstruct,
     unvec,
     vec,
 )
+from twotime.bipartite import _outcome_images
+from twotime.core import _EIG_CUTOFF
+from twotime.measurements import _kraus_density_stack
 from twotime.probability import _contraction_weights, _numerators
 
 DIM = 2
@@ -272,3 +278,97 @@ def test_weak_value_vector_equals_the_partial_contraction(case):
     else:
         assert np.isfinite(state.coeffs.view(np.float64)).all()
         assert np.max(np.abs(state.coeffs - ref / np.linalg.norm(ref))) <= 1e-12 / np.linalg.norm(ref)
+
+
+# ---------------------------------------------------------------------------
+# The abstract's last two claims, read off the stacked Kraus density
+# vectors: the tomography is out of reach of weak and projective
+# measurements, and general two-time measurements and bipartite POVMs
+# are isomorphic.
+
+def hermitian_coordinates(stack):
+    """The (n, D^2) real coordinates of n Hermitian D x D matrices: the real
+    parts of the upper triangle and the imaginary parts of the strict one."""
+    upper, strict = np.triu_indices(stack.shape[-1]), np.triu_indices(stack.shape[-1], 1)
+    return np.concatenate([stack.real[:, upper[0], upper[1]], stack.imag[:, strict[0], strict[1]]],
+                          axis=1)
+
+
+def kraus_density_rank(m):
+    """The real rank of ``m``'s Kraus density vectors."""
+    return np.linalg.matrix_rank(hermitian_coordinates(_kraus_density_stack(m.kraus_stack,
+                                                                            m.outcome_of)))
+
+
+@st.composite
+def hermitian_kraus_family(draw):
+    """d <= 3 and d^2 (d^2 + 1) / 2 + 3 Hermitian Kraus operators: random,
+    weak (I + eps H), or projectors of random rank."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "weak", "projector"]))
+    eps = draw(st.sampled_from([1e-3, 1e-1, 0.5]))
+    ops = []
+    for _ in range(d * d * (d * d + 1) // 2 + 3):
+        h = random_hermitian(rng, d)
+        if kind == "weak":
+            h = np.eye(d) + eps * h
+        elif kind == "projector":
+            q, _ = np.linalg.qr(complex_gaussian(rng, (d, d)))
+            cols = q[:, :rng.integers(1, d + 1)]
+            h = cols @ cols.conj().T
+        ops.append(h)
+    return d, kind, ops
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(hermitian_kraus_family())
+def test_hermitian_kraus_families_reach_only_the_symmetric_subspace(case):
+    # vec(A) of a Hermitian A is fixed by swapping its indices and
+    # conjugating, so vec(A) vec(A)^dag lies in a subspace of real
+    # dimension d^2 (d^2 + 1) / 2 out of the d^4 that tomography needs.
+    d, kind, ops = case
+    bound = d * d * (d * d + 1) // 2
+    rank = kraus_density_rank(Measurement.detailed(ops))
+    assert rank <= bound
+    if kind != "projector":  # generic families reach the whole subspace
+        assert rank == bound
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tomography_kraus_density_vectors_reach_every_direction(d):
+    assert kraus_density_rank(build_tomography_set(d).measurement) == d ** 4
+
+
+@st.composite
+def bipartite_povm(draw):
+    """d <= 3 and a POVM on the doubled space: n positive operators summing
+    to the identity, all but the last with a drawn number of eigenvalues
+    scaled to 0 or near the Kraus realization cutoff."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    eps = draw(st.sampled_from([1.0, 0.0, 1e-15, 1e-13, 1e-12, 1e-11, 1e-9]))
+    n = draw(st.integers(1, 5))
+    parts = []
+    for i in range(n):
+        g = complex_gaussian(rng, (d * d, d * d))
+        s = np.ones(d * d)
+        if i < n - 1:
+            s[:draw(st.integers(0, d * d))] = eps
+        parts.append((g * s) @ g.conj().T)
+    lam, w = np.linalg.eigh(sum(parts))
+    root = (w / np.sqrt(lam)) @ w.conj().T  # (sum of parts)^(-1/2)
+    povm = [root @ f @ root for f in parts]
+    return d, [(e + e.conj().T) / 2.0 for e in povm]
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bipartite_povm())
+def test_bipartite_povms_round_trip_through_two_time_measurements(case):
+    d, povm = case
+    res = povm_to_twotime(povm)
+    images = d * _outcome_images(res.measurement)
+    # Only eigenvalues below the realization cutoff, d * _EIG_CUTOFF after
+    # rescaling, are lost on the way.
+    assert np.max(np.abs(images - np.stack(povm))) <= d * _EIG_CUTOFF + 1e-13
+    assert measurements_equal(res.measurement, povm_to_twotime(list(images)).measurement)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    bell_basis_povm,
     complex_gaussian,
     random_coarse_measurement,
     random_complete_measurement,
@@ -22,9 +23,15 @@ from twotime import (
     MeasurementOutcome,
     TwoTimeState,
     build_tomography_set,
+    complete_operator_set,
     density_from_ensemble,
+    density_to_bipartite,
     ensemble_from_density,
+    kdv_to_bipartite,
+    kraus_density_vector,
+    measurements_equal,
     parse_document,
+    povm_to_twotime,
     serialize_document,
 )
 from twotime.cli import run_cli
@@ -108,6 +115,43 @@ def test_iso_measurement_builds_no_entry_object(rng, tmp_path, capsys):
     assert not counts
     payload = json.loads(capsys.readouterr().out)
     assert np.array(payload["operators"]).shape == (2, 9, 9, 2)
+
+
+@contextmanager
+def eigvalsh_calls():
+    """Counts the ``np.linalg.eigvalsh`` calls made in the block."""
+    counts = Counter()
+    with mock.patch.object(np.linalg, "eigvalsh",
+                           _counting(counts, "eigvalsh", np.linalg.eigvalsh)):
+        yield counts
+
+
+def test_stacked_kraus_density_vectors_build_no_entry_and_run_no_eigvalsh(rng):
+    # Kraus density vectors are Gram matrices, PSD by construction: equality
+    # and pullbacks read them from the stack, with no per-outcome view.
+    m = build_tomography_set(3).measurement
+    povm = bell_basis_povm(3)
+    g = complex_gaussian(rng, (4, 4))
+    with entry_objects_built() as built, eigvalsh_calls() as calls:
+        assert measurements_equal(m, m)
+        assert calls["eigvalsh"] == 0  # 648 when each outcome's vector was checked
+        res = povm_to_twotime(povm)
+        assert calls["eigvalsh"] == 9  # one check per operator, not two
+        completed = complete_operator_set([g @ g.conj().T]).completed
+    assert not built
+    assert measurements_equal(res.measurement, povm_to_twotime(povm).measurement)
+    assert completed.n_outcomes == 2 and len(res.kdvs) == 9
+
+
+def test_images_of_checked_objects_run_no_eigvalsh(rng):
+    eta = density_from_ensemble(random_ensemble(rng, 3))
+    kdv = kraus_density_vector(random_coarse_measurement(rng, 3).outcomes[0])
+    with eigvalsh_calls() as calls:
+        density_from_ensemble(random_ensemble(rng, 3))
+        kraus_density_vector(random_coarse_measurement(rng, 3).outcomes[0])
+        density_to_bipartite(eta)
+        kdv_to_bipartite(kdv)
+    assert not calls
 
 
 def assert_ensemble_views(ens):
