@@ -23,8 +23,9 @@ Randomness contract
 -------------------
 One master seed (uint64) expands into a counter-based family of Philox
 streams: attempt ``t`` consumes row ``t % 65536`` of the (65536, 4)
-uniform block generated by ``Philox(key=[seed, t // 65536])``.  The
-four uniforms drive, in order: member draw, measurement choice, Kraus
+word block of ``Philox(key=[seed, t // 65536])``, read as 53-bit draws
+``m = word >> 11`` (``m * 2**-53`` is ``Generator.random``'s uniform).
+The four draws drive, in order: member draw, measurement choice, Kraus
 branch, success test.  The chunk size 65536 is part of the contract.
 Results therefore depend only on (seed, shots), bit-identically, no
 matter how attempts are partitioned across workers; partial tallies
@@ -32,11 +33,11 @@ merge by summation.
 
 Cost per chunk: the member, the measurement choice and the Kraus branch
 of every attempt are drawn by one exact guide-table inversion each
-(``_Inverse``), then the success test and the tallies take two gathers
-and two ``bincount`` calls; nothing is sorted or looped over per group.
-The inversion compares ``edge <= u`` as ``searchsorted(row, u,
-side="right")`` does and returns its index for every attempt, so no
-tally can move.
+(``_Inverse``; a bucket is a shift of m), then the success test and
+the tallies take two gathers and two ``bincount`` calls; nothing is
+sorted or looped over per group.  Every comparison is on integers: an
+edge or success probability c becomes ``E = min(ceil(c * 2**53),
+2**53)``, and ``c <= u`` exactly when ``E <= m``, so no tally can move.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Philox
 
 from .core import ATOL, _ZERO_BORN, KrausOperator, _as_int
 from .errors import (
@@ -225,9 +226,9 @@ class SimResult:
         return self.frequencies_for(0)
 
 
-def _uniforms(seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the per-seed uniform table (4 per attempt)."""
-    out = np.empty((stop - start, 4))
+def _draws(seed: int, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of the per-seed table of 53-bit int64 draws (4 per attempt)."""
+    parts = []
     pos = start
     while pos < stop:
         block_idx, first = divmod(pos, CHUNK)
@@ -235,9 +236,15 @@ def _uniforms(seed: int, start: int, stop: int) -> np.ndarray:
         bitgen = Philox(key=np.array([seed, block_idx], dtype=np.uint64))
         # One Philox counter step yields four 64-bit words: one row.
         bitgen.advance(first)
-        Generator(bitgen).random(out=out[pos - start:end - start])
+        parts.append(bitgen.random_raw((end - pos, 4)))
         pos = end
-    return out
+    m = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    return np.right_shift(m, 11, out=m).view(np.int64)
+
+
+def _grid(c: np.ndarray) -> np.ndarray:
+    """The int64 grid point E of ``c``: ``E <= m`` exactly when ``c <= m * 2**-53``."""
+    return np.minimum(np.ceil(c * 2.0**53), 2.0**53).astype(np.int64)
 
 
 #: Bytes of the ``collapsed`` intermediate that ``_Tables`` may hold for
@@ -250,50 +257,45 @@ _GUIDE_BYTES = 1 << 20
 
 
 class _Inverse:
-    """Exact ``searchsorted(cum[row], u, side="right")`` for arrays of (row, u).
+    """Exact ``searchsorted(cum[row], m * 2**-53, side="right")`` for arrays of (row, m).
 
     ``cum`` is (n_rows, width): nondecreasing rows padded with +inf to a
-    power-of-two width with at least one pad.  K is a power of two, so
-    bucket j = clip(floor(u K), -1, K) + 1 is exact, and an edge c lies at
-    or below the bucket's lower end (j - 1) / K (-inf for j = 0) exactly
-    when ``ceil(c K) + 1 <= j``.  ``guide[j]`` is that count of edges when
-    it equals the count at the bucket's upper end, which settles every u
-    in the bucket, and -1 otherwise; those draws run a branchless halving
-    search over their row.  Both routes count ``edge <= u`` as
-    ``searchsorted`` does, for any finite double u.
+    power-of-two width with at least one pad.  Its edges are kept as
+    ``_grid`` points E, so an edge counts for a draw m exactly when
+    ``E <= m``.  K = 2**(53 - shift) buckets split [0, 2**53) evenly, so a
+    draw's bucket is ``m >> shift``.  ``guide[j]`` counts the edges below
+    the bucket's upper end, which settles every m in it, or is -1 when an
+    edge lies inside it, above its lower end; those draws run a
+    branchless halving search over their row.
     """
 
     def __init__(self, cum: np.ndarray) -> None:
         n_rows, self.width = cum.shape
-        self.cum = cum.ravel()
+        self.cum = _grid(cum).ravel()
         k = 16 * self.width
-        while k > 1 and n_rows * (k + 3) * 8 > _GUIDE_BYTES:
+        while k > 1 and n_rows * (k + 1) * 8 > _GUIDE_BYTES:
             k //= 2
         self.k = k
-        first = np.clip(np.ceil(cum * k), 0, k + 1).astype(np.intp) + 1
-        first += np.arange(n_rows)[:, None] * (k + 3)
-        h = np.bincount(first.ravel(), minlength=n_rows * (k + 3)).reshape(n_rows, k + 3)
-        np.cumsum(h, axis=1, out=h)
-        guide = h[:, :-1].astype(np.min_scalar_type(-self.width))
-        guide[h[:, :-1] != h[:, 1:]] = -1
-        self.guide = guide.ravel()
+        self.shift = 53 - (k.bit_length() - 1)
+        rows = np.arange(n_rows).repeat(self.width)
+        j = self.cum >> self.shift  # the pads' E = 2**53 falls in an extra bucket K
+        h = np.bincount(j + rows * (k + 1), minlength=n_rows * (k + 1)).reshape(n_rows, k + 1)
+        self.guide = np.cumsum(h[:, :-1], axis=1).astype(np.min_scalar_type(-self.width)).ravel()
+        self.guide[(j + rows * k)[self.cum & ((1 << self.shift) - 1) != 0]] = -1
 
-    def __call__(self, u: np.ndarray, rows: np.ndarray | int = 0) -> np.ndarray:
-        j = u * self.k
-        np.floor(j, out=j)
-        np.clip(j, -1, self.k, out=j)
-        j = j.astype(np.intp)
-        j += rows * (self.k + 2) + 1
+    def __call__(self, m: np.ndarray, rows: np.ndarray | int = 0) -> np.ndarray:
+        j = m >> self.shift
+        j += rows * self.k
         found = self.guide[j]
         todo = np.flatnonzero(found < 0)
         found = found.astype(np.intp)
         if todo.size:
-            ut = u[todo]
-            start = np.broadcast_to(rows, u.shape)[todo] * self.width
+            mt = m[todo]
+            start = np.broadcast_to(rows, m.shape)[todo] * self.width
             pos = start.copy()
             step = self.width // 2
             while step:
-                pos += step * (self.cum[pos + (step - 1)] <= ut)
+                pos += step * (self.cum[pos + (step - 1)] <= mt)
                 step //= 2
             found[todo] = pos - start
         return found
@@ -310,7 +312,7 @@ def _stacked(blocks: list, width: int, fill) -> np.ndarray:
 def _inverse(cums: list) -> _Inverse:
     """``_Inverse`` of cumulative rows without their last edges, so a draw
     at or past the last edge takes the last index, as the clamp
-    ``min(searchsorted(row, u, side="right"), n - 1)`` would."""
+    ``min(searchsorted(row, m * 2**-53, side="right"), n - 1)`` would."""
     width = 1 << (max(c.shape[1] for c in cums) - 1).bit_length()
     return _Inverse(_stacked([c[:, :-1] for c in cums], width, np.inf))
 
@@ -323,7 +325,7 @@ class _Tables:
     Kraus branches and the post-selection success probability of each
     collapsed branch, one row per ensemble member.  ``branches`` inverts
     them, and ``success_at`` and ``tally_at`` give each branch's success
-    probability and flat (choice, member, outcome) tally index, in rows
+    grid point and flat (choice, member, outcome) tally index, in rows
     ``choice * n_members + member`` of ``branches.width`` entries.
     """
 
@@ -355,7 +357,7 @@ class _Tables:
             self.success.append(np.clip(succ, 0.0, 1.0))
         self.branches = _inverse(self.cum_branch)
         width = self.branches.width
-        self.success_at = _stacked(self.success, width, 0.0).ravel()
+        self.success_at = _grid(_stacked(self.success, width, 0.0)).ravel()
         rows = np.arange(len(self.success) * self.n_members).reshape(len(self.success), -1, 1)
         tally = [rows[c] * max(self.n_outcomes) + o for c, o in enumerate(self.outcome_of)]
         self.tally_at = _stacked(tally, width, 0).ravel()
@@ -367,11 +369,11 @@ def _accumulate(cfg: SimConfig, tables: _Tables, start: int, stop: int,
     pos = start
     while pos < stop:
         end = min(stop, pos + CHUNK - (pos % CHUNK))
-        u = _uniforms(cfg.seed, pos, end)
-        row = tables.choices(u[:, 1]) * tables.n_members + tables.members(u[:, 0])
+        m = _draws(cfg.seed, pos, end)
+        row = tables.choices(m[:, 1]) * tables.n_members + tables.members(m[:, 0])
         attempted += np.bincount(row, minlength=attempted.size)
-        at = tables.branches(u[:, 2], row) + row * tables.branches.width
-        wins = u[:, 3] < tables.success_at[at]
+        at = tables.branches(m[:, 2], row) + row * tables.branches.width
+        wins = m[:, 3] < tables.success_at[at]
         tally += np.bincount(tables.tally_at[at[wins]], minlength=tally.size)
         pos = end
 

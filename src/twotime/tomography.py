@@ -48,7 +48,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ATOL, DENOMINATOR_EPS, PSD_CLIP_TOL, _LOAD_NORM_ATOL, DensityVector, _as_int
+from .core import (
+    ATOL,
+    DENOMINATOR_EPS,
+    PSD_CLIP_TOL,
+    _LOAD_NORM_ATOL,
+    DensityVector,
+    _as_int,
+    _hermitian_part,
+)
 from .errors import MalformedDataError, PostSelectionImpossibleError, ValidationError
 from .measurements import Measurement
 
@@ -172,7 +180,7 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
 
 
 def _clip_to_density(raw: np.ndarray, d: int, clip_tol: float) -> DensityVector:
-    herm = (raw + raw.conj().T) / 2.0
+    herm = _hermitian_part(raw)
     lam, w = np.linalg.eigh(herm)
     if float(lam[0]) < -clip_tol:
         raise MalformedDataError(

@@ -67,6 +67,8 @@ CALLS = [
             "--format", "xml"]),
     ("tomography_probs.out", ["tomography", "--dim", "2", "--probs", _inp("probs.json")]),
     ("tomography_eta4.out", ["tomography", "--dim", "4", "--eta", _inp("random_eta4.json")]),
+    ("tomography_shots.out", ["tomography", "--dim", "2", "--eta", _inp("random_eta.json"),
+                              "--shots", "70000", "--seed", "11"]),
     ("simulate.json.out", ["simulate", "--ensemble", _inp("ensemble.json"),
                            "--policy", _inp("policy.json"), "--shots", "5000",
                            "--seed", "7"]),

@@ -311,7 +311,10 @@ def mask_simulate(cfg, ranges):
         pos = start
         while pos < stop:
             end = min(stop, pos + CHUNK - (pos % CHUNK))
-            u = montecarlo._uniforms(cfg.seed, pos, end)
+            block, first = divmod(pos, CHUNK)
+            bitgen = np.random.Philox(key=np.array([cfg.seed, block], dtype=np.uint64))
+            bitgen.advance(first)
+            u = np.random.Generator(bitgen).random((end - pos, 4))
             r_idx = np.minimum(np.searchsorted(cum_members, u[:, 0], side="right"),
                                n_members - 1)
             c_idx = np.minimum(np.searchsorted(cum_choices, u[:, 1], side="right"),
@@ -469,7 +472,7 @@ def test_success_probability_clip_removes_only_rounding(case):
 
 
 # ---------------------------------------------------------------------------
-# The guide-table inversion behind every table draw, and the uniform stream.
+# The guide-table inversion behind every table draw, and the draw stream.
 
 @st.composite
 def edge_rows(draw):
@@ -505,23 +508,20 @@ def edge_rows(draw):
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(cum=edge_rows(), extra=st.lists(st.floats(-2.0, 2.0), max_size=32))
+@given(cum=edge_rows(), extra=st.lists(st.integers(0, 2**53 - 1), max_size=32))
 def test_guide_inversion_equals_searchsorted(cum, extra):
     inv = montecarlo._Inverse(cum)
-    k = inv.k
-    grid = np.arange(-1, k + 2) / k
+    bounds = np.arange(inv.k + 1) << inv.shift
     edges = cum[np.isfinite(cum)]
-    u = np.concatenate([
-        grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
-        edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf),
-        [0.0, -0.0, 5e-324, -5e-324, -0.5 / k, 1.0 - 2**-53, 2.0, -3.5, 1e300, -1e300],
-        extra,
-    ])
+    grid = np.minimum(np.ceil(edges * 2.0**53), 2.0**53).astype(np.int64)
+    m = np.concatenate([bounds, grid, [0, 2**53 - 1], extra]).astype(np.int64)
+    m = np.concatenate([m - 1, m, m + 1])
+    m = m[(m >= 0) & (m < 2**53)]
     for r, row in enumerate(cum):
-        want = np.searchsorted(row, u, side="right")
-        assert np.array_equal(inv(u, np.full(u.shape, r)), want)
+        want = np.searchsorted(row, m * 2.0**-53, side="right")
+        assert np.array_equal(inv(m, np.full(m.shape, r)), want)
         if len(cum) == 1:
-            assert np.array_equal(inv(u), want)
+            assert np.array_equal(inv(m), want)
 
 
 def test_guide_inversion_settles_most_uniform_draws():
@@ -530,16 +530,16 @@ def test_guide_inversion_settles_most_uniform_draws():
     rng = np.random.default_rng(3)
     cum = np.cumsum(random_weights(rng, 64))
     inv = montecarlo._inverse([cum[None]])
-    u = rng.random(CHUNK)
-    j = np.floor(u * inv.k).astype(np.intp) + 1
-    assert np.mean(inv.guide[j] < 0) < 0.1
+    m = rng.integers(0, 2**53, CHUNK)
+    assert np.mean(inv.guide[m >> inv.shift] < 0) < 0.1
     # The table omits the last edge, so draws past it take the last index.
-    want = np.minimum(np.searchsorted(cum, u, side="right"), 63)
-    assert np.array_equal(inv(u), want)
-    assert np.array_equal(inv(np.array([cum[-1], 1.0, 2.0])), [63, 63, 63])
+    want = np.minimum(np.searchsorted(cum, m * 2.0**-53, side="right"), 63)
+    assert np.array_equal(inv(m), want)
+    assert np.array_equal(inv(np.array([2**53 - 1])), [63])
 
 
 def test_uniforms_match_slices_of_the_full_blocks():
+    # The draws are the 53-bit integers of Generator.random's uniforms.
     rng = np.random.default_rng(8)
     seed = int(rng.integers(0, 2**63))
     blocks = np.concatenate([
@@ -552,7 +552,29 @@ def test_uniforms_match_slices_of_the_full_blocks():
         start = int(rng.integers(0, 3 * CHUNK))
         ranges.append((start, int(rng.integers(start + 1, 3 * CHUNK + 1))))
     for start, stop in ranges:
-        assert np.array_equal(montecarlo._uniforms(seed, start, stop), blocks[start:stop])
+        m = montecarlo._draws(seed, start, stop)
+        assert m.dtype == np.int64
+        assert np.array_equal(m * 2.0**-53, blocks[start:stop])
+
+
+def test_success_test_is_exact_at_each_threshold(rng, monkeypatch):
+    # One draw at the first grid point of each Kraus branch, with a success
+    # draw at, and one either side of, the branch's threshold: each wins
+    # exactly when m * 2**-53 < success, as the uniforms would.
+    ens = Ensemble(((1.0, random_state(rng, 2)),))
+    cfg = SimConfig.fixed(ens, random_coarse_measurement(rng, 2, 2, 3), 18, 0)
+    tables = montecarlo._Tables(cfg)
+    cum, succ = tables.cum_branch[0][0], tables.success[0][0]
+    assert np.any(succ * 2.0**53 % 1.0 != 0.0)  # some threshold lies off the grid
+    draws = np.zeros((18, 4), dtype=np.int64)
+    draws[:, 2] = np.repeat(np.ceil(np.r_[0.0, cum[:-1]] * 2.0**53), 3)
+    draws[:, 3] = (np.ceil(succ * 2.0**53)[:, None] + [-1, 0, 1]).ravel()
+    monkeypatch.setattr(montecarlo, "_draws", lambda seed, start, stop: draws[start:stop])
+    branch = np.searchsorted(cum, draws[:, 2] * 2.0**-53, side="right")
+    assert np.array_equal(branch, np.repeat(np.arange(6), 3))
+    wins = draws[:, 3] * 2.0**-53 < succ[branch]
+    want = np.bincount(tables.outcome_of[0][branch[wins]], minlength=2)
+    assert np.array_equal(simulate(cfg).counts, want)
 
 
 def assert_matches_mask_loop(cfg):
@@ -593,7 +615,7 @@ def test_shot_loop_when_the_guide_byte_cap_binds(rng):
     )
     cfg = SimConfig(ens, policy, 30_000, 2026)
     inv = montecarlo._Tables(cfg).branches
-    n_rows = inv.guide.size // (inv.k + 2)
+    n_rows = inv.guide.size // inv.k
     # K is the largest power of two whose int64 counts fit the cap.
-    assert n_rows * (inv.k + 3) * 8 <= montecarlo._GUIDE_BYTES < n_rows * (2 * inv.k + 3) * 8
+    assert n_rows * (inv.k + 1) * 8 <= montecarlo._GUIDE_BYTES < n_rows * (2 * inv.k + 1) * 8
     assert_matches_mask_loop(cfg)

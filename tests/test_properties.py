@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -300,14 +300,9 @@ def kraus_density_rank(m):
                                                                             m.outcome_of)))
 
 
-@st.composite
-def hermitian_kraus_family(draw):
-    """d <= 3 and d^2 (d^2 + 1) / 2 + 3 Hermitian Kraus operators: random,
+def hermitian_family(d, kind, eps, rng):
+    """d, kind and d^2 (d^2 + 1) / 2 + 3 Hermitian Kraus operators: random,
     weak (I + eps H), or projectors of random rank."""
-    d = draw(st.integers(1, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    kind = draw(st.sampled_from(["random", "weak", "projector"]))
-    eps = draw(st.sampled_from([1e-3, 1e-1, 0.5]))
     ops = []
     for _ in range(d * d * (d * d + 1) // 2 + 3):
         h = random_hermitian(rng, d)
@@ -321,8 +316,22 @@ def hermitian_kraus_family(draw):
     return d, kind, ops
 
 
+@st.composite
+def hermitian_kraus_family(draw):
+    """A ``hermitian_family`` at d <= 3."""
+    d = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["random", "weak", "projector"]))
+    eps = draw(st.sampled_from([1e-3, 1e-1, 0.5]))
+    return hermitian_family(d, kind, eps, rng)
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(hermitian_kraus_family())
+@example(hermitian_family(4, "random", 0.5, np.random.default_rng(41)))
+@example(hermitian_family(4, "weak", 1e-3, np.random.default_rng(42)))
+@example(hermitian_family(4, "weak", 0.5, np.random.default_rng(43)))
+@example(hermitian_family(4, "projector", 0.5, np.random.default_rng(44)))
 def test_hermitian_kraus_families_reach_only_the_symmetric_subspace(case):
     # vec(A) of a Hermitian A is fixed by swapping its indices and
     # conjugating, so vec(A) vec(A)^dag lies in a subspace of real
@@ -335,7 +344,7 @@ def test_hermitian_kraus_families_reach_only_the_symmetric_subspace(case):
         assert rank == bound
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_tomography_kraus_density_vectors_reach_every_direction(d):
     assert kraus_density_rank(build_tomography_set(d).measurement) == d ** 4
 
