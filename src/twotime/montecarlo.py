@@ -247,10 +247,6 @@ def _grid(c: np.ndarray) -> np.ndarray:
     return np.minimum(np.ceil(c * 2.0**53), 2.0**53).astype(np.int64)
 
 
-#: Bytes of the ``collapsed`` intermediate that ``_Tables`` may hold for
-#: one block of ensemble members; bounds the table build's peak memory.
-_TABLE_BLOCK_BYTES = 1 << 21
-
 #: Bytes of the int64 counts an ``_Inverse`` guide is built from; bounds
 #: its bucket count K and the build's peak memory.
 _GUIDE_BYTES = 1 << 20
@@ -327,6 +323,12 @@ class _Tables:
     them, and ``success_at`` and ``tally_at`` give each branch's success
     grid point and flat (choice, member, outcome) tally index, in rows
     ``choice * n_members + member`` of ``branches.width`` entries.
+
+    The Born weight ``||alpha A^T||^2`` of branch A on member alpha pairs
+    Gram matrices, ``sum_jl (alpha^T alpha*)_jl (A^T A*)_jl``: O((r + o) d^3
+    + r o d^2) for r members and o branches.  The pairing can round a zero
+    weight below 0, so it is clamped there and ``cum_branch`` rows never
+    decrease.
     """
 
     def __init__(self, cfg: SimConfig) -> None:
@@ -335,19 +337,14 @@ class _Tables:
         self.members = _inverse([np.cumsum(cfg.ensemble.weights)[None]])
         self.choices = _inverse([np.cumsum(np.array(cfg.policy.choice_probs))[None]])
         coeffs = cfg.ensemble.coeff_stack
+        h = (coeffs.transpose(0, 2, 1) @ coeffs.conj()).reshape(self.n_members, -1)
         self.outcome_of = []
         self.n_outcomes = []
         self.cum_branch = []
         self.success = []
         for m in cfg.policy.measurements:
-            stack = m.kraus_stack
-            born = np.empty((self.n_members, len(stack)))
-            block = max(1, _TABLE_BLOCK_BYTES // (16 * stack.size))  # complex128 rows
-            for lo in range(0, self.n_members, block):
-                collapsed = np.einsum("rij,okj->roik", coeffs[lo:lo + block], stack)
-                born[lo:lo + block] = np.einsum(
-                    "roik,roik->ro", collapsed, collapsed.conj()
-                ).real
+            g = m.kraus_stack.transpose(0, 2, 1) @ m.kraus_stack.conj()
+            born = np.maximum((h @ g.reshape(len(g), -1).T).real, 0.0)
             with np.errstate(divide="ignore", invalid="ignore"):
                 succ = _contraction_weights(m, coeffs) / (d * born)
             succ[born <= _ZERO_BORN] = 0.0

@@ -179,7 +179,7 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     return numerators / total
 
 
-def _clip_to_density(raw: np.ndarray, d: int, clip_tol: float) -> DensityVector:
+def _clip_to_density(raw: np.ndarray, clip_tol: float) -> DensityVector:
     herm = _hermitian_part(raw)
     lam, w = np.linalg.eigh(herm)
     if float(lam[0]) < -clip_tol:
@@ -275,7 +275,7 @@ def reconstruct(
         r = t.sum(axis=0) + t.sum(axis=1) - 2.0 * t.diagonal()
         r += 4.0 * same[0] + 2.0 * same[2] + 2.0 * same[3]
         np.fill_diagonal(raw, n * (r - r.sum() / (2 * n + 1)) / (n + 1))
-    return _clip_to_density(raw, d, tol)
+    return _clip_to_density(raw, tol)
 
 
 def sampling_clip_tol(dim: int, successes: int) -> float:

@@ -69,6 +69,8 @@ CALLS = [
     ("tomography_eta4.out", ["tomography", "--dim", "4", "--eta", _inp("random_eta4.json")]),
     ("tomography_shots.out", ["tomography", "--dim", "2", "--eta", _inp("random_eta.json"),
                               "--shots", "70000", "--seed", "11"]),
+    ("tomography_shots4.out", ["tomography", "--dim", "4", "--eta", _inp("random_eta4.json"),
+                               "--shots", "140000", "--seed", "3"]),
     ("simulate.json.out", ["simulate", "--ensemble", _inp("ensemble.json"),
                            "--policy", _inp("policy.json"), "--shots", "5000",
                            "--seed", "7"]),

@@ -253,7 +253,7 @@ def test_lstsq_equals_the_dense_least_squares_solution(rng, d):
         # Noisy data is inconsistent, so the two methods differ on the
         # diagonal; the wide gate lets both reach the same clip.
         for p, tol in ((exact, PSD_CLIP_TOL), (noisy(rng, exact), 1.0)):
-            ref = _clip_to_density(dense_lstsq(p, d), d, tol)
+            ref = _clip_to_density(dense_lstsq(p, d), tol)
             got = reconstruct(p, d, method="lstsq", clip_tol=tol)
             assert np.max(np.abs(got.mat - ref.mat)) <= 1e-14
 
