@@ -24,7 +24,7 @@ import numpy as np
 
 from ._floattext import dumps_array
 from .bipartite import _outcome_images, density_to_bipartite, measurement_partial_trace_defect
-from .core import hermiticity_defect
+from .core import PSD_CLIP_TOL, hermiticity_defect
 from .errors import (
     DomainError,
     PostSelectionImpossibleError,
@@ -287,10 +287,8 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
                 successes=result.successes,
             )
         payload["probabilities"] = np.asarray(probs, dtype=np.float64)
-    if clip_tol is None:
-        rec = reconstruct(probs, dim, method=args.method)
-    else:
-        rec = reconstruct(probs, dim, method=args.method, clip_tol=clip_tol)
+    rec = reconstruct(probs, dim, method=args.method,
+                      clip_tol=PSD_CLIP_TOL if clip_tol is None else clip_tol)
     payload["reconstruction"] = _complex_pairs(rec.mat)
     if eta is not None:
         payload["round_trip_error"] = float(np.linalg.norm(rec.mat - eta.mat))

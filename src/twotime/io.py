@@ -15,11 +15,14 @@ field-identical for every valid document.
 
 ``_KINDS`` maps each kind to its type, and for a single-matrix kind to
 its payload field, array attribute and side; parsing, serialization
-and the CLI all read it.  An ensemble or a measurement is read by one
-loop over its members or outcomes, which checks their fields and
-collects their matrices; :func:`_matrices` then reads those as one
-stack.  So a document with several faults reports a field error before
-an entry error, and an entry error before a norm error.
+and the CLI all read it.  Every matrix of a document is read by
+:func:`_matrices`, as one stack: a single-matrix kind's as a stack of
+one, an operator set's operators as one stack, and an ensemble's or a
+measurement's after one loop over its members or outcomes has checked
+their fields and collected their matrices.  So a document with several
+faults reports a field error before an entry error, and an entry error
+before a norm error or an operator's invariant error: a malformed
+operator 1 of an operator set before a non-positive operator 0.
 
 JSON text is decoded by :func:`_loads`: orjson when a byte-level guard
 shows it reads the text exactly as ``json.loads`` does, ``json.loads``
@@ -136,74 +139,6 @@ def _complex(node: Any, path: str) -> complex:
     raise _fail(path, "expected a complex number as [re, im] (or a plain real number)")
 
 
-def _pair_matrix(node: list, cols: int) -> np.ndarray | None:
-    """``node`` as a matrix if it is the canonical form, else None.
-
-    The canonical form is rows of ``cols`` ``[re, im]`` pairs whose
-    leaves are finite JSON numbers (exactly ``float`` or ``int``, so not
-    ``bool``).  Its float64 leaves are viewed as complex128, which keeps
-    every bit, the sign of zero included (``re + 1j * im`` would not).
-    Anything else returns None, and the per-entry loop in :func:`_matrix`
-    parses it or reports the offending entry's JSON path.
-    """
-    if set(map(type, node)) != {list} or set(map(len, node)) != {cols}:
-        return None
-    entries = list(chain.from_iterable(node))
-    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
-        return None
-    leaves = list(chain.from_iterable(entries))
-    if not set(map(type, leaves)) <= {float, int}:
-        return None
-    try:
-        flat = np.array(leaves, dtype=np.float64)
-    except OverflowError:
-        return None
-    if not np.isfinite(flat).all():
-        return None
-    return flat.view(np.complex128).reshape(len(node), cols)
-
-
-def _pair_stack(mats: list, d: int) -> np.ndarray | None:
-    """The (n, d, d) stack of ``mats`` if each is a canonical d x d matrix, else None.
-
-    One :func:`_pair_matrix` pass reads the rows of every matrix.  None
-    also when a part exceeds ``_MAX_ENTRY``, which :func:`_bounded_matrix`
-    reports with its entry's JSON path.
-    """
-    if not all(type(m) is list and len(m) == d for m in mats):
-        return None
-    flat = _pair_matrix(list(chain.from_iterable(mats)), d)
-    if flat is None or np.abs(flat.view(np.float64)).max() > _MAX_ENTRY:
-        return None
-    return flat.reshape(len(mats), d, d)
-
-
-def _matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
-    if not isinstance(node, list) or len(node) != rows:
-        raise _fail(path, f"expected a {rows}x{cols} matrix as nested arrays")
-    fast = _pair_matrix(node, cols)
-    if fast is not None:
-        return fast
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, row in enumerate(node):
-        if not isinstance(row, list) or len(row) != cols:
-            raise _fail(f"{path}[{i}]", f"expected a row of {cols} entries")
-        for j, entry in enumerate(row):
-            out[i, j] = _complex(entry, f"{path}[{i}][{j}]")
-    return out
-
-
-def _bounded_matrix(node: Any, path: str, rows: int, cols: int) -> np.ndarray:
-    """:func:`_matrix`, failing at the first entry with a part beyond ``_MAX_ENTRY``."""
-    out = _matrix(node, path, rows, cols)
-    parts = np.abs(out.view(np.float64))
-    if parts.max() > _MAX_ENTRY:
-        i, j = divmod(int(parts.argmax()) // 2, cols)
-        raise _fail(f"{path}[{i}][{j}]", f"part of magnitude {float(parts.max())!r} exceeds the "
-                                         f"largest accepted {_MAX_ENTRY:g}")
-    return out
-
-
 def _dim(envelope: dict) -> int:
     dim = _get(envelope, "dim", "document")
     if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
@@ -221,17 +156,65 @@ def _norm_error(path: str, norm: float) -> SchemaError:
     return _fail(path, f"coefficients have Frobenius norm {norm!r}, expected 1")
 
 
-def _matrices(nodes: list, d: int, path_of) -> np.ndarray:
-    """The (n, d, d) stack of the matrix ``nodes``, node i reported at ``path_of(i)``.
+def _canonical_stack(nodes: list, side: int) -> np.ndarray | None:
+    """The (n, side, side) stack of ``nodes`` if every node is canonical, else None.
 
-    Canonical nodes are read in one :func:`_pair_stack` pass; anything
-    else, such as plain-real leaves, is read matrix by matrix through
-    :func:`_bounded_matrix`, which names the first bad entry.
+    A canonical node is ``side`` rows of ``side`` ``[re, im]`` pairs whose
+    leaves are JSON numbers (exactly ``float`` or ``int``, so not
+    ``bool``) of magnitude at most ``_MAX_ENTRY``.  The float64 leaves of
+    every node are read in one pass and viewed as complex128, which keeps
+    every bit, the sign of zero included (``re + 1j * im`` would not).
     """
-    stack = _pair_stack(nodes, d)
-    if stack is None:
-        stack = np.stack([_bounded_matrix(node, path_of(i), d, d) for i, node in enumerate(nodes)])
-    return stack
+    if not all(type(m) is list and len(m) == side for m in nodes):
+        return None
+    rows = list(chain.from_iterable(nodes))
+    if set(map(type, rows)) != {list} or set(map(len, rows)) != {side}:
+        return None
+    entries = list(chain.from_iterable(rows))
+    if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+        return None
+    leaves = list(chain.from_iterable(entries))
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    try:
+        flat = np.array(leaves, dtype=np.float64)
+    except OverflowError:
+        return None
+    if not np.abs(flat).max() <= _MAX_ENTRY:  # also false for nan and inf
+        return None
+    return flat.view(np.complex128).reshape(len(nodes), side, side)
+
+
+def _matrices(nodes: list, side: int, path_of) -> np.ndarray:
+    """The (n, side, side) stack of the matrix ``nodes``, node i reported at ``path_of(i)``.
+
+    Canonical nodes are read in one :func:`_canonical_stack` pass.
+    Anything else, such as plain-real leaves, is read node by node and
+    entry by entry: the first node with a bad shape or entry, or with a
+    part beyond ``_MAX_ENTRY``, fails at the path of that entry (of its
+    largest part, for the bound).
+    """
+    stack = _canonical_stack(nodes, side)
+    if stack is not None:
+        return stack
+    mats = []
+    for n, node in enumerate(nodes):
+        path = path_of(n)
+        if not isinstance(node, list) or len(node) != side:
+            raise _fail(path, f"expected a {side}x{side} matrix as nested arrays")
+        rows = []
+        for i, row in enumerate(node):
+            if not isinstance(row, list) or len(row) != side:
+                raise _fail(f"{path}[{i}]", f"expected a row of {side} entries")
+            rows.append([_complex(entry, f"{path}[{i}][{j}]") for j, entry in enumerate(row)])
+        mat = np.array(rows, dtype=np.complex128)
+        parts = np.abs(mat.view(np.float64))
+        if parts.max() > _MAX_ENTRY:
+            i, j = divmod(int(parts.argmax()) // 2, side)
+            raise _fail(f"{path}[{i}][{j}]", f"part of magnitude {float(parts.max())!r} exceeds "
+                                             f"the largest accepted {_MAX_ENTRY:g}")
+        mats.append(mat)
+    return np.stack(mats)
 
 
 def _read_ensemble(payload: dict, d: int) -> Ensemble:
@@ -281,14 +264,13 @@ def _read_operator_set(payload: dict, d: int) -> tuple:
     ops_node = _get(payload, "operators", "payload")
     if not isinstance(ops_node, list) or not ops_node:
         raise _fail("payload.operators", "expected a nonempty array of matrices")
+    where = "payload.operators[{}]".format
     ops = []
-    for idx, node in enumerate(ops_node):
-        where = f"payload.operators[{idx}]"
-        mat = _bounded_matrix(node, where, d * d, d * d)
+    for idx, mat in enumerate(_matrices(ops_node, d * d, where)):
         try:
             ops.append(BipartiteOperator(mat))
         except TwoTimeError as exc:
-            raise _wrap(where, exc) from exc
+            raise _wrap(where(idx), exc) from exc
     return tuple(ops)
 
 
@@ -379,7 +361,7 @@ def parse_document(doc):
     spec = _KINDS[kind]
     side = d ** spec.power
     where = f"payload.{spec.field}"
-    mat = _bounded_matrix(_get(payload, spec.field, "payload"), where, side, side)
+    (mat,) = _matrices([_get(payload, spec.field, "payload")], side, lambda _: where)
     if spec.type is TwoTimeState:
         norm = float(np.linalg.norm(mat))
         if abs(norm - 1.0) > _LOAD_NORM_ATOL:

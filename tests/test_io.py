@@ -27,6 +27,7 @@ from twotime import (
     KrausOperator,
     Measurement,
     NormalizationError,
+    NotPositiveError,
     SchemaError,
     TwoTimeError,
     TwoTimeState,
@@ -427,7 +428,7 @@ def test_orjson_guard(text, expected):
 
 
 # ---------------------------------------------------------------------------
-# The canonical-matrix fast path against the per-entry loop.
+# The canonical stack against the per-entry loop.
 
 def loop_matrix(node, path, rows, cols):
     """The per-entry parse every matrix took before the fast path."""
@@ -447,24 +448,40 @@ def assert_bits_equal(a, b):
     assert a.tobytes() == b.tobytes()
 
 
+def at_m(_):
+    return "m"
+
+
 @pytest.mark.parametrize("node", [
     [[[-0.0, -0.0], [0.0, -0.0]], [[-0.0, 0.0], [1, -1]]],
     [[[2**63, -(2**63)], [2**64 + 1, 2**53 + 1]], [[-(2**64) - 1, 0], [10**300, 3]]],
-    [[[0.1, 1e-05]], [[5e-324, -1.7976931348623157e308]]],
+    [[[0.1, 1e-05], [1e150, -1e150]], [[5e-324, -1.7976931348623157e308], [-0.0, 0]]],
+    [[[2**63, -(2**63)], [2**64 + 1, 2**53 + 1]], [[-(2**64) - 1, 0], [10**150, 5e-324]]],
 ])
 def test_pair_matrix_matches_the_loop_bit_for_bit(node):
-    rows, cols = len(node), len(node[0])
-    fast = tio._pair_matrix(node, cols)
-    assert fast is not None
-    assert_bits_equal(fast, loop_matrix(node, "m", rows, cols))
-    assert_bits_equal(tio._matrix(node, "m", rows, cols), fast)
+    # Within the bound the stack holds the loop's bits; beyond it the
+    # document fails at the entry of its largest part.
+    side = len(node)
+    expected = loop_matrix(node, "m", side, side)
+    parts = np.abs(expected.view(np.float64))
+    if parts.max() <= tio._MAX_ENTRY:
+        assert_bits_equal(tio._canonical_stack([node], side), expected[None])
+        assert_bits_equal(tio._matrices([node], side, at_m), expected[None])
+        return
+    assert tio._canonical_stack([node], side) is None
+    i, j = divmod(int(parts.argmax()) // 2, side)
+    with pytest.raises(SchemaError) as err:
+        tio._matrices([node], side, at_m)
+    assert str(err.value) == (f"m[{i}][{j}]: part of magnitude {float(parts.max())!r} exceeds "
+                              "the largest accepted 1e+150")
 
 
 def test_pair_matrix_matches_the_loop_on_random_matrices(rng):
     for d in (1, 2, 3, 6, 16):
-        values = rng.normal(size=(d, d, 2)) * 10.0 ** rng.integers(-300, 300, size=(d, d, 2))
-        node = json.loads(json.dumps(values.tolist()))
-        assert_bits_equal(tio._pair_matrix(node, d), loop_matrix(node, "m", d, d))
+        values = rng.normal(size=(3, d, d, 2)) * 10.0 ** rng.integers(-300, 149, size=(3, d, d, 2))
+        nodes = json.loads(json.dumps(values.tolist()))
+        expected = np.stack([loop_matrix(node, "m", d, d) for node in nodes])
+        assert_bits_equal(tio._canonical_stack(nodes, d), expected)
 
 
 @pytest.mark.parametrize("node", [
@@ -479,15 +496,15 @@ def test_pair_matrix_matches_the_loop_on_random_matrices(rng):
     [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0]]],
 ])
 def test_non_canonical_matrices_take_the_loop(node):
-    assert tio._pair_matrix(node, 2) is None
+    assert tio._canonical_stack([node], 2) is None
     try:
         expected = loop_matrix(node, "m", 2, 2)
     except SchemaError as exc:
         with pytest.raises(SchemaError) as err:
-            tio._matrix(node, "m", 2, 2)
+            tio._matrices([node], 2, at_m)
         assert str(err.value) == str(exc)
     else:
-        assert_bits_equal(tio._matrix(node, "m", 2, 2), expected)
+        assert_bits_equal(tio._matrices([node], 2, at_m), expected[None])
 
 
 def test_serialized_matrices_are_lists_of_floats(rng):
@@ -517,8 +534,9 @@ def plain_first_entry(envelope, key):
     """A copy of ``envelope`` whose first matrix's [0][0] entry, with imaginary part
     +0.0, is a plain real: the document then takes the per-matrix loop."""
     envelope = json.loads(json.dumps(envelope))
-    node = envelope["payload"][key][0]["coeffs" if key == "members" else "kraus"]
-    matrix = node if key == "members" else node[0]
+    first = envelope["payload"][key][0]
+    matrix = {"members": lambda: first["coeffs"], "outcomes": lambda: first["kraus"][0],
+              "operators": lambda: first}[key]()
     re, im = matrix[0][0]
     assert im == 0.0 and math.copysign(1.0, im) > 0
     matrix[0][0] = re
@@ -732,3 +750,68 @@ def test_large_kraus_entry_is_reported_alike_on_both_routes(rng, plain_leaf):
     expected = schema("payload.outcomes[1].kraus[0][1][0]: part of magnitude "
                       "1e+200 exceeds the largest accepted 1e+150")
     assert parse_outcome(parse_document, text) == expected
+
+
+# ---------------------------------------------------------------------------
+# Operator-set documents: the operators are read as one stack, so an entry
+# error in any operator comes before an operator's invariant error.
+
+def operator_set_document():
+    return doc("operator_set", 2, {"operators": [mat(np.eye(4) / 2.0),
+                                                 mat(np.diag([1.0, 0.0, 0.0, 1.0]))]})
+
+
+def not_positive(index):
+    return (NotPositiveError, "not-positive",
+            f"payload.operators[{index}]: bipartite operator is not positive semidefinite: "
+            "min eigenvalue -5.000e-01")
+
+
+def _set_entry(r, c, value):
+    return lambda op: op[r].__setitem__(c, value)
+
+
+OPERATOR_SET_FAULTS = [
+    (_set_entry(2, 3, "x"), schema("payload.operators[1][2][3]: expected a complex number as "
+                                   "[re, im] (or a plain real number)")),
+    (_set_entry(2, 3, [0.0, "x"]), schema("payload.operators[1][2][3][1]: expected a number, "
+                                          "got str")),
+    (lambda op: op[2].pop(), schema("payload.operators[1][2]: expected a row of 4 entries")),
+    (lambda op: op.pop(), schema("payload.operators[1]: expected a 4x4 matrix as nested arrays")),
+    (_set_entry(0, 3, [0.0, 1e200]),
+     schema("payload.operators[1][0][3]: part of magnitude 1e+200 exceeds the largest "
+            "accepted 1e+150")),
+    (_set_entry(1, 1, [-0.5, 0.0]), not_positive(1)),
+]
+
+
+def test_malformed_operator_set_names_the_operator():
+    assert_faults_report(operator_set_document, "operators", OPERATOR_SET_FAULTS)
+
+
+def test_operator_set_entry_errors_come_before_invariant_errors():
+    envelope = operator_set_document()
+    operators = envelope["payload"]["operators"]
+    operators[0][1][1] = [-0.5, 0.0]
+    operators[1][2].pop()
+    assert parse_outcome(parse_document, json.dumps(envelope)) == schema(
+        "payload.operators[1][2]: expected a row of 4 entries")
+    operators[1] = mat(np.eye(4))
+    assert parse_outcome(parse_document, json.dumps(envelope)) == not_positive(0)
+
+
+@pytest.mark.parametrize("kind, payload, path, side", [
+    ("two_time_state", {"coeffs": [[[1, 0]]]}, "payload.coeffs", 10**6),
+    ("ensemble", {"members": [{"weight": 1, "coeffs": [[[1, 0]]]}]},
+     "payload.members[0].coeffs", 10**6),
+    ("density_vector", {"matrix": [[[1, 0]]]}, "payload.matrix", 10**12),
+    ("measurement", {"outcomes": [{"kraus": [[[[1, 0]]]]}]}, "payload.outcomes[0].kraus[0]",
+     10**6),
+    ("observable", {"matrix": [[[1, 0]]]}, "payload.matrix", 10**6),
+    ("bipartite_density", {"matrix": [[[1, 0]]]}, "payload.matrix", 10**12),
+    ("operator_set", {"operators": [[[[1, 0]]]]}, "payload.operators[0]", 10**12),
+])
+def test_huge_dim_fails_at_the_matrix_path(kind, payload, path, side):
+    # The side is checked before anything of that size is allocated.
+    expected = schema(f"{path}: expected a {side}x{side} matrix as nested arrays")
+    assert parse_outcome(parse_document, json.dumps(doc(kind, 10**6, payload))) == expected
