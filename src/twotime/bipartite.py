@@ -25,7 +25,6 @@ that is supernormalized by exactly ``d`` (:func:`povm_to_twotime`).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +34,13 @@ from .core import (
     KrausDensityVector,
     KrausOperator,
     TwoTimeState,
-    _as_square_complex,
+    _as_array,
+    _operator_stack,
     _PairMatrix,
     _hermitian_part,
+    _side_of_pair_matrix,
     pair,
+    unvec,
 )
 from .errors import DimensionMismatchError, NormalizationError
 from .measurements import (
@@ -49,7 +51,6 @@ from .measurements import (
     _kraus_set_from_psd_matrix,
     _measurement_of_sets,
     _post_selection_defect,
-    _summed,
     partial_normalization_defect,
 )
 
@@ -93,13 +94,7 @@ def state_to_bipartite(state: TwoTimeState) -> np.ndarray:
 
 def state_from_bipartite(vector: np.ndarray) -> TwoTimeState:
     """Inverse of :func:`state_to_bipartite` (normalizes)."""
-    v = np.asarray(vector, dtype=np.complex128)
-    if v.ndim != 1:
-        raise DimensionMismatchError(f"expected a 1-d vector, got shape {v.shape}")
-    d = math.isqrt(v.size)
-    if d * d != v.size:
-        raise DimensionMismatchError(f"length {v.size} is not a perfect square")
-    return TwoTimeState(v.reshape(d, d))
+    return TwoTimeState(unvec(_as_array(vector, "vector")))
 
 
 def density_to_bipartite(eta: DensityVector) -> BipartiteDensity:
@@ -149,17 +144,18 @@ def measurement_partial_trace_defect(ops) -> float:
     measurement the result is the identity on the preparation factor.
     Returns the max absolute deviation from it.
 
-    Accepts :class:`BipartiteOperator` instances or raw arrays; a
-    :class:`~twotime.measurements.Measurement` is also accepted and
+    Reads ``ops`` as :func:`~twotime.measurements.complete_operator_set`
+    does (a :class:`BipartiteOperator` or a Kraus density vector as its
+    stored matrix); a :class:`~twotime.measurements.Measurement` is also
+    accepted and
     mapped outcome by outcome.  Its images sum to the complex conjugate
     of its summed Kraus density vectors, so its defect is
     :func:`~twotime.measurements.partial_normalization_defect`.
     """
     if isinstance(ops, Measurement):
         return partial_normalization_defect(ops)
-    mats = [_as_square_complex(getattr(op, "op", op), f"operator {idx}")
-            for idx, op in enumerate(ops)]
-    return _post_selection_defect(_summed(mats, DimensionMismatchError("no operators to check")))
+    stack = _operator_stack(ops, DimensionMismatchError("no operators to check"))
+    return _post_selection_defect(stack.sum(axis=0))
 
 
 def _outcome_images(m: Measurement) -> np.ndarray:
@@ -203,7 +199,7 @@ def povm_to_twotime(ops) -> PovmPullback:
 
     Parameters
     ----------
-    ops : sequence of BipartiteOperator or (d^2, d^2) arrays
+    ops : sequence of (d^2, d^2) arrays or positive-matrix objects
         Positive operators summing to the identity on the doubled space
         (within ``COMPLETENESS_ATOL``); anything else raises
         :class:`~twotime.errors.NormalizationError`.  They are read and
@@ -220,7 +216,7 @@ def povm_to_twotime(ops) -> PovmPullback:
     mats, total = _checked_operators(
         ops, relative=False, empty=DimensionMismatchError("empty operator set"))
     n = total.shape[0]
-    d = math.isqrt(n)
+    d = _side_of_pair_matrix(total, "operators")
     id_defect = float(np.max(np.abs(total - np.eye(n))))
     if id_defect > COMPLETENESS_ATOL:
         raise NormalizationError(

@@ -73,13 +73,13 @@ __all__ = [
 #: Rounding read as a violation, or a rescale by a factor already 1
 #: moving last bits.  Read by the Hermiticity checks, the sums of ensemble
 #: weights and choice probabilities, the renormalization of states,
-#: members and traces, the tomography weight clamp, the upper limit of
-#: ``complete_operator_set(scale=)`` and the simulator's degenerate z.
+#: members and traces, the upper limit of ``complete_operator_set(scale=)``
+#: and the simulator's degenerate z.
 ATOL = 1e-12
 
 #: Eigensolver or sandwich rounding read as a negative weight.  Read by
-#: the positivity checks and the clamps of ``sandwich``, ``pair`` and the
-#: probability rules.
+#: the positivity checks and the clamps of ``sandwich``, ``pair``, the
+#: probability rules and ``predict_probabilities``.
 PSD_ATOL = 1e-10
 
 #: A measurement with rounded Kraus operators read as incomplete
@@ -158,8 +158,29 @@ def _as_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
     raise ValidationError(f"{name} must be an integer in [{low}, {high}), got {value!r}")
 
 
+def _as_number(value, name: str, kind: type = float):
+    """``kind(value)`` for ``kind`` float or complex, or a ValidationError naming ``name``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} must be a number: {exc}") from None
+
+
+def _as_array(a, name: str, dtype: type = np.complex128) -> np.ndarray:
+    """A copy of ``a`` as a ``dtype`` array.
+
+    What numpy cannot read as numbers (a string that is not one, a ragged
+    list, an integer beyond float64) raises ValidationError naming ``name``.
+    """
+    try:
+        return np.array(a, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{name} is not an array of numbers: {exc}") from None
+
+
 def _as_square_complex(a, name: str) -> np.ndarray:
-    arr = np.array(a, dtype=np.complex128, copy=True)
+    """``_as_array(a, name)``, checked to be square, nonempty and finite."""
+    arr = _as_array(a, name)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise DimensionMismatchError(f"{name} must be a square 2-d array, got shape {arr.shape}")
     if not np.all(np.isfinite(arr.view(np.float64))):
@@ -393,6 +414,35 @@ class KrausDensityVector(_PairMatrix):
 def _require_same_dim(a: int, b: int, what: str) -> None:
     if a != b:
         raise DimensionMismatchError(f"{what}: dimensions {a} and {b} differ")
+
+
+def _shared_dim(objs, what: str) -> None:
+    """Raise unless all of ``objs`` (nonempty) share one ``dim``."""
+    dims = {obj.dim for obj in objs}
+    if len(dims) != 1:
+        raise DimensionMismatchError(f"{what} have mixed dimensions {sorted(dims)}")
+
+
+def _pair_operand(obj, name: str) -> np.ndarray:
+    """The stored matrix of a positive-matrix object, or ``obj`` read as a square complex array."""
+    if isinstance(obj, _PairMatrix):
+        return getattr(obj, obj._field)
+    return _as_square_complex(obj, name)
+
+
+def _operator_stack(ops, empty: Exception) -> np.ndarray:
+    """The (k, n, n) stack of ``ops``, each read by ``_pair_operand`` as "operator idx".
+
+    All must share one shape; no operators raises ``empty``.
+    """
+    mats = [_pair_operand(op, f"operator {idx}") for idx, op in enumerate(ops)]
+    if not mats:
+        raise empty
+    for idx, mat in enumerate(mats):
+        if mat.shape != mats[0].shape:
+            raise DimensionMismatchError(
+                f"operator {idx} has shape {mat.shape}, expected {mats[0].shape}")
+    return np.stack(mats)
 
 
 def contract_pure(op: KrausOperator, state: TwoTimeState) -> complex:

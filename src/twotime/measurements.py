@@ -27,7 +27,6 @@ taken over the kept outcomes only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -40,10 +39,13 @@ from .core import (
     _EIG_CUTOFF,
     KrausDensityVector,
     KrausOperator,
-    _as_square_complex,
+    _as_number,
     _check_hermitian_psd,
     _freeze,
     _hermitian_part,
+    _operator_stack,
+    _require_same_dim,
+    _shared_dim,
     _side_of_pair_matrix,
 )
 from .errors import DegenerateInputError, DimensionMismatchError, ValidationError
@@ -74,9 +76,7 @@ class MeasurementOutcome:
         )
         if not kraus:
             raise DegenerateInputError("measurement outcome has no Kraus operators")
-        dims = {op.dim for op in kraus}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"outcome operators have mixed dimensions {sorted(dims)}")
+        _shared_dim(kraus, "outcome operators")
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "name", str(self.name))
 
@@ -108,9 +108,7 @@ class Measurement:
         for out in outcomes:
             if not isinstance(out, MeasurementOutcome):
                 raise DimensionMismatchError(f"{out!r} is not a MeasurementOutcome")
-        dims = {out.dim for out in outcomes}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"outcomes have mixed dimensions {sorted(dims)}")
+        _shared_dim(outcomes, "outcomes")
         self._store(np.stack([op.entries for out in outcomes for op in out.kraus]),
                     [len(out.kraus) for out in outcomes], [out.name for out in outcomes])
 
@@ -164,11 +162,6 @@ class Measurement:
     @classmethod
     def detailed(cls, ops: Iterable[KrausOperator], names: Sequence[str] | None = None) -> "Measurement":
         """One outcome per operator, in order."""
-        ops = tuple(ops)
-        if names is not None and len(names) != len(ops):
-            raise DimensionMismatchError(
-                f"{len(names)} names for {len(ops)} operators"
-            )
         return cls.from_kraus_sets(((op,) for op in ops), names)
 
     @classmethod
@@ -204,16 +197,14 @@ def _kraus_density_stack(kraus_stack: np.ndarray, outcome_of: np.ndarray) -> np.
 def kraus_density_vector(outcome) -> KrausDensityVector:
     """Vectorize one outcome: ``sum_chi vec(A_chi) vec(A_chi)^dag``.
 
-    Accepts a :class:`MeasurementOutcome` or any iterable of
-    :class:`KrausOperator`.
+    Accepts a :class:`MeasurementOutcome` or any iterable of Kraus
+    operators, read as :class:`MeasurementOutcome` reads them.
     """
-    ops = outcome.kraus if isinstance(outcome, MeasurementOutcome) else tuple(outcome)
-    if not ops:
-        raise DegenerateInputError("cannot vectorize an empty Kraus set")
-    if len({op.dim for op in ops}) != 1:
-        raise DimensionMismatchError("Kraus operators have mixed dimensions")
-    stack = np.array([op.entries for op in ops])
-    return KrausDensityVector._from_psd(_kraus_density_stack(stack, np.zeros(len(ops), np.intp))[0])
+    if not isinstance(outcome, MeasurementOutcome):
+        outcome = MeasurementOutcome(tuple(outcome))
+    stack = np.array([op.entries for op in outcome.kraus])
+    gram = _kraus_density_stack(stack, np.zeros(len(stack), np.intp))
+    return KrausDensityVector._from_psd(gram[0])
 
 
 def _post_selection_defect(total: np.ndarray, factor: float = 1.0) -> float:
@@ -223,7 +214,7 @@ def _post_selection_defect(total: np.ndarray, factor: float = 1.0) -> float:
     measures the distance of the result from ``factor`` times the
     identity on the preparation indices.
     """
-    d = math.isqrt(total.shape[0])
+    d = _side_of_pair_matrix(total, "operators")
     contracted = np.einsum("ijil->jl", total.reshape(d, d, d, d))
     return float(np.max(np.abs(contracted - factor * np.eye(d))))
 
@@ -257,8 +248,7 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
     positional, of the two stacks of Kraus density vectors at once;
     mismatched outcome counts (or dimensions) raise.
     """
-    if m1.dim != m2.dim:
-        raise DimensionMismatchError(f"dimensions differ: {m1.dim} != {m2.dim}")
+    _require_same_dim(m1.dim, m2.dim, "measurements_equal")
     if m1.n_outcomes != m2.n_outcomes:
         raise ValidationError(
             f"outcome counts differ: {m1.n_outcomes} != {m2.n_outcomes}"
@@ -267,32 +257,15 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
     return float(np.max(np.abs(k1 - k2))) <= atol
 
 
-def _checked_operators(ops, *, relative: bool, empty: Exception) -> tuple[list, np.ndarray]:
-    """The symmetrized (d^2, d^2) operators ``ops``, each checked once, and their sum.
+def _checked_operators(ops, *, relative: bool, empty: Exception) -> tuple:
+    """The stack ``ops``, each operator checked as Hermitian PSD and symmetrized, and its sum.
 
-    Reads each entry as an array or as an object's ``.op`` or ``.mat``
-    array, named "operator idx", and checks it as Hermitian PSD, with
-    tolerances scaled by ``relative`` as in ``_check_hermitian_psd``.
+    Tolerances scale by ``relative`` as in ``_check_hermitian_psd``.
     """
-    mats = []
-    for idx, op in enumerate(ops):
-        name = f"operator {idx}"
-        arr = _as_square_complex(getattr(op, "op", getattr(op, "mat", op)), name)
-        mats.append(_check_hermitian_psd(arr, name, relative=relative))
-    return mats, _summed(mats, empty)
-
-
-def _summed(mats: list, empty: Exception) -> np.ndarray:
-    """The sum of equal-shape (d^2, d^2) operators; raises ``empty`` for none."""
-    if not mats:
-        raise empty
-    n = _side_of_pair_matrix(mats[0], "operators") ** 2
-    total = np.zeros((n, n), dtype=np.complex128)
-    for idx, mat in enumerate(mats):
-        if mat.shape != (n, n):
-            raise DimensionMismatchError(f"operator {idx} has shape {mat.shape}, expected {(n, n)}")
-        total += mat
-    return total
+    stack = _operator_stack(ops, empty)
+    herm = np.stack([_check_hermitian_psd(arr, f"operator {idx}", relative=relative)
+                     for idx, arr in enumerate(stack)])
+    return herm, herm.sum(axis=0)
 
 
 def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> np.ndarray:
@@ -347,9 +320,11 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
 
     Parameters
     ----------
-    ops : sequence of (d^2, d^2) arrays
-        Hermitian positive semidefinite operators (objects with an
-        ``.op`` or ``.mat`` array attribute are also accepted).  As for
+    ops : sequence of (d^2, d^2) arrays or positive-matrix objects
+        Hermitian positive semidefinite operators, all of one shape.  A
+        positive-matrix object (a density or Kraus density vector, or a
+        bipartite density or operator) is read as its stored matrix, and
+        anything else as a square complex array.  As for
         :class:`~twotime.core.KrausDensityVector`, the Hermiticity and
         positivity tolerances scale with each operator's largest
         diagonal entry when it exceeds 1.
@@ -357,7 +332,9 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
         The rescaling factor ``c``.  Defaults to the largest valid
         value, ``1 / max_eigenvalue(sum(ops))``, which minimizes the
         weight of the discard outcome.  Any ``0 < c <= 1/max_eig`` keeps
-        the remainder positive; out-of-range values raise.
+        the remainder positive; out-of-range values raise, as do
+        operators or a scale that are not numbers
+        (:class:`~twotime.errors.ValidationError`).
 
     The kept outcomes of the completed measurement reproduce, after the
     discard outcome is dropped and the rest renormalized, the relative
@@ -367,7 +344,7 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
     arrays, total = _checked_operators(
         ops, relative=True, empty=DegenerateInputError("cannot complete an empty operator set"))
     n = total.shape[0]
-    d = math.isqrt(n)
+    d = _side_of_pair_matrix(total, "operators")
     max_eig = float(np.linalg.eigvalsh(total)[-1])
     if max_eig <= _EIG_CUTOFF:
         raise DegenerateInputError("operator set sums to zero; nothing to complete")
@@ -375,7 +352,7 @@ def complete_operator_set(ops: Sequence[np.ndarray], *, scale: float | None = No
     if scale is None:
         c = max_scale
     else:
-        c = float(scale)
+        c = _as_number(scale, "scale")
         if not (0.0 < c <= max_scale * (1.0 + ATOL)):
             raise ValidationError(
                 f"scale {c!r} outside (0, {max_scale!r}] leaves a non-positive remainder"

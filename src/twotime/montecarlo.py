@@ -48,7 +48,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .core import ATOL, _ZERO_BORN, KrausOperator, _as_int
+from .core import ATOL, _ZERO_BORN, KrausOperator, _as_int, _as_number, _require_same_dim
+from .core import _shared_dim
 from .errors import (
     DimensionMismatchError,
     IncompleteMeasurementError,
@@ -87,7 +88,7 @@ class ObserverPolicy:
     measurements : tuple of Measurement
         All complete, all of one dimension.
     choice_probs : tuple of float
-        Strictly positive, summing to 1 within ``ATOL``.
+        Numbers, strictly positive and summing to 1 within ``ATOL``.
     """
 
     measurements: tuple
@@ -95,7 +96,7 @@ class ObserverPolicy:
 
     def __post_init__(self) -> None:
         ms = tuple(self.measurements)
-        ps = tuple(float(p) for p in self.choice_probs)
+        ps = tuple(_as_number(p, "choice probability") for p in self.choice_probs)
         if not ms:
             raise ValidationError("policy has no measurements")
         if len(ms) != len(ps):
@@ -105,9 +106,7 @@ class ObserverPolicy:
         for m in ms:
             if not isinstance(m, Measurement):
                 raise DimensionMismatchError(f"{m!r} is not a Measurement")
-        dims = {m.dim for m in ms}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"measurements have mixed dimensions {sorted(dims)}")
+        _shared_dim(ms, "measurements")
         for p in ps:
             if not math.isfinite(p) or p <= 0.0:
                 raise NormalizationError(f"choice probability {p!r} is not strictly positive")
@@ -140,10 +139,7 @@ class SimConfig:
             raise DimensionMismatchError(f"{self.ensemble!r} is not an Ensemble")
         if not isinstance(self.policy, ObserverPolicy):
             raise DimensionMismatchError(f"{self.policy!r} is not an ObserverPolicy")
-        if self.ensemble.dim != self.policy.dim:
-            raise DimensionMismatchError(
-                f"ensemble dim {self.ensemble.dim} != measurement dim {self.policy.dim}"
-            )
+        _require_same_dim(self.ensemble.dim, self.policy.dim, "SimConfig")
         shots = _as_int(self.shots, "shots")
         seed = _as_int(self.seed, "seed", 0, _MAX_SEED)
         # Completeness is a physical requirement: the observer's Kraus

@@ -34,10 +34,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DENOMINATOR_EPS, PSD_ATOL, DensityVector, TwoTimeState, _as_square_complex
+from .core import DENOMINATOR_EPS, PSD_ATOL, DensityVector, TwoTimeState
+from .core import _operator_stack, _pair_operand, _require_same_dim
 from .errors import (
     AllDiscardedError,
-    DimensionMismatchError,
     IncompleteMeasurementError,
     NotDetailedError,
     PostSelectionImpossibleError,
@@ -111,8 +111,7 @@ def prob_pure(state: TwoTimeState, m: Measurement) -> np.ndarray:
     PostSelectionImpossibleError
         If every outcome has zero weight on this state.
     """
-    if state.dim != m.dim:
-        raise DimensionMismatchError(f"state dim {state.dim} != measurement dim {m.dim}")
+    _require_same_dim(state.dim, m.dim, "prob_pure")
     _require_detailed(m)
     _require_complete(m)
     numerators = _contraction_weights(m, state.coeffs[None])[0]
@@ -128,8 +127,7 @@ def prob_ensemble(ensemble: Ensemble, m: Measurement) -> np.ndarray:
     different (wrong) answer whenever post-selection success rates
     differ between members.
     """
-    if ensemble.dim != m.dim:
-        raise DimensionMismatchError(f"ensemble dim {ensemble.dim} != measurement dim {m.dim}")
+    _require_same_dim(ensemble.dim, m.dim, "prob_ensemble")
     _require_detailed(m)
     _require_complete(m)
     numerators = ensemble.weights @ _contraction_weights(m, ensemble.coeff_stack)
@@ -143,8 +141,7 @@ def prob_density(eta: DensityVector, m: Measurement) -> np.ndarray:
     and is invariant under rescaling of the stored array (only ratios
     enter).
     """
-    if eta.dim != m.dim:
-        raise DimensionMismatchError(f"density dim {eta.dim} != measurement dim {m.dim}")
+    _require_same_dim(eta.dim, m.dim, "prob_density")
     _require_detailed(m)
     _require_complete(m)
     return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)
@@ -157,8 +154,7 @@ def prob_coarse(eta: DensityVector, m: Measurement) -> np.ndarray:
     weights of its branches; detailed measurements reproduce
     :func:`prob_density` exactly.
     """
-    if eta.dim != m.dim:
-        raise DimensionMismatchError(f"density dim {eta.dim} != measurement dim {m.dim}")
+    _require_same_dim(eta.dim, m.dim, "prob_coarse")
     _require_complete(m)
     return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)
 
@@ -170,26 +166,21 @@ def prob_relative_bipartite(rho, ops) -> np.ndarray:
     ----------
     rho : BipartiteDensity or (d^2, d^2) array
         A density matrix on the doubled space.
-    ops : sequence of BipartiteOperator or (d^2, d^2) arrays
-        Positive operators; they need *not* resolve the identity.  The
-        result is their normalized weight profile, the statistics of the
-        kept outcomes after discards are thrown away.
+    ops : sequence of (d^2, d^2) arrays or positive-matrix objects
+        Positive operators of ``rho``'s shape; they need *not* resolve the
+        identity.  The result is their normalized weight profile, the
+        statistics of the kept outcomes after discards are thrown away.
+        ``rho`` and ``ops`` are read as by
+        :func:`~twotime.measurements.complete_operator_set`.
 
     Raises
     ------
     AllDiscardedError
-        If every operator has zero weight on ``rho``.
+        If there are no operators, or all have zero weight on ``rho``.
     """
-    rho_mat = _as_square_complex(getattr(rho, "rho", rho), "rho")
-    mats = [_as_square_complex(getattr(op, "op", op), f"operator {idx}")
-            for idx, op in enumerate(ops)]
-    if not mats:
-        raise AllDiscardedError("no operators; every outcome was discarded")
-    for idx, mat in enumerate(mats):
-        if mat.shape != rho_mat.shape:
-            raise DimensionMismatchError(
-                f"operator {idx} shape {mat.shape} does not match state shape {rho_mat.shape}"
-            )
-    numerators = np.array([float(np.trace(mat @ rho_mat).real) for mat in mats])
+    rho_mat = _pair_operand(rho, "rho")
+    stack = _operator_stack(ops, AllDiscardedError("no operators; every outcome was discarded"))
+    _require_same_dim(len(stack[0]), len(rho_mat), "prob_relative_bipartite")
+    numerators = np.array([float(np.trace(mat @ rho_mat).real) for mat in stack])
     numerators[(numerators < 0.0) & (numerators > -PSD_ATOL)] = 0.0
     return _normalize(numerators, AllDiscardedError)

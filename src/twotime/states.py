@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
-from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_square_complex, _freeze
+from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_array, _as_number, _freeze, _pair_operand
+from .core import _shared_dim
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -44,8 +45,8 @@ class Ensemble:
     Parameters
     ----------
     members : sequence of (weight, state) pairs
-        Weights must be strictly positive and sum to 1 within ``ATOL``;
-        all states must share one dimension.
+        Weights must be numbers, strictly positive and summing to 1
+        within ``ATOL``; all states must share one dimension.
 
     The ensemble stores its members as two read-only arrays: ``weights``
     (n,) and ``coeff_stack`` (n, d, d).  ``members`` and ``states`` are
@@ -57,16 +58,13 @@ class Ensemble:
     coeff_stack: np.ndarray
 
     def __init__(self, members) -> None:
-        members = tuple((float(w), s) for (w, s) in members)
+        members = tuple((_as_number(w, "ensemble weight"), s) for (w, s) in members)
         if not members:
             raise DegenerateInputError("ensemble has no members")
-        for w, s in members:
+        for _, s in members:
             if not isinstance(s, TwoTimeState):
                 raise DimensionMismatchError(f"ensemble member {s!r} is not a TwoTimeState")
-            _check_weight(w)
-        dims = {s.dim for _, s in members}
-        if len(dims) != 1:
-            raise DimensionMismatchError(f"ensemble members have mixed dimensions {sorted(dims)}")
+        _shared_dim([s for _, s in members], "ensemble members")
         self._store(np.array([w for w, _ in members]), np.stack([s.coeffs for _, s in members]))
 
     @classmethod
@@ -157,8 +155,8 @@ def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
     DimensionMismatchError
         If the vectors are not 1-d of equal length.
     """
-    phi = np.asarray(post, dtype=np.complex128)
-    psi = np.asarray(pre, dtype=np.complex128)
+    phi = _as_array(post, "post-selection vector")
+    psi = _as_array(pre, "preparation vector")
     if phi.ndim != 1 or psi.ndim != 1:
         raise DimensionMismatchError(
             f"expected 1-d vectors, got shapes {phi.shape} and {psi.shape}"
@@ -185,10 +183,8 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     terms = list(terms)
     if not terms:
         raise DegenerateInputError("superposition of no terms")
-    dims = {s.dim for _, s in terms}
-    if len(dims) != 1:
-        raise DimensionMismatchError(f"superposition terms have mixed dimensions {sorted(dims)}")
-    acc = sum(complex(c) * s.coeffs for c, s in terms)
+    _shared_dim([s for _, s in terms], "superposition terms")
+    acc = sum(_as_number(c, "superposition coefficient", complex) * s.coeffs for c, s in terms)
     if float(np.linalg.norm(acc)) <= _ZERO_NORM:
         raise DegenerateInputError("superposition terms cancel to zero")
     return TwoTimeState(acc)
@@ -240,23 +236,21 @@ def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) ->
 def positivity_check(obj) -> tuple[bool, float]:
     """Report positivity of a density-vector-shaped array.
 
-    Accepts a :class:`DensityVector` or a raw Hermitian array and
-    returns ``(is_positive, min_eigenvalue)`` where positivity means the
-    smallest eigenvalue is >= -``PSD_ATOL``.
+    Accepts a :class:`DensityVector` (or any positive-matrix object, read
+    as its stored matrix) or a raw Hermitian array and returns
+    ``(is_positive, min_eigenvalue)`` where positivity means the smallest
+    eigenvalue is >= -``PSD_ATOL``.
 
     Raises
     ------
-    DimensionMismatchError, DegenerateInputError
-        If a raw array is not square, or not finite.
+    ValidationError
+        If a raw array is not numbers, not square, or not finite.
     NotHermitianError
         If a raw array fails Hermiticity within ``ATOL``.
     """
-    if isinstance(obj, DensityVector):
-        mat = obj.mat
-    else:
-        mat = _as_square_complex(obj, "matrix")
-        defect = hermiticity_defect(mat)
-        if defect > ATOL:
-            raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")
+    mat = _pair_operand(obj, "matrix")
+    defect = hermiticity_defect(mat)
+    if defect > ATOL:
+        raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")
     min_eig = float(np.linalg.eigvalsh(mat)[0])
     return (min_eig >= -PSD_ATOL, min_eig)

@@ -49,16 +49,20 @@ from functools import cached_property
 import numpy as np
 
 from .core import (
-    ATOL,
     DENOMINATOR_EPS,
+    PSD_ATOL,
     PSD_CLIP_TOL,
     _LOAD_NORM_ATOL,
     DensityVector,
+    _as_array,
     _as_int,
+    _as_number,
     _hermitian_part,
+    _require_same_dim,
 )
 from .errors import MalformedDataError, PostSelectionImpossibleError, ValidationError
 from .measurements import Measurement
+from .probability import _normalize
 
 __all__ = [
     "VARIANTS",
@@ -162,21 +166,19 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     """Outcome probabilities of the tomography measurement on ``eta``.
 
     Equal to ``prob_density(eta, ts.measurement)``, computed from the
-    closed-form weights in the module docstring.
+    closed-form weights in the module docstring, with that rule's clamp:
+    no operator has ``|vec(A)|^2`` above 1, so a weight within
+    ``PSD_ATOL`` below 0 reads 0.
     """
-    if eta.dim != ts.dim:
-        raise ValidationError(f"density dim {eta.dim} != tomography dim {ts.dim}")
+    _require_same_dim(eta.dim, ts.dim, "predict_probabilities")
     d = ts.dim
     mat = eta.mat
     diag = mat.diagonal().real
     cross = (np.conj(_VARIANT_PHASES) * mat[:, :, None]).real
     weights = (diag[:, None, None] + diag[None, :, None]) + 2.0 * cross
     numerators = (weights / (8.0 * d**3)).reshape(-1)
-    numerators = np.where((numerators < 0.0) & (numerators > -ATOL), 0.0, numerators)
-    total = float(numerators.sum())
-    if total <= DENOMINATOR_EPS:
-        raise PostSelectionImpossibleError("tomography outcome weights vanish")
-    return numerators / total
+    numerators[(numerators < 0.0) & (numerators >= -PSD_ATOL)] = 0.0
+    return _normalize(numerators, PostSelectionImpossibleError)
 
 
 def _clip_to_density(raw: np.ndarray, clip_tol: float) -> DensityVector:
@@ -230,19 +232,17 @@ def reconstruct(
     ------
     ValidationError
         On a dimension that is not a positive integer, a ``clip_tol``
-        that is negative or not finite, or an unknown method.
+        that is not a number, negative or not finite, ``probs`` that
+        numpy cannot read as numbers, or an unknown method.
     MalformedDataError
         On wrong length, negative entries, a bad sum, or data whose
         inversion fails positivity beyond ``clip_tol``.
     """
     d = _as_int(dim, "dimension")
-    try:
-        tol = float(clip_tol)
-    except (TypeError, ValueError):
-        tol = math.nan
+    tol = _as_number(clip_tol, "clip_tol")
     if not 0.0 <= tol < math.inf:  # NaN or inf switches the gate off; < 0 rejects all
         raise ValidationError(f"clip_tol must be a finite number >= 0, got {clip_tol!r}")
-    p = np.asarray(probs, dtype=np.float64)
+    p = _as_array(probs, "probs", np.float64)
     n_expected = 4 * d**4
     if p.ndim != 1 or p.size != n_expected:
         raise MalformedDataError(

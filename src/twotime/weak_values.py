@@ -25,9 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ATOL, DENOMINATOR_EPS, DensityVector, KrausOperator, TwoTimeState
-from .core import hermiticity_defect
+from .core import _as_square_complex, _freeze, _require_same_dim, hermiticity_defect
 from .errors import (
-    DimensionMismatchError,
     NoEquivalentStateError,
     NotHermitianError,
     UndefinedWeakValueError,
@@ -47,17 +46,13 @@ class WeakValueVector:
     """The effective (unnormalized) two-time coefficient array of a mixture.
 
     May be the zero array: mixtures of traceless states have no weak
-    response at all.
+    response at all.  Non-finite entries are rejected.
     """
 
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=np.complex128, copy=True)
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise DimensionMismatchError(f"coeffs must be square, got shape {c.shape}")
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
+        object.__setattr__(self, "coeffs", _freeze(_as_square_complex(self.coeffs, "coeffs")))
 
     @property
     def dim(self) -> int:
@@ -91,8 +86,7 @@ def weak_value_pure(obs: KrausOperator, state: TwoTimeState, *,
     NotHermitianError
         If ``obs`` is not Hermitian and the flag is not set.
     """
-    if obs.dim != state.dim:
-        raise DimensionMismatchError(f"observable dim {obs.dim} != state dim {state.dim}")
+    _require_same_dim(obs.dim, state.dim, "weak_value_pure")
     _check_observable(obs, allow_non_hermitian)
     den = complex(np.trace(state.coeffs))
     if abs(den) <= DENOMINATOR_EPS:
@@ -128,8 +122,7 @@ def weak_value_ensemble(obs: KrausOperator, eta: DensityVector, *,
         If ``tr(eta_w)`` (the mean squared identity contraction of the
         mixture) vanishes.
     """
-    if obs.dim != eta.dim:
-        raise DimensionMismatchError(f"observable dim {obs.dim} != density dim {eta.dim}")
+    _require_same_dim(obs.dim, eta.dim, "weak_value_ensemble")
     _check_observable(obs, allow_non_hermitian)
     wvv = weak_value_vector(eta)
     den = complex(np.trace(wvv.coeffs))

@@ -1,5 +1,7 @@
 """Property-based checks over machine-generated inputs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -13,6 +15,7 @@ from twotime import (
     DensityVector,
     Ensemble,
     KrausOperator,
+    MalformedDataError,
     Measurement,
     NoEquivalentStateError,
     PostSelectionImpossibleError,
@@ -118,6 +121,46 @@ def test_tomography_round_trip_property(re1, im1, re2, im2, w):
     rec = reconstruct(predict_probabilities(eta, ts), DIM)
     assert np.linalg.norm(rec.mat - eta.mat) <= 1e-9
     assert np.max(np.abs(prob_density(rec, ts.measurement) - prob_density(eta, ts.measurement))) <= 1e-9
+
+
+@st.composite
+def tomography_below_the_cone(draw):
+    """d in {2, 3}, a gate ``clip_tol``, and probabilities whose raw inversion is a
+    Hermitian trace-1 ``mat`` with one eigenvalue -t, t = ratio * clip_tol.
+
+    The eigenvector u has |u_k| = 1/d, so no tomography operator (at most
+    two nonzero entries) lies near it, and the rest of the spectrum, at
+    least 1 / tr(psd) (about 1/9 at d = 2, 1/24 at d = 3), keeps every
+    probability >= 0 for these t <= 0.01.
+    """
+    d = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clip_tol = draw(st.sampled_from([1e-8, 1e-6, 1e-4, 1e-3]))
+    t = clip_tol * draw(st.sampled_from([0.0, 0.3, 0.9, 0.99, 1.01, 1.1, 3.0, 10.0]))
+    n = d * d
+    u = np.exp(2j * np.pi * rng.random(n)) / d
+    off = np.eye(n) - np.outer(u, u.conj())
+    g = complex_gaussian(rng, (n, n))
+    psd = off @ (np.eye(n) + g @ g.conj().T / n) @ off
+    mat = (1.0 + t) * psd / np.trace(psd).real - t * np.outer(u, u.conj())
+    probs = predict_probabilities(SimpleNamespace(dim=d, mat=mat), build_tomography_set(d))
+    return d, clip_tol, t, mat, probs
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(tomography_below_the_cone(), st.sampled_from(["polarization", "lstsq"]))
+def test_the_positivity_gate_clips_below_clip_tol_and_rejects_above(case, method):
+    # Near the gate: a raw inversion at -t within clip_tol is clipped to the
+    # density psd / tr(psd), which differs from it by t (u u^dag - psd / tr),
+    # of norm at most sqrt(2) t; beyond clip_tol the data is malformed.
+    d, clip_tol, t, mat, probs = case
+    assert probs.min() >= 0.0
+    if t < clip_tol:
+        rec = reconstruct(probs, d, method, clip_tol=clip_tol)
+        assert np.linalg.norm(rec.mat - mat) <= np.sqrt(2.0) * t + 1e-12
+    else:
+        with pytest.raises(MalformedDataError, match="not positive"):
+            reconstruct(probs, d, method, clip_tol=clip_tol)
 
 
 # ---------------------------------------------------------------------------

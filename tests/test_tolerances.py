@@ -83,6 +83,32 @@ def test_the_literal_check_sees_literals(tmp_path):
                                             ("sample.py", 3, 1e-200)]
 
 
+def complex_array_reads(path: pathlib.Path) -> list:
+    """(file, line) of every ``np.array`` or ``np.asarray`` call given a complex dtype."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return sorted((path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and ast.unparse(node.func) in ("np.array", "np.asarray")
+                  and any(re.search(r"complex|cdouble|csingle", ast.unparse(dtype))
+                          for dtype in node.args[1:2] + [k.value for k in node.keywords
+                                                         if k.arg == "dtype"]))
+
+
+def test_no_module_but_core_and_io_reads_a_complex_array():
+    # Library arguments are read by core's readers and documents by io's:
+    # a module converting an argument itself would bypass their typed errors.
+    found = [site for path in sorted(SRC.glob("*.py")) if path.name not in ("core.py", "io.py")
+             for site in complex_array_reads(path)]
+    assert found == []
+
+
+def test_the_array_check_sees_complex_reads(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text("a = np.asarray(x, dtype=np.complex128)\nb = np.array(x, complex)\n"
+                      "c = np.array(x, dtype=float)\nd = np.zeros(3, dtype=complex)\n"
+                      "e = np.array(x, copy=True, dtype='cdouble')\n")
+    assert complex_array_reads(sample) == [("sample.py", 1), ("sample.py", 2), ("sample.py", 5)]
+
+
 def test_readme_renders_the_table():
     section = README.read_text(encoding="utf-8").split("## Tolerances", 1)[1].split("\n## ", 1)[0]
     rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.M))

@@ -20,6 +20,7 @@ from twotime import (
     VARIANTS,
     build_tomography_set,
     check_completeness,
+    DensityVector,
     Ensemble,
     density_from_ensemble,
     predict_probabilities,
@@ -182,10 +183,15 @@ def test_lstsq_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
 # Prediction.
 
 def test_predict_matches_probability_rule(rng):
+    # A valid density whose eigenvalue -9e-11 lies along (e0 - e1) / sqrt(2):
+    # its two (0,0)(0,1) "-" weights round to -2.8e-12, which both rules
+    # must read as 0.
+    u = np.outer([1.0, -1.0, 0.0, 0.0], [1.0, -1.0, 0.0, 0.0]) / 2.0
+    edge = DensityVector((1.0 + 9e-11) / 3.0 * (np.eye(4) - u) - 9e-11 * u)
     for d in (1, 2, 3, 4):
         ts = build_tomography_set(d)
         pure = density_from_ensemble(Ensemble.pure(random_state(rng, d)))
-        for eta in (random_density(rng, d), pure):
+        for eta in (random_density(rng, d), pure, *[edge] * (d == 2)):
             assert np.allclose(
                 predict_probabilities(eta, ts),
                 prob_density(eta, ts.measurement),
