@@ -35,6 +35,7 @@ from .core import (
     KrausOperator,
     TwoTimeState,
     _as_array,
+    _as_instance,
     _operator_stack,
     _PairMatrix,
     _hermitian_part,
@@ -89,7 +90,7 @@ class BipartiteOperator(_PairMatrix):
 
 def state_to_bipartite(state: TwoTimeState) -> np.ndarray:
     """The bipartite state vector of a pure two-time state: ``vec(coeffs)``."""
-    return state.coeffs.reshape(-1).copy()
+    return _as_instance(state, TwoTimeState, "state").coeffs.reshape(-1).copy()
 
 
 def state_from_bipartite(vector: np.ndarray) -> TwoTimeState:
@@ -99,12 +100,12 @@ def state_from_bipartite(vector: np.ndarray) -> TwoTimeState:
 
 def density_to_bipartite(eta: DensityVector) -> BipartiteDensity:
     """The bipartite density matrix of a density vector: the same array."""
-    return BipartiteDensity._from_psd(eta.mat)
+    return BipartiteDensity._from_psd(_as_instance(eta, DensityVector, "eta").mat)
 
 
 def bipartite_to_density(rho: BipartiteDensity) -> DensityVector:
     """Inverse of :func:`density_to_bipartite`."""
-    return DensityVector._from_psd(rho.rho)
+    return DensityVector._from_psd(_as_instance(rho, BipartiteDensity, "rho").rho)
 
 
 def kraus_to_bipartite_vector(op: KrausOperator) -> np.ndarray:
@@ -114,12 +115,12 @@ def kraus_to_bipartite_vector(op: KrausOperator) -> np.ndarray:
     (states map unconjugated, operators conjugated); it is what makes
     the bilinear two-time pairing land on the sesquilinear Born rule.
     """
-    return op.entries.reshape(-1).conj()
+    return _as_instance(op, KrausOperator, "op").entries.reshape(-1).conj()
 
 
 def kdv_to_bipartite(kdv: KrausDensityVector) -> BipartiteOperator:
     """The positive bipartite operator of a Kraus density vector: ``conj(K)``."""
-    return BipartiteOperator._from_psd(kdv.mat.conj())
+    return BipartiteOperator._from_psd(_as_instance(kdv, KrausDensityVector, "kdv").mat.conj())
 
 
 def pairing_equality_check(kdv: KrausDensityVector, eta: DensityVector) -> tuple[float, float, float]:

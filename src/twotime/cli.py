@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -114,7 +114,7 @@ def _dumps(obj) -> str:
     if isinstance(obj, (float, np.floating)):
         return _fmt_float(float(obj))
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return encode_basestring_ascii(obj)  # what json.dumps calls for a str
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_dumps(x) for x in obj) + "]"
     if isinstance(obj, np.ndarray):

@@ -166,13 +166,39 @@ def _as_number(value, name: str, kind: type = float):
         raise ValidationError(f"{name} must be a number: {exc}") from None
 
 
+def _as_instance(obj, kind: type, name: str, error: type = ValidationError):
+    """``obj``, checked to be a ``kind``: the reader of every domain-object argument."""
+    if not isinstance(obj, kind):
+        raise error(f"{name} must be of type {kind.__name__}, got {type(obj).__name__}")
+    return obj
+
+
+def _as_tuple(items, name: str) -> tuple:
+    """``items`` as a tuple; what is not iterable raises ValidationError naming ``name``."""
+    try:
+        return tuple(items)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence, got {type(items).__name__}") from None
+
+
+def _as_pairs(items, name: str) -> tuple:
+    """``items`` as a tuple of 2-tuples, or a ValidationError naming ``name``."""
+    pairs = tuple(_as_tuple(item, f"each of the {name}") for item in _as_tuple(items, name))
+    if any(len(item) != 2 for item in pairs):
+        raise ValidationError(f"each of the {name} must be a pair")
+    return pairs
+
+
 def _as_array(a, name: str, dtype: type = np.complex128) -> np.ndarray:
     """A copy of ``a`` as a ``dtype`` array.
 
     What numpy cannot read as numbers (a string that is not one, a ragged
-    list, an integer beyond float64) raises ValidationError naming ``name``.
+    list, an integer beyond float64) raises ValidationError naming
+    ``name``, as does complex input to a real ``dtype``.
     """
     try:
+        if np.dtype(dtype).kind != "c" and np.iscomplexobj(a):
+            raise ValidationError(f"{name} must be real, got complex entries")
         return np.array(a, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{name} is not an array of numbers: {exc}") from None
@@ -394,7 +420,7 @@ class DensityVector(_PairMatrix):
 
     @classmethod
     def from_pure(cls, state: TwoTimeState) -> "DensityVector":
-        v = state.coeffs.reshape(-1)
+        v = _as_instance(state, TwoTimeState, "state").coeffs.reshape(-1)
         return cls(np.outer(v, v.conj()))
 
 
@@ -416,8 +442,10 @@ def _require_same_dim(a: int, b: int, what: str) -> None:
         raise DimensionMismatchError(f"{what}: dimensions {a} and {b} differ")
 
 
-def _shared_dim(objs, what: str) -> None:
-    """Raise unless all of ``objs`` (nonempty) share one ``dim``."""
+def _shared_dim(objs, kind: type, what: str) -> None:
+    """Raise unless all of ``objs`` (nonempty) are ``kind`` objects sharing one ``dim``."""
+    for obj in objs:
+        _as_instance(obj, kind, f"each of the {what}", DimensionMismatchError)
     dims = {obj.dim for obj in objs}
     if len(dims) != 1:
         raise DimensionMismatchError(f"{what} have mixed dimensions {sorted(dims)}")
@@ -435,7 +463,7 @@ def _operator_stack(ops, empty: Exception) -> np.ndarray:
 
     All must share one shape; no operators raises ``empty``.
     """
-    mats = [_pair_operand(op, f"operator {idx}") for idx, op in enumerate(ops)]
+    mats = [_pair_operand(op, f"operator {idx}") for idx, op in enumerate(_as_tuple(ops, "ops"))]
     if not mats:
         raise empty
     for idx, mat in enumerate(mats):
@@ -453,6 +481,8 @@ def contract_pure(op: KrausOperator, state: TwoTimeState) -> complex:
     ``<phi|op|psi>`` of the normalized post-selection and preparation
     vectors.
     """
+    _as_instance(op, KrausOperator, "op")
+    _as_instance(state, TwoTimeState, "state")
     _require_same_dim(op.dim, state.dim, "contract_pure")
     return complex(np.sum(op.entries * state.coeffs))
 
@@ -470,6 +500,8 @@ def sandwich(op: KrausOperator, eta: DensityVector) -> float:
     is real and nonnegative for any valid density vector; negatives
     within the positivity slack are clamped to 0.
     """
+    _as_instance(op, KrausOperator, "op")
+    _as_instance(eta, DensityVector, "eta")
     _require_same_dim(op.dim, eta.dim, "sandwich")
     v = op.entries.reshape(-1)
     val = float((v @ eta.mat @ v.conj()).real)
@@ -483,5 +515,7 @@ def pair(kdv: KrausDensityVector, eta: DensityVector) -> float:
     (no conjugation), which equals ``sum_chi sandwich(A_chi, eta)`` for
     any Kraus decomposition of ``kdv``.
     """
+    _as_instance(kdv, KrausDensityVector, "kdv")
+    _as_instance(eta, DensityVector, "eta")
     _require_same_dim(kdv.dim, eta.dim, "pair")
     return _clamped(float(np.sum(kdv.mat * eta.mat).real), float(np.trace(kdv.mat).real))

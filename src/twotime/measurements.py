@@ -39,7 +39,9 @@ from .core import (
     _EIG_CUTOFF,
     KrausDensityVector,
     KrausOperator,
+    _as_instance,
     _as_number,
+    _as_tuple,
     _check_hermitian_psd,
     _freeze,
     _hermitian_part,
@@ -71,12 +73,11 @@ class MeasurementOutcome:
     name: str = ""
 
     def __post_init__(self) -> None:
-        kraus = tuple(
-            op if isinstance(op, KrausOperator) else KrausOperator(op) for op in self.kraus
-        )
+        kraus = tuple(op if isinstance(op, KrausOperator) else KrausOperator(op)
+                      for op in _as_tuple(self.kraus, "outcome operators"))
         if not kraus:
             raise DegenerateInputError("measurement outcome has no Kraus operators")
-        _shared_dim(kraus, "outcome operators")
+        _shared_dim(kraus, KrausOperator, "outcome operators")
         object.__setattr__(self, "kraus", kraus)
         object.__setattr__(self, "name", str(self.name))
 
@@ -102,13 +103,10 @@ class Measurement:
     names: tuple
 
     def __init__(self, outcomes) -> None:
-        outcomes = tuple(outcomes)
+        outcomes = _as_tuple(outcomes, "outcomes")
         if not outcomes:
             raise DegenerateInputError("measurement has no outcomes")
-        for out in outcomes:
-            if not isinstance(out, MeasurementOutcome):
-                raise DimensionMismatchError(f"{out!r} is not a MeasurementOutcome")
-        _shared_dim(outcomes, "outcomes")
+        _shared_dim(outcomes, MeasurementOutcome, "outcomes")
         self._store(np.stack([op.entries for out in outcomes for op in out.kraus]),
                     [len(out.kraus) for out in outcomes], [out.name for out in outcomes])
 
@@ -162,12 +160,12 @@ class Measurement:
     @classmethod
     def detailed(cls, ops: Iterable[KrausOperator], names: Sequence[str] | None = None) -> "Measurement":
         """One outcome per operator, in order."""
-        return cls.from_kraus_sets(((op,) for op in ops), names)
+        return cls.from_kraus_sets([(op,) for op in _as_tuple(ops, "ops")], names)
 
     @classmethod
     def from_kraus_sets(cls, sets: Iterable[Iterable[KrausOperator]],
                         names: Sequence[str] | None = None) -> "Measurement":
-        sets = [tuple(s) for s in sets]
+        sets = [_as_tuple(s, "each of the Kraus sets") for s in _as_tuple(sets, "Kraus sets")]
         if names is None:
             names = [""] * len(sets)
         if len(names) != len(sets):
@@ -201,7 +199,7 @@ def kraus_density_vector(outcome) -> KrausDensityVector:
     operators, read as :class:`MeasurementOutcome` reads them.
     """
     if not isinstance(outcome, MeasurementOutcome):
-        outcome = MeasurementOutcome(tuple(outcome))
+        outcome = MeasurementOutcome(outcome)
     stack = np.array([op.entries for op in outcome.kraus])
     gram = _kraus_density_stack(stack, np.zeros(len(stack), np.intp))
     return KrausDensityVector._from_psd(gram[0])
@@ -221,7 +219,7 @@ def _post_selection_defect(total: np.ndarray, factor: float = 1.0) -> float:
 
 def check_completeness(m: Measurement) -> tuple[bool, float]:
     """Whether ``sum_{mu,chi} A^dag A = I`` and the defect ``max|sum - I|``."""
-    s = m.kraus_stack
+    s = _as_instance(m, Measurement, "m").kraus_stack
     total = np.einsum("oki,okj->ij", s.conj(), s)
     defect = float(np.max(np.abs(total - np.eye(m.dim))))
     return (defect <= COMPLETENESS_ATOL, defect)
@@ -236,7 +234,7 @@ def partial_normalization_defect(m: Measurement) -> float:
     absolute deviation from the identity on the preparation indices.
     Zero exactly when the measurement is complete.
     """
-    v = m.kraus_stack.reshape(-1, m.dim ** 2)
+    v = _as_instance(m, Measurement, "m").kraus_stack.reshape(-1, m.dim ** 2)
     return _post_selection_defect(v.T @ v.conj())
 
 
@@ -248,6 +246,8 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
     positional, of the two stacks of Kraus density vectors at once;
     mismatched outcome counts (or dimensions) raise.
     """
+    _as_instance(m1, Measurement, "m1")
+    _as_instance(m2, Measurement, "m2")
     _require_same_dim(m1.dim, m2.dim, "measurements_equal")
     if m1.n_outcomes != m2.n_outcomes:
         raise ValidationError(

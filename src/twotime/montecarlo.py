@@ -31,13 +31,16 @@ Results therefore depend only on (seed, shots), bit-identically, no
 matter how attempts are partitioned across workers; partial tallies
 merge by summation.
 
-Cost per chunk: the member, the measurement choice and the Kraus branch
-of every attempt are drawn by one exact guide-table inversion each
-(``_Inverse``; a bucket is a shift of m), then the success test and
-the tallies take two gathers and two ``bincount`` calls; nothing is
-sorted or looped over per group.  Every comparison is on integers: an
-edge or success probability c becomes ``E = min(ceil(c * 2**53),
-2**53)``, and ``c <= u`` exactly when ``E <= m``, so no tally can move.
+Cost per slice: a chunk's attempts are tallied in slices of 16384
+(``_SLICE``), each reading its rows of the chunk's Philox block in
+place, so the keying, the draw order and every tally are those of one
+pass.  The member, the measurement choice and the Kraus branch of every
+attempt are drawn by one exact guide-table inversion each (``_Inverse``;
+a bucket is a shift of m), then the success test and the tallies take
+two gathers and two ``bincount`` calls; nothing is sorted or looped
+over per group.  Every comparison is on integers: an edge or success
+probability c becomes ``E = min(ceil(c * 2**53), 2**53)``, and
+``c <= u`` exactly when ``E <= m``, so no tally can move.
 """
 
 from __future__ import annotations
@@ -48,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .core import ATOL, _ZERO_BORN, KrausOperator, _as_int, _as_number, _require_same_dim
-from .core import _shared_dim
+from .core import ATOL, _ZERO_BORN, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple
+from .core import _require_same_dim, _shared_dim
 from .errors import (
     DimensionMismatchError,
     IncompleteMeasurementError,
@@ -76,6 +79,14 @@ __all__ = [
 #: Attempts per Philox key block; part of the randomness contract.
 CHUNK = 65536
 
+#: Attempts tallied per pass of the shot loop, a divisor of ``CHUNK``.  It
+#: sets the loop's memory, not its results: 32 B of draws per attempt and
+#: temporaries that peak near 25 B more, 0.9 MiB a slice.  glibc's malloc
+#: returns freed heap to the system once it exceeds twice the largest
+#: block it has mapped, here the 512 KiB draw block; a slice under that
+#: reuses the last slice's pages instead of faulting in fresh ones.
+_SLICE = 1 << 14
+
 _MAX_SEED = 2**64
 
 
@@ -95,18 +106,16 @@ class ObserverPolicy:
     choice_probs: tuple
 
     def __post_init__(self) -> None:
-        ms = tuple(self.measurements)
-        ps = tuple(_as_number(p, "choice probability") for p in self.choice_probs)
+        ms = _as_tuple(self.measurements, "measurements")
+        ps = tuple(_as_number(p, "choice probability")
+                   for p in _as_tuple(self.choice_probs, "choice probabilities"))
         if not ms:
             raise ValidationError("policy has no measurements")
         if len(ms) != len(ps):
             raise DimensionMismatchError(
                 f"{len(ms)} measurements but {len(ps)} choice probabilities"
             )
-        for m in ms:
-            if not isinstance(m, Measurement):
-                raise DimensionMismatchError(f"{m!r} is not a Measurement")
-        _shared_dim(ms, "measurements")
+        _shared_dim(ms, Measurement, "measurements")
         for p in ps:
             if not math.isfinite(p) or p <= 0.0:
                 raise NormalizationError(f"choice probability {p!r} is not strictly positive")
@@ -135,10 +144,8 @@ class SimConfig:
     seed: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.ensemble, Ensemble):
-            raise DimensionMismatchError(f"{self.ensemble!r} is not an Ensemble")
-        if not isinstance(self.policy, ObserverPolicy):
-            raise DimensionMismatchError(f"{self.policy!r} is not an ObserverPolicy")
+        _as_instance(self.ensemble, Ensemble, "ensemble", DimensionMismatchError)
+        _as_instance(self.policy, ObserverPolicy, "policy", DimensionMismatchError)
         _require_same_dim(self.ensemble.dim, self.policy.dim, "SimConfig")
         shots = _as_int(self.shots, "shots")
         seed = _as_int(self.seed, "seed", 0, _MAX_SEED)
@@ -275,25 +282,27 @@ class _Inverse:
         rows = np.arange(n_rows).repeat(self.width)
         j = self.cum >> self.shift  # the pads' E = 2**53 falls in an extra bucket K
         h = np.bincount(j + rows * (k + 1), minlength=n_rows * (k + 1)).reshape(n_rows, k + 1)
-        self.guide = np.cumsum(h[:, :-1], axis=1).astype(np.min_scalar_type(-self.width)).ravel()
+        self.guide = np.cumsum(h[:, :-1], axis=1, dtype=np.min_scalar_type(-self.width)).ravel()
         self.guide[(j + rows * k)[self.cum & ((1 << self.shift) - 1) != 0]] = -1
 
-    def __call__(self, m: np.ndarray, rows: np.ndarray | int = 0) -> np.ndarray:
-        j = m >> self.shift
-        j += rows * self.k
-        found = self.guide[j]
-        todo = np.flatnonzero(found < 0)
-        found = found.astype(np.intp)
+    def __call__(self, m: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        """Row ``rows[i]``'s index for each draw ``m[i]``; row 0 when ``rows`` is None."""
+        idx = m >> self.shift
+        if rows is not None:
+            idx += rows * self.k
+        guide = self.guide.take(idx)
+        todo = np.flatnonzero(guide < 0)
+        idx[...] = guide  # widened into the bucket indices' buffer
         if todo.size:
-            mt = m[todo]
-            start = np.broadcast_to(rows, m.shape)[todo] * self.width
+            mt = m[todo]  # take would copy the whole strided column first
+            start = rows.take(todo) * self.width if rows is not None else np.zeros_like(todo)
             pos = start.copy()
             step = self.width // 2
             while step:
-                pos += step * (self.cum[pos + (step - 1)] <= mt)
+                pos += step * (self.cum.take(pos + (step - 1)) <= mt)
                 step //= 2
-            found[todo] = pos - start
-        return found
+            idx[todo] = pos - start
+        return idx
 
 
 def _stacked(blocks: list, width: int, fill) -> np.ndarray:
@@ -359,18 +368,29 @@ class _Tables:
         self.tally_at = _stacked(tally, width, 0).ravel()
 
 
+def _tally(tables: _Tables, m: np.ndarray, attempted: np.ndarray, tally: np.ndarray) -> None:
+    """Add the attempts and successes of the draws ``m`` to the flat tallies."""
+    row = tables.choices(m[:, 1])
+    row *= tables.n_members
+    row += tables.members(m[:, 0])
+    attempted += np.bincount(row, minlength=attempted.size)
+    at = tables.branches(m[:, 2], row)
+    at += row * tables.branches.width
+    wins = m[:, 3] < tables.success_at.take(at)
+    tally += np.bincount(tables.tally_at.take(at[wins]), minlength=tally.size)
+
+
 def _accumulate(cfg: SimConfig, tables: _Tables, start: int, stop: int,
                 attempted: np.ndarray, tally: np.ndarray) -> None:
-    """Add the attempts and successes of [start, stop) to the flat tallies."""
+    """Add the attempts and successes of [start, stop) to the flat tallies.
+
+    One ``_tally`` call per slice: its arrays are freed when it returns,
+    before the next slice is drawn.
+    """
     pos = start
     while pos < stop:
-        end = min(stop, pos + CHUNK - (pos % CHUNK))
-        m = _draws(cfg.seed, pos, end)
-        row = tables.choices(m[:, 1]) * tables.n_members + tables.members(m[:, 0])
-        attempted += np.bincount(row, minlength=attempted.size)
-        at = tables.branches(m[:, 2], row) + row * tables.branches.width
-        wins = m[:, 3] < tables.success_at[at]
-        tally += np.bincount(tables.tally_at[at[wins]], minlength=tally.size)
+        end = min(stop, pos - pos % _SLICE + _SLICE)
+        _tally(tables, _draws(cfg.seed, pos, end), attempted, tally)
         pos = end
 
 
@@ -382,7 +402,7 @@ def simulate(cfg: SimConfig, _ranges=None) -> SimResult:
     pass, which is the partition-independence guarantee of the
     randomness contract.
     """
-    tables = _Tables(cfg)
+    tables = _Tables(_as_instance(cfg, SimConfig, "cfg"))
     shape = (len(tables.n_outcomes), tables.n_members, max(tables.n_outcomes))
     attempted = np.zeros(shape[:2], dtype=np.int64)
     tally = np.zeros(shape, dtype=np.int64)
@@ -403,6 +423,9 @@ def analytic_success_rate(ensemble: Ensemble, m: Measurement) -> float:
     ``sum_r p_r sum_branches |A . alpha_r|^2 / d``; useful for sizing
     ``shots`` against a wanted number of successes.
     """
+    _as_instance(ensemble, Ensemble, "ensemble")
+    _as_instance(m, Measurement, "m")
+    _require_same_dim(ensemble.dim, m.dim, "analytic_success_rate")
     return float(ensemble.weights @ _contraction_weights(m, ensemble.coeff_stack).sum(1)
                  / ensemble.dim)
 

@@ -35,7 +35,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import DENOMINATOR_EPS, PSD_ATOL, DensityVector, TwoTimeState
-from .core import _operator_stack, _pair_operand, _require_same_dim
+from .core import _as_instance, _operator_stack, _pair_operand, _require_same_dim
 from .errors import (
     AllDiscardedError,
     IncompleteMeasurementError,
@@ -111,6 +111,8 @@ def prob_pure(state: TwoTimeState, m: Measurement) -> np.ndarray:
     PostSelectionImpossibleError
         If every outcome has zero weight on this state.
     """
+    _as_instance(state, TwoTimeState, "state")
+    _as_instance(m, Measurement, "m")
     _require_same_dim(state.dim, m.dim, "prob_pure")
     _require_detailed(m)
     _require_complete(m)
@@ -127,6 +129,8 @@ def prob_ensemble(ensemble: Ensemble, m: Measurement) -> np.ndarray:
     different (wrong) answer whenever post-selection success rates
     differ between members.
     """
+    _as_instance(ensemble, Ensemble, "ensemble")
+    _as_instance(m, Measurement, "m")
     _require_same_dim(ensemble.dim, m.dim, "prob_ensemble")
     _require_detailed(m)
     _require_complete(m)
@@ -141,6 +145,8 @@ def prob_density(eta: DensityVector, m: Measurement) -> np.ndarray:
     and is invariant under rescaling of the stored array (only ratios
     enter).
     """
+    _as_instance(eta, DensityVector, "eta")
+    _as_instance(m, Measurement, "m")
     _require_same_dim(eta.dim, m.dim, "prob_density")
     _require_detailed(m)
     _require_complete(m)
@@ -154,6 +160,8 @@ def prob_coarse(eta: DensityVector, m: Measurement) -> np.ndarray:
     weights of its branches; detailed measurements reproduce
     :func:`prob_density` exactly.
     """
+    _as_instance(eta, DensityVector, "eta")
+    _as_instance(m, Measurement, "m")
     _require_same_dim(eta.dim, m.dim, "prob_coarse")
     _require_complete(m)
     return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
 from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_array, _as_number, _freeze, _pair_operand
-from .core import _shared_dim
+from .core import _as_instance, _as_pairs, _shared_dim
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -58,13 +58,11 @@ class Ensemble:
     coeff_stack: np.ndarray
 
     def __init__(self, members) -> None:
-        members = tuple((_as_number(w, "ensemble weight"), s) for (w, s) in members)
+        members = tuple((_as_number(w, "ensemble weight"), s)
+                        for w, s in _as_pairs(members, "ensemble members"))
         if not members:
             raise DegenerateInputError("ensemble has no members")
-        for _, s in members:
-            if not isinstance(s, TwoTimeState):
-                raise DimensionMismatchError(f"ensemble member {s!r} is not a TwoTimeState")
-        _shared_dim([s for _, s in members], "ensemble members")
+        _shared_dim([s for _, s in members], TwoTimeState, "ensemble members")
         self._store(np.array([w for w, _ in members]), np.stack([s.coeffs for _, s in members]))
 
     @classmethod
@@ -180,10 +178,10 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     DegenerateInputError
         If the terms cancel to the zero array (or the list is empty).
     """
-    terms = list(terms)
+    terms = _as_pairs(terms, "superposition terms")
     if not terms:
         raise DegenerateInputError("superposition of no terms")
-    _shared_dim([s for _, s in terms], "superposition terms")
+    _shared_dim([s for _, s in terms], TwoTimeState, "superposition terms")
     acc = sum(_as_number(c, "superposition coefficient", complex) * s.coeffs for c, s in terms)
     if float(np.linalg.norm(acc)) <= _ZERO_NORM:
         raise DegenerateInputError("superposition terms cancel to zero")
@@ -197,7 +195,7 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
     identical: every probability rule in this package depends on the
     ensemble only through this object.
     """
-    w = ensemble.weights
+    w = _as_instance(ensemble, Ensemble, "ensemble").weights
     v = ensemble.coeff_stack.reshape(len(w), -1)
     n2 = v.shape[1]
     block = max(1, _TERM_BLOCK_BYTES // (16 * n2 * n2))
@@ -224,7 +222,7 @@ def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) ->
     the same density vector is operationally interchangeable with the
     one returned here.
     """
-    lam, w = np.linalg.eigh(eta.mat)
+    lam, w = np.linalg.eigh(_as_instance(eta, DensityVector, "eta").mat)
     keep = lam > cutoff
     if not np.any(keep):
         raise DegenerateInputError("density vector has no eigenvalue above cutoff")

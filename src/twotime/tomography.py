@@ -55,6 +55,7 @@ from .core import (
     _LOAD_NORM_ATOL,
     DensityVector,
     _as_array,
+    _as_instance,
     _as_int,
     _as_number,
     _hermitian_part,
@@ -170,6 +171,8 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     no operator has ``|vec(A)|^2`` above 1, so a weight within
     ``PSD_ATOL`` below 0 reads 0.
     """
+    _as_instance(eta, DensityVector, "eta")
+    _as_instance(ts, TomographySet, "ts")
     _require_same_dim(eta.dim, ts.dim, "predict_probabilities")
     d = ts.dim
     mat = eta.mat

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ATOL, DENOMINATOR_EPS, DensityVector, KrausOperator, TwoTimeState
-from .core import _as_square_complex, _freeze, _require_same_dim, hermiticity_defect
+from .core import _as_instance, _as_square_complex, _freeze, _require_same_dim, hermiticity_defect
 from .errors import (
     NoEquivalentStateError,
     NotHermitianError,
@@ -86,6 +86,8 @@ def weak_value_pure(obs: KrausOperator, state: TwoTimeState, *,
     NotHermitianError
         If ``obs`` is not Hermitian and the flag is not set.
     """
+    _as_instance(obs, KrausOperator, "obs")
+    _as_instance(state, TwoTimeState, "state")
     _require_same_dim(obs.dim, state.dim, "weak_value_pure")
     _check_observable(obs, allow_non_hermitian)
     den = complex(np.trace(state.coeffs))
@@ -105,7 +107,7 @@ def weak_value_vector(eta: DensityVector) -> WeakValueVector:
     realizing ``eta`` it equals ``sum_r p_r conj(tr alpha_r) alpha_r``,
     because the map is linear in ``eta``.
     """
-    d = eta.dim
+    d = _as_instance(eta, DensityVector, "eta").dim
     return WeakValueVector(eta.mat[:, np.arange(d) * (d + 1)].sum(1).reshape(d, d))
 
 
@@ -122,6 +124,8 @@ def weak_value_ensemble(obs: KrausOperator, eta: DensityVector, *,
         If ``tr(eta_w)`` (the mean squared identity contraction of the
         mixture) vanishes.
     """
+    _as_instance(obs, KrausOperator, "obs")
+    _as_instance(eta, DensityVector, "eta")
     _require_same_dim(obs.dim, eta.dim, "weak_value_ensemble")
     _check_observable(obs, allow_non_hermitian)
     wvv = weak_value_vector(eta)

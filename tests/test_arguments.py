@@ -18,22 +18,34 @@ from twotime import (
     TwoTimeState,
     ValidationError,
     WeakValueVector,
+    analytic_success_rate,
+    build_tomography_set,
     complete_operator_set,
+    density_to_bipartite,
     measurement_partial_trace_defect,
     positivity_check,
     povm_to_twotime,
+    predict_probabilities,
+    prob_coarse,
+    prob_density,
+    prob_pure,
     prob_relative_bipartite,
     pure_product,
     reconstruct,
+    simulate,
     state_from_bipartite,
     superpose,
+    weak_value_pure,
 )
 
 STATE = TwoTimeState(np.eye(2))
 MEASUREMENT = Measurement.detailed([KrausOperator(np.eye(2))])
 RHO = BipartiteDensity(np.eye(4) / 4.0)
+ETA = DensityVector(np.eye(4) / 4.0)
+TS = build_tomography_set(2)
 
-#: Calls that raised a raw ValueError or TypeError before the readers.
+#: Calls that raised a raw ValueError, TypeError or AttributeError before
+#: the readers, or (the complex probabilities) a numpy ComplexWarning.
 BAD_CALLS = {
     "TwoTimeState-string": lambda: TwoTimeState("x"),
     "TwoTimeState-ragged": lambda: TwoTimeState([[1, 2], [3]]),
@@ -52,6 +64,21 @@ BAD_CALLS = {
     "povm_to_twotime-string": lambda: povm_to_twotime(["x"]),
     "reconstruct-string": lambda: reconstruct("x", 1),
     "reconstruct-ragged": lambda: reconstruct([[1], [1, 2]], 1),
+    "reconstruct-complex": lambda: reconstruct(predict_probabilities(ETA, TS) + 0.3j, 2),
+    "prob_pure-string-state": lambda: prob_pure("x", MEASUREMENT),
+    "prob_density-None-eta": lambda: prob_density(None, MEASUREMENT),
+    "prob_coarse-string-measurement": lambda: prob_coarse(ETA, "m"),
+    "simulate-None": lambda: simulate(None),
+    "analytic_success_rate-None-ensemble": lambda: analytic_success_rate(None, MEASUREMENT),
+    "weak_value_pure-None": lambda: weak_value_pure(None, None),
+    "density_to_bipartite-None": lambda: density_to_bipartite(None),
+    "predict_probabilities-None": lambda: predict_probabilities(None, TS),
+    "Ensemble-int-member": lambda: Ensemble([1]),
+    "complete_operator_set-None": lambda: complete_operator_set(None),
+    "Measurement.detailed-None": lambda: Measurement.detailed(None),
+    "DensityVector.from_pure-None": lambda: DensityVector.from_pure(None),
+    "analytic_success_rate-mixed-dims": lambda: analytic_success_rate(
+        Ensemble([(1.0, TwoTimeState(np.eye(3)))]), MEASUREMENT),
 }
 
 
@@ -102,7 +129,8 @@ JUNK = st.recursive(
     max_leaves=8,
 )
 
-#: Every entry point with a reader, called with ``x`` in the slot it reads.
+#: Every entry point with a reader, called with ``x`` in the slot it reads:
+#: an array, a number, a sequence or a domain object.
 ENTRY_POINTS = {
     "TwoTimeState": TwoTimeState,
     "KrausOperator": KrausOperator,
@@ -123,6 +151,16 @@ ENTRY_POINTS = {
     "prob_relative_bipartite-ops": lambda x: prob_relative_bipartite(RHO, [x]),
     "reconstruct": lambda x: reconstruct(x, 1),
     "reconstruct-clip_tol": lambda x: reconstruct([0.5, 0.0, 0.25, 0.25], 1, clip_tol=x),
+    "prob_pure": lambda x: prob_pure(x, MEASUREMENT),
+    "prob_density": lambda x: prob_density(x, MEASUREMENT),
+    "prob_coarse": lambda x: prob_coarse(ETA, x),
+    "simulate": simulate,
+    "analytic_success_rate": lambda x: analytic_success_rate(x, MEASUREMENT),
+    "weak_value_pure": lambda x: weak_value_pure(x, STATE),
+    "density_to_bipartite": density_to_bipartite,
+    "predict_probabilities": lambda x: predict_probabilities(x, TS),
+    "Ensemble-member": lambda x: Ensemble([x]),
+    "complete_operator_set-ops": complete_operator_set,
 }
 
 

@@ -848,6 +848,14 @@ def test_special_floats_print_as_17_significant_digits():
     assert _dumps(np.array([1, 2])) == "[1, 2]"
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.text(st.characters(exclude_categories=())))
+def test_strings_print_as_json_dumps_prints_them(s):
+    # Every category: lone surrogates, control characters, non-ASCII.
+    assert _dumps(s) == json.dumps(s)
+    assert _dumps({s: s}) == json.dumps({s: s})
+
+
 # ---------------------------------------------------------------------------
 # Process-level behavior.
 

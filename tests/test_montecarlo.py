@@ -1,6 +1,7 @@
 """Shot-based protocol simulation: randomness contract and convergence."""
 
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -381,6 +382,35 @@ def test_grouped_shot_loop_matches_the_mask_loop():
         assert np.array_equal(res.attempted, want_attempted)
         for got, want in zip(res.choice_counts, want_counts, strict=True):
             assert np.array_equal(got, want)
+
+
+def test_splits_at_slice_and_chunk_edges_tally_as_one_pass():
+    # The loop tallies in slices inside each chunk; a range that ends one
+    # attempt before, at or after a slice edge or a chunk edge must not
+    # move a tally.
+    cfg = wide_policy_config()
+    whole = simulate(cfg)
+    edge = montecarlo._SLICE
+    for split in (edge - 1, edge, edge + 1, CHUNK - 1, CHUNK + 1):
+        res = simulate(cfg, _ranges=[(0, split), (split, cfg.shots)])
+        assert np.array_equal(res.attempted, whole.attempted)
+        for got, want in zip(res.choice_counts, whole.choice_counts, strict=True):
+            assert np.array_equal(got, want)
+
+
+def test_the_shot_loop_holds_one_slice_at_a_time():
+    # 64 members and 4 measurements over one whole chunk: the draws of a
+    # chunk alone are 2 MiB, a slice's 0.5 MiB.
+    wide = wide_policy_config()
+    cfg = SimConfig(wide.ensemble, wide.policy, CHUNK, wide.seed)
+    simulate(cfg)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.6 * 2**20
 
 
 #: How far ``_Tables`` may sit from the member loop, in ulps of each

@@ -1,7 +1,5 @@
 """Property-based checks over machine-generated inputs."""
 
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -143,8 +141,8 @@ def tomography_below_the_cone(draw):
     g = complex_gaussian(rng, (n, n))
     psd = off @ (np.eye(n) + g @ g.conj().T / n) @ off
     mat = (1.0 + t) * psd / np.trace(psd).real - t * np.outer(u, u.conj())
-    probs = predict_probabilities(SimpleNamespace(dim=d, mat=mat), build_tomography_set(d))
-    return d, clip_tol, t, mat, probs
+    eta = DensityVector._from_psd(mat)  # stored without the positivity check it fails
+    return d, clip_tol, t, eta.mat, predict_probabilities(eta, build_tomography_set(d))
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
