@@ -34,7 +34,6 @@ from .core import (
     KrausDensityVector,
     KrausOperator,
     TwoTimeState,
-    _as_array,
     _as_instance,
     _operator_stack,
     _PairMatrix,
@@ -95,7 +94,7 @@ def state_to_bipartite(state: TwoTimeState) -> np.ndarray:
 
 def state_from_bipartite(vector: np.ndarray) -> TwoTimeState:
     """Inverse of :func:`state_to_bipartite` (normalizes)."""
-    return TwoTimeState(unvec(_as_array(vector, "vector")))
+    return TwoTimeState(unvec(vector))
 
 
 def density_to_bipartite(eta: DensityVector) -> BipartiteDensity:

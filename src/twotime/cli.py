@@ -24,7 +24,7 @@ import numpy as np
 
 from ._floattext import dumps_array
 from .bipartite import _outcome_images, density_to_bipartite, measurement_partial_trace_defect
-from .core import PSD_CLIP_TOL, hermiticity_defect
+from .core import PSD_CLIP_TOL, _hermiticity_defect
 from .errors import (
     DomainError,
     PostSelectionImpossibleError,
@@ -408,7 +408,7 @@ def _cmd_check(args) -> tuple[dict, tuple | None]:
             "object": "density_vector",
             "dim": eta.dim,
             "trace": float(np.trace(eta.mat).real),
-            "hermiticity_defect": hermiticity_defect(eta.mat),
+            "hermiticity_defect": _hermiticity_defect(eta.mat),
             "min_eigenvalue": min_eig,
             "positive": positive,
         }

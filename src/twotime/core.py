@@ -78,8 +78,9 @@ __all__ = [
 ATOL = 1e-12
 
 #: Eigensolver or sandwich rounding read as a negative weight.  Read by
-#: the positivity checks and the clamps of ``sandwich``, ``pair``, the
-#: probability rules and ``predict_probabilities``.
+#: the positivity checks and by ``_clamped``, the one clamp of outcome
+#: weights (``sandwich``, ``pair``, the probability rules and
+#: ``predict_probabilities``).
 PSD_ATOL = 1e-10
 
 #: A measurement with rounded Kraus operators read as incomplete
@@ -127,16 +128,16 @@ _MAX_ENTRY = 1e150
 
 
 def vec(a: np.ndarray) -> np.ndarray:
-    """Vectorize a (d, d) array row-major: ``vec(a)[i*d + j] = a[i, j]``."""
-    a = np.asarray(a)
+    """Vectorize a (d, d) array row-major: ``vec(a)[i*d + j] = a[i, j]``, as a complex copy."""
+    a = _as_array(a, "a")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatchError(f"expected a square 2-d array, got shape {a.shape}")
     return a.reshape(-1)
 
 
 def unvec(v: np.ndarray) -> np.ndarray:
-    """Invert :func:`vec`: reshape a length-d^2 vector to (d, d) row-major."""
-    v = np.asarray(v)
+    """Invert :func:`vec`: reshape a length-d^2 vector to (d, d) row-major, as a complex copy."""
+    v = _as_array(v, "v")
     if v.ndim != 1:
         raise DimensionMismatchError(f"expected a 1-d array, got shape {v.shape}")
     d = math.isqrt(v.size)
@@ -146,8 +147,13 @@ def unvec(v: np.ndarray) -> np.ndarray:
 
 
 def hermiticity_defect(m: np.ndarray) -> float:
-    """Max absolute entry of ``m - m^dag``."""
-    return float(np.max(np.abs(m - m.conj().T)))
+    """Max absolute entry of ``m - m^dag`` for a square, finite array ``m``."""
+    return _hermiticity_defect(_as_square_complex(m, "m"))
+
+
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """:func:`hermiticity_defect` of an array already read, without a second copy."""
+    return float(np.max(np.abs(mat - mat.conj().T)))
 
 
 def _as_int(value, name: str, low: int = 1, high: float = math.inf) -> int:
@@ -247,7 +253,7 @@ def _check_hermitian_psd(mat: np.ndarray, name: str, relative: bool = False) -> 
     """
     scale = max(1.0, float(np.abs(mat.diagonal()).max())) if relative else 1.0
     with np.errstate(over="ignore", invalid="ignore"):
-        defect = hermiticity_defect(mat)
+        defect = _hermiticity_defect(mat)
     if defect > ATOL * scale:
         raise NotHermitianError(
             f"{name} is not Hermitian: defect {defect:.3e} exceeds {ATOL * scale}")
@@ -389,7 +395,12 @@ class KrausOperator:
 
     @classmethod
     def identity(cls, dim: int) -> "KrausOperator":
-        return cls(np.eye(_as_int(dim, "dimension"), dtype=np.complex128))
+        d = _as_int(dim, "dimension")
+        try:
+            eye = np.eye(d, dtype=np.complex128)
+        except ValueError:  # d * d beyond numpy's index range
+            raise ValidationError("dimension too large for a d x d array") from None
+        return cls(eye)
 
 
 def identity_two_time_vector(dim: int) -> KrausOperator:
@@ -487,9 +498,11 @@ def contract_pure(op: KrausOperator, state: TwoTimeState) -> complex:
     return complex(np.sum(op.entries * state.coeffs))
 
 
-def _clamped(val: float, trace: float) -> float:
-    """0 for a negative ``val`` within ``PSD_ATOL * max(1, trace)`` of zero, else ``val``."""
-    return 0.0 if -PSD_ATOL * max(1.0, trace) <= val < 0.0 else val
+def _clamped(weights, traces):
+    """The one rounding clamp of outcome weights: each negative weight within
+    ``PSD_ATOL * max(1, tr K)`` of 0, ``tr K`` its entry of ``traces``, reads 0."""
+    low = -PSD_ATOL * np.maximum(1.0, traces)
+    return np.where((weights < 0.0) & (weights >= low), 0.0, weights)
 
 
 def sandwich(op: KrausOperator, eta: DensityVector) -> float:
@@ -504,8 +517,8 @@ def sandwich(op: KrausOperator, eta: DensityVector) -> float:
     _as_instance(eta, DensityVector, "eta")
     _require_same_dim(op.dim, eta.dim, "sandwich")
     v = op.entries.reshape(-1)
-    val = float((v @ eta.mat @ v.conj()).real)
-    return _clamped(val, float(v.real @ v.real + v.imag @ v.imag))
+    val = (v @ eta.mat @ v.conj()).real
+    return float(_clamped(val, v.real @ v.real + v.imag @ v.imag))
 
 
 def pair(kdv: KrausDensityVector, eta: DensityVector) -> float:
@@ -518,4 +531,4 @@ def pair(kdv: KrausDensityVector, eta: DensityVector) -> float:
     _as_instance(kdv, KrausDensityVector, "kdv")
     _as_instance(eta, DensityVector, "eta")
     _require_same_dim(kdv.dim, eta.dim, "pair")
-    return _clamped(float(np.sum(kdv.mat * eta.mat).real), float(np.trace(kdv.mat).real))
+    return float(_clamped(np.sum(kdv.mat * eta.mat).real, np.trace(kdv.mat).real))

@@ -254,7 +254,7 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
             f"outcome counts differ: {m1.n_outcomes} != {m2.n_outcomes}"
         )
     k1, k2 = (_kraus_density_stack(m.kraus_stack, m.outcome_of) for m in (m1, m2))
-    return float(np.max(np.abs(k1 - k2))) <= atol
+    return float(np.max(np.abs(k1 - k2))) <= _as_number(atol, "atol")
 
 
 def _checked_operators(ops, *, relative: bool, empty: Exception) -> tuple:

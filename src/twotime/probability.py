@@ -34,8 +34,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import DENOMINATOR_EPS, PSD_ATOL, DensityVector, TwoTimeState
-from .core import _as_instance, _operator_stack, _pair_operand, _require_same_dim
+from .core import DENOMINATOR_EPS, DensityVector, TwoTimeState
+from .core import _as_instance, _clamped, _operator_stack, _pair_operand, _require_same_dim
 from .errors import (
     AllDiscardedError,
     IncompleteMeasurementError,
@@ -99,8 +99,7 @@ def _numerators(mat: np.ndarray, m: Measurement) -> np.ndarray:
     branch = ((v @ mat) * v.conj()).sum(1).real
     weights = np.bincount(m.outcome_of, branch, m.n_outcomes)
     traces = np.bincount(m.outcome_of, (v.real ** 2 + v.imag ** 2).sum(1), m.n_outcomes)
-    weights[(weights < 0.0) & (weights >= -PSD_ATOL * np.maximum(1.0, traces))] = 0.0
-    return weights
+    return _clamped(weights, traces)
 
 
 def prob_pure(state: TwoTimeState, m: Measurement) -> np.ndarray:
@@ -145,12 +144,8 @@ def prob_density(eta: DensityVector, m: Measurement) -> np.ndarray:
     and is invariant under rescaling of the stored array (only ratios
     enter).
     """
-    _as_instance(eta, DensityVector, "eta")
-    _as_instance(m, Measurement, "m")
-    _require_same_dim(eta.dim, m.dim, "prob_density")
-    _require_detailed(m)
-    _require_complete(m)
-    return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)
+    _require_detailed(_as_instance(m, Measurement, "m"))
+    return _density_rule(eta, m, "prob_density")
 
 
 def prob_coarse(eta: DensityVector, m: Measurement) -> np.ndarray:
@@ -160,9 +155,14 @@ def prob_coarse(eta: DensityVector, m: Measurement) -> np.ndarray:
     weights of its branches; detailed measurements reproduce
     :func:`prob_density` exactly.
     """
+    return _density_rule(eta, m, "prob_coarse")
+
+
+def _density_rule(eta: DensityVector, m: Measurement, rule: str) -> np.ndarray:
+    """The body of :func:`prob_density` and :func:`prob_coarse`, named ``rule`` in errors."""
     _as_instance(eta, DensityVector, "eta")
     _as_instance(m, Measurement, "m")
-    _require_same_dim(eta.dim, m.dim, "prob_coarse")
+    _require_same_dim(eta.dim, m.dim, rule)
     _require_complete(m)
     return _normalize(_numerators(eta.mat, m), PostSelectionImpossibleError)
 
@@ -189,6 +189,5 @@ def prob_relative_bipartite(rho, ops) -> np.ndarray:
     rho_mat = _pair_operand(rho, "rho")
     stack = _operator_stack(ops, AllDiscardedError("no operators; every outcome was discarded"))
     _require_same_dim(len(stack[0]), len(rho_mat), "prob_relative_bipartite")
-    numerators = np.array([float(np.trace(mat @ rho_mat).real) for mat in stack])
-    numerators[(numerators < 0.0) & (numerators > -PSD_ATOL)] = 0.0
-    return _normalize(numerators, AllDiscardedError)
+    numerators = np.einsum("kab,ba->k", stack, rho_mat).real
+    return _normalize(_clamped(numerators, np.einsum("kaa->k", stack).real), AllDiscardedError)

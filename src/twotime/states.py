@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, hermiticity_defect
+from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, _hermiticity_defect
 from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_array, _as_number, _freeze, _pair_operand
 from .core import _as_instance, _as_pairs, _shared_dim
 from .errors import (
@@ -149,7 +149,7 @@ def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
     Raises
     ------
     DegenerateInputError
-        If either vector is zero.
+        If either vector is zero or not finite.
     DimensionMismatchError
         If the vectors are not 1-d of equal length.
     """
@@ -163,6 +163,8 @@ def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
         raise DimensionMismatchError(
             f"post-selection and preparation dimensions differ: {phi.size} != {psi.size}"
         )
+    if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
+        raise DegenerateInputError("post-selection or preparation vector is not finite")
     if np.linalg.norm(phi) <= _ZERO_NORM:
         raise DegenerateInputError("post-selection vector is zero")
     if np.linalg.norm(psi) <= _ZERO_NORM:
@@ -176,13 +178,16 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     Raises
     ------
     DegenerateInputError
-        If the terms cancel to the zero array (or the list is empty).
+        If the terms cancel to zero, are none, or a coefficient is not finite.
     """
     terms = _as_pairs(terms, "superposition terms")
     if not terms:
         raise DegenerateInputError("superposition of no terms")
     _shared_dim([s for _, s in terms], TwoTimeState, "superposition terms")
-    acc = sum(_as_number(c, "superposition coefficient", complex) * s.coeffs for c, s in terms)
+    coeffs = [_as_number(c, "superposition coefficient", complex) for c, _ in terms]
+    if not np.isfinite(coeffs).all():
+        raise DegenerateInputError("superposition coefficients are not finite")
+    acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
     if float(np.linalg.norm(acc)) <= _ZERO_NORM:
         raise DegenerateInputError("superposition terms cancel to zero")
     return TwoTimeState(acc)
@@ -223,7 +228,7 @@ def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) ->
     one returned here.
     """
     lam, w = np.linalg.eigh(_as_instance(eta, DensityVector, "eta").mat)
-    keep = lam > cutoff
+    keep = lam > _as_number(cutoff, "cutoff")
     if not np.any(keep):
         raise DegenerateInputError("density vector has no eigenvalue above cutoff")
     lam = lam[keep]
@@ -247,7 +252,7 @@ def positivity_check(obj) -> tuple[bool, float]:
         If a raw array fails Hermiticity within ``ATOL``.
     """
     mat = _pair_operand(obj, "matrix")
-    defect = hermiticity_defect(mat)
+    defect = _hermiticity_defect(mat)
     if defect > ATOL:
         raise NotHermitianError(f"matrix is not Hermitian: defect {defect:.3e}")
     min_eig = float(np.linalg.eigvalsh(mat)[0])

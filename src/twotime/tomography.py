@@ -50,7 +50,6 @@ import numpy as np
 
 from .core import (
     DENOMINATOR_EPS,
-    PSD_ATOL,
     PSD_CLIP_TOL,
     _LOAD_NORM_ATOL,
     DensityVector,
@@ -58,6 +57,7 @@ from .core import (
     _as_instance,
     _as_int,
     _as_number,
+    _clamped,
     _hermitian_part,
     _require_same_dim,
 )
@@ -168,8 +168,7 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
 
     Equal to ``prob_density(eta, ts.measurement)``, computed from the
     closed-form weights in the module docstring, with that rule's clamp:
-    no operator has ``|vec(A)|^2`` above 1, so a weight within
-    ``PSD_ATOL`` below 0 reads 0.
+    no operator has ``|vec(A)|^2`` above 1, so the clamp's trace is 1.
     """
     _as_instance(eta, DensityVector, "eta")
     _as_instance(ts, TomographySet, "ts")
@@ -180,8 +179,7 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     cross = (np.conj(_VARIANT_PHASES) * mat[:, :, None]).real
     weights = (diag[:, None, None] + diag[None, :, None]) + 2.0 * cross
     numerators = (weights / (8.0 * d**3)).reshape(-1)
-    numerators[(numerators < 0.0) & (numerators >= -PSD_ATOL)] = 0.0
-    return _normalize(numerators, PostSelectionImpossibleError)
+    return _normalize(_clamped(numerators, 1.0), PostSelectionImpossibleError)
 
 
 def _clip_to_density(raw: np.ndarray, clip_tol: float) -> DensityVector:
@@ -292,4 +290,7 @@ def sampling_clip_tol(dim: int, successes: int) -> float:
     """
     d = _as_int(dim, "dimension")
     n = _as_int(successes, "successes")
-    return max(PSD_CLIP_TOL, 10.0 * d * d / float(n) ** 0.5)
+    try:
+        return max(PSD_CLIP_TOL, 10.0 * d * d / float(n) ** 0.5)
+    except OverflowError:
+        raise ValidationError("dimension or successes too large for a float") from None

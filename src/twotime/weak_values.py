@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ATOL, DENOMINATOR_EPS, DensityVector, KrausOperator, TwoTimeState
-from .core import _as_instance, _as_square_complex, _freeze, _require_same_dim, hermiticity_defect
+from .core import ATOL, DENOMINATOR_EPS, DensityVector, KrausOperator, TwoTimeState, _freeze
+from .core import _as_instance, _as_square_complex, _hermiticity_defect, _require_same_dim
 from .errors import (
     NoEquivalentStateError,
     NotHermitianError,
@@ -63,15 +63,20 @@ class WeakValueVector:
         return float(np.linalg.norm(self.coeffs))
 
 
-def _check_observable(obs: KrausOperator, allow_non_hermitian: bool) -> None:
-    if allow_non_hermitian:
-        return
-    defect = hermiticity_defect(obs.entries)
-    if defect > ATOL:
-        raise NotHermitianError(
-            f"observable is not Hermitian (defect {defect:.3e}); "
-            "pass allow_non_hermitian=True to contract a general operator"
-        )
+def _weak_ratio(obs: KrausOperator, coeffs: np.ndarray, allow_non_hermitian: bool,
+                undefined: str) -> complex:
+    """``(obs . coeffs) / tr(coeffs)``; ``undefined`` is the error for a vanishing trace."""
+    if not allow_non_hermitian:
+        defect = _hermiticity_defect(obs.entries)
+        if defect > ATOL:
+            raise NotHermitianError(
+                f"observable is not Hermitian (defect {defect:.3e}); "
+                "pass allow_non_hermitian=True to contract a general operator"
+            )
+    den = complex(np.trace(coeffs))
+    if abs(den) <= DENOMINATOR_EPS:
+        raise UndefinedWeakValueError(undefined)
+    return complex(np.sum(obs.entries * coeffs)) / den
 
 
 def weak_value_pure(obs: KrausOperator, state: TwoTimeState, *,
@@ -89,14 +94,8 @@ def weak_value_pure(obs: KrausOperator, state: TwoTimeState, *,
     _as_instance(obs, KrausOperator, "obs")
     _as_instance(state, TwoTimeState, "state")
     _require_same_dim(obs.dim, state.dim, "weak_value_pure")
-    _check_observable(obs, allow_non_hermitian)
-    den = complex(np.trace(state.coeffs))
-    if abs(den) <= DENOMINATOR_EPS:
-        raise UndefinedWeakValueError(
-            "identity contraction vanishes; weak values of this state are undefined"
-        )
-    num = complex(np.sum(obs.entries * state.coeffs))
-    return num / den
+    return _weak_ratio(obs, state.coeffs, allow_non_hermitian,
+                       "identity contraction vanishes; weak values of this state are undefined")
 
 
 def weak_value_vector(eta: DensityVector) -> WeakValueVector:
@@ -127,15 +126,8 @@ def weak_value_ensemble(obs: KrausOperator, eta: DensityVector, *,
     _as_instance(obs, KrausOperator, "obs")
     _as_instance(eta, DensityVector, "eta")
     _require_same_dim(obs.dim, eta.dim, "weak_value_ensemble")
-    _check_observable(obs, allow_non_hermitian)
-    wvv = weak_value_vector(eta)
-    den = complex(np.trace(wvv.coeffs))
-    if abs(den) <= DENOMINATOR_EPS:
-        raise UndefinedWeakValueError(
-            "weak value vector is traceless; weak values of this mixture are undefined"
-        )
-    num = complex(np.sum(obs.entries * wvv.coeffs))
-    return num / den
+    return _weak_ratio(obs, weak_value_vector(eta).coeffs, allow_non_hermitian,
+                       "weak value vector is traceless; weak values of this mixture are undefined")
 
 
 def weak_equivalent_pure(eta: DensityVector) -> TwoTimeState:

@@ -270,6 +270,19 @@ def test_relative_profile_matches_coarse_rule_through_the_dictionary(rng):
         assert np.max(np.abs(p_bi - prob_coarse(eta, m))) <= 1e-12
 
 
+def test_rounding_below_zero_reads_zero_at_the_scaled_tolerance():
+    # tr(E rho) vanishes for E = 1e6 (I - rho) on a pure rho; its rounding
+    # (-1.5e-10 by a matmul) is within PSD_ATOL * tr E of zero, so it is 0,
+    # as the two-time rules clamp it.
+    rng = np.random.default_rng(2)
+    v = rng.normal(size=4) + 1j * rng.normal(size=4)
+    v /= np.linalg.norm(v)
+    rho = np.outer(v, v.conj())
+    p = prob_relative_bipartite(BipartiteDensity(rho), [BipartiteOperator(1e6 * (np.eye(4) - rho)),
+                                                        np.eye(4)])
+    assert p.tolist() == [0.0, 1.0]
+
+
 def test_all_outcomes_discarded_is_typed():
     rho = BipartiteDensity(np.diag([1.0, 0.0, 0.0, 0.0]))
     dead = BipartiteOperator(np.diag([0.0, 0.0, 0.0, 1.0]))

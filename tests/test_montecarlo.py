@@ -552,33 +552,43 @@ def test_tables_are_sampling_tables_near_the_member_loop(cfg):
 # ---------------------------------------------------------------------------
 # The guide-table inversion behind every table draw, and the draw stream.
 
+#: The kinds of entry of a cumulative row, each a strategy for one number
+#: and its value for a table of K buckets: grid points b / K (bucket
+#: edges, b scaled from 16 bits to K) and their neighbouring doubles,
+#: finer dyadic values, subnormals, values a few ulps above 1 and
+#: arbitrary doubles in [0, 1].  Built once; K enters only the values.
+EDGE_KINDS = (
+    (st.integers(0, 2**16), lambda b, k: (b * k >> 16) / k),
+    (st.integers(1, 2**16), lambda b, k: np.nextafter(max(1, b * k >> 16) / k, -np.inf)),
+    (st.integers(1, 2**16), lambda b, k: np.nextafter(max(1, b * k >> 16) / k, np.inf)),
+    (st.tuples(st.integers(0, 2**16), st.integers(8, 16)), lambda bm, k: bm[0] / 2.0 ** bm[1]),
+    (st.integers(0, 8), lambda j, k: j * 5e-324),
+    (st.integers(0, 4), lambda j, k: 1.0 + j * np.spacing(1.0)),
+    (st.floats(0.0, 1.0), lambda x, k: x),
+)
+EDGE_KIND = st.integers(0, len(EDGE_KINDS) - 1)
+
+
 @st.composite
 def edge_rows(draw):
     """Nondecreasing rows of cumulative weights that stress a guide table.
 
     The bucket count K depends only on the table's shape, so it is known
-    before the entries are drawn.  Entries are grid points b / K (bucket
-    edges) and their neighbouring doubles, finer dyadic values, repeated
-    values (zero-weight branches), subnormals, arbitrary doubles in
-    [0, 1] and values a few ulps above 1; shorter rows are padded with
-    +inf.
+    before the entries are drawn.  Entries are of the ``EDGE_KINDS``,
+    repeated values stand for zero-weight branches, and shorter rows are
+    padded with +inf.
     """
     n_rows = draw(st.integers(1, 4))
     lengths = draw(st.lists(st.integers(0, 40), min_size=n_rows, max_size=n_rows))
     width = 1 << max(lengths).bit_length()
     k = montecarlo._Inverse(np.full((n_rows, width), np.inf)).k
-    entry = st.one_of(
-        st.builds(lambda b: b / k, st.integers(0, k)),
-        st.builds(lambda b, up: np.nextafter(b / k, np.inf if up else -np.inf),
-                  st.integers(1, k), st.booleans()),
-        st.builds(lambda b, m: b / 2.0**m, st.integers(0, 2**16), st.integers(8, 16)),
-        st.builds(lambda j: j * 5e-324, st.integers(0, 8)),
-        st.builds(lambda j: 1.0 + j * np.spacing(1.0), st.integers(0, 4)),
-        st.floats(0.0, 1.0),
-    )
     cum = np.full((n_rows, width), np.inf)
     for i, n in enumerate(lengths):
-        vals = sorted(draw(st.lists(entry, min_size=n, max_size=n)))
+        vals = []
+        for _ in range(n):
+            number, value = EDGE_KINDS[draw(EDGE_KIND)]
+            vals.append(value(draw(number), k))
+        vals.sort()
         repeat = draw(st.integers(0, 3)) if vals else 0
         vals = (vals + vals[-1:] * repeat)[:width - 1]  # trailing zero weights
         cum[i, :len(vals)] = vals

@@ -9,8 +9,8 @@ import numpy as np
 import pytest
 
 import twotime
-from twotime import bipartite, cli, core, io, measurements, montecarlo, probability, states
-from twotime import tomography, weak_values
+from twotime import bipartite, cli, core, errors, io, measurements, montecarlo, probability
+from twotime import states, tomography, weak_values
 
 #: Every entry of the table and its value.
 TABLE = {
@@ -49,6 +49,43 @@ def test_public_entries_are_exported_from_core_and_their_old_homes():
     assert "COMPLETENESS_ATOL" in measurements.__all__
     assert "DENOMINATOR_EPS" in probability.__all__
     assert "PSD_CLIP_TOL" in tomography.__all__
+
+
+#: The modules whose ``__all__`` the package re-exports, in package order.
+PUBLIC_MODULES = (core, states, measurements, probability, tomography, weak_values, bipartite,
+                  montecarlo, io, errors)
+
+#: The package's public names before ``__all__`` was derived from the modules'.
+PUBLIC_NAMES = frozenset("""
+ATOL AllDiscardedError BipartiteDensity BipartiteOperator CHUNK COMPLETENESS_ATOL
+CompletionResult DENOMINATOR_EPS DegenerateInputError DensityVector DimensionMismatchError
+DiscardDemo DomainError Ensemble FORMAT_VERSION IncompleteMeasurementError KINDS
+KrausDensityVector KrausOperator MAX_DENSE_BYTES MalformedDataError Measurement
+MeasurementOutcome NoEquivalentStateError NormalizationError NotDetailedError
+NotHermitianError NotPositiveError ObserverPolicy PSD_ATOL PSD_CLIP_TOL
+PostSelectionImpossibleError PovmPullback ReversalReport SchemaError SimConfig SimResult
+TomographySet TwoTimeError TwoTimeState UndefinedWeakValueError VARIANTS ValidationError
+WeakValueVector __version__ analytic_success_rate bipartite_to_density build_tomography_set
+check_completeness complete_operator_set contract_pure density_from_ensemble
+density_to_bipartite ensemble_from_density hermiticity_defect identity_two_time_vector
+kdv_to_bipartite kraus_density_vector kraus_to_bipartite_vector
+measurement_partial_trace_defect measurements_equal pair pairing_equality_check
+parse_document partial_normalization_defect positivity_check povm_to_twotime
+predict_probabilities prob_coarse prob_density prob_ensemble prob_pure
+prob_relative_bipartite pure_product reconstruct reversal_scenario sampling_clip_tol
+sandwich serialize_document simulate simulate_proportion_reversal state_from_bipartite
+state_to_bipartite superpose unvec vec weak_equivalent_pure weak_value_ensemble
+weak_value_pure weak_value_vector
+""".split())
+
+
+def test_the_package_exports_each_module_all_once():
+    listed = ["__version__"] + [name for module in PUBLIC_MODULES for name in module.__all__]
+    assert twotime.__all__ == list(dict.fromkeys(listed))
+    for module in PUBLIC_MODULES:
+        for name in module.__all__:
+            assert getattr(twotime, name) is getattr(module, name), (module.__name__, name)
+    assert set(twotime.__all__) == PUBLIC_NAMES
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)
