@@ -136,8 +136,6 @@ def _csv_cell(x) -> str:
 
 def _emit(args, payload: dict, csv_rows) -> None:
     if getattr(args, "format", "json") == "csv":
-        if csv_rows is None:
-            raise _UsageError("--format csv is not supported for this subcommand")
         header, rows = csv_rows
         lines = [",".join(header)]
         lines.extend(",".join(_csv_cell(cell) for cell in row) for row in rows)

@@ -52,6 +52,7 @@ __all__ = [
     "COMPLETENESS_ATOL",
     "DENOMINATOR_EPS",
     "PSD_CLIP_TOL",
+    "MAX_DENSE_BYTES",
     "TwoTimeState",
     "KrausOperator",
     "DensityVector",
@@ -123,8 +124,21 @@ _MIN_EXACT_NORM = math.sqrt(np.finfo(np.float64).tiny)
 
 #: Norms, sums and eigenvalue routines overflowing float64: the largest
 #: real or imaginary part a document may hold, which keeps a d x d squared
-#: Frobenius norm finite up to d = 9,000.  Read by ``io``'s matrix readers.
+#: Frobenius norm finite up to d = 9,000.  Read by ``io``'s matrix readers
+#: and by ``pure_product`` and ``superpose``, which scale larger inputs down.
 _MAX_ENTRY = 1e150
+
+#: The one allocation budget, in bytes, of a dense array: ``_check_budget``
+#: raises ValidationError first for ``KrausOperator.identity`` (16 d^2
+#: bytes) and ``TomographySet.measurement`` (64 d^6 bytes, so d <= 11).
+MAX_DENSE_BYTES = 128 * 2**20
+
+
+def _check_budget(nbytes: int, what: str) -> None:
+    """Raise ValidationError naming ``what`` if ``nbytes`` exceeds ``MAX_DENSE_BYTES``."""
+    if nbytes > MAX_DENSE_BYTES:
+        raise ValidationError(f"{what} need {nbytes} bytes, above the "
+                              f"{MAX_DENSE_BYTES}-byte allocation budget")
 
 
 def vec(a: np.ndarray) -> np.ndarray:
@@ -384,7 +398,7 @@ class KrausOperator:
 
     @classmethod
     def _view(cls, entries: np.ndarray) -> "KrausOperator":
-        """The operator whose ``entries`` is ``entries`` itself, a read-only row of a stack."""
+        """The operator whose ``entries`` is ``entries`` itself: read-only, square and finite."""
         op = object.__new__(cls)
         object.__setattr__(op, "entries", entries)
         return op
@@ -396,11 +410,8 @@ class KrausOperator:
     @classmethod
     def identity(cls, dim: int) -> "KrausOperator":
         d = _as_int(dim, "dimension")
-        try:
-            eye = np.eye(d, dtype=np.complex128)
-        except ValueError:  # d * d beyond numpy's index range
-            raise ValidationError("dimension too large for a d x d array") from None
-        return cls(eye)
+        _check_budget(16 * d * d, f"the dimension-{d} identity entries")
+        return cls._view(_freeze(np.eye(d, dtype=np.complex128)))
 
 
 def identity_two_time_vector(dim: int) -> KrausOperator:
@@ -432,7 +443,7 @@ class DensityVector(_PairMatrix):
     @classmethod
     def from_pure(cls, state: TwoTimeState) -> "DensityVector":
         v = _as_instance(state, TwoTimeState, "state").coeffs.reshape(-1)
-        return cls(np.outer(v, v.conj()))
+        return cls._from_psd(np.outer(v, v.conj()))
 
 
 @dataclass(frozen=True, eq=False)

@@ -230,18 +230,12 @@ class SimResult:
 
 
 def _draws(seed: int, start: int, stop: int) -> np.ndarray:
-    """Rows [start, stop) of the per-seed table of 53-bit int64 draws (4 per attempt)."""
-    parts = []
-    pos = start
-    while pos < stop:
-        block_idx, first = divmod(pos, CHUNK)
-        end = min(stop, (block_idx + 1) * CHUNK)
-        bitgen = Philox(key=np.array([seed, block_idx], dtype=np.uint64))
-        # One Philox counter step yields four 64-bit words: one row.
-        bitgen.advance(first)
-        parts.append(bitgen.random_raw((end - pos, 4)))
-        pos = end
-    m = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    """Rows [start, stop), within one chunk, of the per-seed table of 53-bit int64 draws."""
+    block_idx, first = divmod(start, CHUNK)
+    bitgen = Philox(key=np.array([seed, block_idx], dtype=np.uint64))
+    # One Philox counter step yields four 64-bit words: one row.
+    bitgen.advance(first)
+    m = bitgen.random_raw((stop - start, 4))
     return np.right_shift(m, 11, out=m).view(np.int64)
 
 

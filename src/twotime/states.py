@@ -16,8 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, _hermiticity_defect
-from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_array, _as_number, _freeze, _pair_operand
-from .core import _as_instance, _as_pairs, _shared_dim
+from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _MAX_ENTRY, _as_array, _as_number, _freeze
+from .core import _as_instance, _as_pairs, _pair_operand, _shared_dim
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -33,9 +33,6 @@ __all__ = [
     "ensemble_from_density",
     "positivity_check",
 ]
-
-# Bytes of outer-product terms that density_from_ensemble holds at once.
-_TERM_BLOCK_BYTES = 1 << 22
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -138,6 +135,15 @@ def _unit_members(stack: np.ndarray, misfit=_member_misfit) -> np.ndarray:
     return stack
 
 
+def _in_range(x: np.ndarray, n: int = 1) -> np.ndarray:
+    """``x``, divided exactly by a power of two into [0.5, 1) where ``n`` times
+    its largest part exceeds ``_MAX_ENTRY``: norms and sums of n terms stay finite."""
+    peak = np.abs(x.view(np.float64)).max(initial=0.0)
+    if peak <= _MAX_ENTRY / n:
+        return x
+    return np.ldexp(x.view(np.float64), -np.frexp(peak)[1]).view(np.complex128)
+
+
 def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
     """The product state "post-select ``post``, prepare ``pre``".
 
@@ -165,6 +171,7 @@ def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
         )
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
         raise DegenerateInputError("post-selection or preparation vector is not finite")
+    phi, psi = _in_range(phi), _in_range(psi)
     if np.linalg.norm(phi) <= _ZERO_NORM:
         raise DegenerateInputError("post-selection vector is zero")
     if np.linalg.norm(psi) <= _ZERO_NORM:
@@ -184,9 +191,10 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     if not terms:
         raise DegenerateInputError("superposition of no terms")
     _shared_dim([s for _, s in terms], TwoTimeState, "superposition terms")
-    coeffs = [_as_number(c, "superposition coefficient", complex) for c, _ in terms]
+    coeffs = np.array([_as_number(c, "superposition coefficient", complex) for c, _ in terms])
     if not np.isfinite(coeffs).all():
         raise DegenerateInputError("superposition coefficients are not finite")
+    coeffs = _in_range(coeffs, len(coeffs))
     acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
     if float(np.linalg.norm(acc)) <= _ZERO_NORM:
         raise DegenerateInputError("superposition terms cancel to zero")
@@ -202,20 +210,8 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
     """
     w = _as_instance(ensemble, Ensemble, "ensemble").weights
     v = ensemble.coeff_stack.reshape(len(w), -1)
-    n2 = v.shape[1]
-    block = max(1, _TERM_BLOCK_BYTES // (16 * n2 * n2))
-    terms = np.zeros((min(block, len(v)) + 1, n2, n2), dtype=np.complex128)
-    for lo in range(0, len(v), block):
-        vb = v[lo:lo + block]
-        np.multiply(w[lo:lo + block, None, None], vb[:, :, None] * vb.conj()[:, None, :],
-                    out=terms[1:len(vb) + 1])
-        # Row 0 carries the running sum, starting from 0, so the terms
-        # are added one at a time in member order, bit for bit as
-        # ``sum(p * outer(v, v.conj()))``.  Reducing the float64 view
-        # keeps the reduced axis out of numpy's pairwise inner loop,
-        # which it would otherwise take when d = 1.
-        terms[0] = np.add.reduce(terms[:len(vb) + 1].view(np.float64), axis=0).view(np.complex128)
-    return DensityVector._from_psd(terms[0])
+    # einsum, not a BLAS product: its bits do not depend on the BLAS thread count.
+    return DensityVector._from_psd(np.einsum("ra,rb->ab", v * w[:, None], v.conj()))
 
 
 def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) -> Ensemble:

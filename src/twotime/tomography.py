@@ -36,7 +36,7 @@ its own closed form (see :func:`reconstruct`); both are O(d^4).
 
 Only the explicit operator set (``TomographySet.measurement``, 64 d^6
 bytes) grows faster than d^4; it raises ValidationError before
-allocating more than :data:`MAX_DENSE_BYTES`.
+allocating more than core's allocation budget, :data:`MAX_DENSE_BYTES`.
 """
 
 from __future__ import annotations
@@ -50,6 +50,7 @@ import numpy as np
 
 from .core import (
     DENOMINATOR_EPS,
+    MAX_DENSE_BYTES,
     PSD_CLIP_TOL,
     _LOAD_NORM_ATOL,
     DensityVector,
@@ -57,6 +58,7 @@ from .core import (
     _as_instance,
     _as_int,
     _as_number,
+    _check_budget,
     _clamped,
     _hermitian_part,
     _require_same_dim,
@@ -78,11 +80,6 @@ __all__ = [
 
 #: The four variants attached to each ordered pair of matrix units.
 VARIANTS = ("+", "-", "+i", "-i")
-
-#: Largest dense complex array (in bytes) that tomography will allocate:
-#: the explicit operator family (64 d^6 bytes, so d <= 11).  Larger
-#: requests raise ValidationError up front instead of exhausting memory.
-MAX_DENSE_BYTES = 128 * 2**20
 
 _VARIANT_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
 
@@ -142,10 +139,7 @@ class TomographySet:
     @cached_property
     def measurement(self) -> Measurement:
         d = self.dim
-        nbytes = 16 * self.n_outcomes * d * d
-        if nbytes > MAX_DENSE_BYTES:
-            raise ValidationError(f"the dimension-{d} tomography operators need {nbytes} "
-                                  f"bytes, above the {MAX_DENSE_BYTES}-byte limit")
+        _check_budget(16 * self.n_outcomes * d * d, f"the dimension-{d} tomography operators")
         names = ["({},{})({},{}){}".format(*lab) for lab in self.labels]
         stack = _vectorized_family(d).reshape(-1, d, d)
         return Measurement._from_stack(stack, [1] * len(names), names)

@@ -1,6 +1,7 @@
 """Library arguments are read by core's readers: a bad array or number fails typed."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -275,3 +276,18 @@ def test_only_typed_errors_escape_the_readers(entry, junk):
         ENTRY_POINTS[entry](junk)
     except TwoTimeError:
         pass
+
+
+#: One fixed row of edge values: no integer between 2 and 2**63, so that no
+#: call allocates by its argument.
+EDGES = (math.nan, math.inf, -math.inf, -1, 0, 2**63, 2**1024, 1e308, -0.0, True, "x", None,
+         [1, [2]], 1j, object())
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_only_typed_errors_escape_on_edge_values(entry):
+    for value in EDGES:
+        try:
+            ENTRY_POINTS[entry](value)
+        except TwoTimeError:
+            pass

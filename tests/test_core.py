@@ -1,5 +1,7 @@
 """Core types, vectorization convention, and the three pairing operations."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -109,6 +111,14 @@ def test_density_from_pure_is_rank_one_projector():
     assert np.allclose(eta.mat, np.outer(v, v.conj()), atol=1e-14)
 
 
+def test_density_from_pure_stores_what_the_checked_constructor_stores(rng):
+    for d in (1, 2, 3, 5):
+        s = random_state(rng, d)
+        v = s.coeffs.reshape(-1)
+        checked = DensityVector(np.outer(v, v.conj())).mat
+        assert DensityVector.from_pure(s).mat.tobytes() == checked.tobytes()
+
+
 def test_density_rejects_non_hermitian():
     m = np.eye(4, dtype=complex)
     m[0, 1] = 1.0
@@ -192,6 +202,25 @@ def test_identity_rejects_a_dimension_that_is_no_positive_integer(dim):
     for build in (KrausOperator.identity, identity_two_time_vector):
         with pytest.raises(ValidationError, match="dimension must be an integer"):
             build(dim)
+
+
+def test_identity_above_the_allocation_budget_raises_before_allocating(monkeypatch):
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 16 * 3 * 3)
+    assert identity_two_time_vector(3).dim == 3
+    for build in (KrausOperator.identity, identity_two_time_vector):
+        for dim in (4, 2**1024):
+            with pytest.raises(ValidationError, match="allocation budget"):
+                build(dim)
+
+
+def test_identity_allocates_the_bytes_the_budget_checks():
+    tracemalloc.start()
+    try:
+        KrausOperator.identity(256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 16 * 256**2
 
 
 def test_kraus_zero_allowed():

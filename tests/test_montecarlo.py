@@ -635,10 +635,14 @@ def test_uniforms_match_slices_of_the_full_blocks():
         .random((CHUNK, 4))
         for b in range(3)
     ])
-    ranges = [(0, 1), (CHUNK - 1, CHUNK + 1), (0, 3 * CHUNK), (CHUNK, 2 * CHUNK)]
-    for _ in range(20):
-        start = int(rng.integers(0, 3 * CHUNK))
-        ranges.append((start, int(rng.integers(start + 1, 3 * CHUNK + 1))))
+    # Each range lies in one chunk, as the shot loop's slices do; keying
+    # across chunks is pinned by the partition-independence tests.
+    ranges = [(0, 1), (CHUNK - 1, CHUNK), (CHUNK, CHUNK + 1), (0, CHUNK), (CHUNK, 2 * CHUNK),
+              (3 * CHUNK - 1, 3 * CHUNK)]
+    for chunk in range(3):
+        for _ in range(7):
+            start = int(rng.integers(chunk * CHUNK, (chunk + 1) * CHUNK))
+            ranges.append((start, int(rng.integers(start + 1, (chunk + 1) * CHUNK + 1))))
     for start, stop in ranges:
         m = montecarlo._draws(seed, start, stop)
         assert m.dtype == np.int64

@@ -84,6 +84,15 @@ def test_product_rejects_mismatched_lengths():
         pure_product(E0, np.ones(3))
 
 
+def test_product_at_the_float64_overflow_edge():
+    # Vectors whose norms or outer product overflow give the product of
+    # their directions; pytest turns an overflow warning into a failure.
+    edge, unit = pure_product([1e200, 0], [1e200, 0]), pure_product(E0, E0)
+    assert edge.coeffs.tobytes() == unit.coeffs.tobytes()
+    big = pure_product([1.7e308, -1e308j], [1e290, 1e300])
+    assert np.allclose(big.coeffs, pure_product([1.7, -1j], [1e-10, 1]).coeffs, atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # superpose.
 
@@ -105,6 +114,13 @@ def test_superpose_cancellation_is_an_error():
     s = pure_product(E0, E0)
     with pytest.raises(DegenerateInputError):
         superpose([(1.0, s), (-1.0, s)])
+
+
+def test_superpose_at_the_float64_overflow_edge():
+    s, t = pure_product(E0, E1), pure_product(E1, E0)
+    assert np.allclose(superpose([(1e308, s), (1e308, s)]).coeffs, s.coeffs, atol=1e-12)
+    out = superpose([(1.7e308, s), (-1.7e308j, t), (1.0, t)])
+    assert np.allclose(out.coeffs, superpose([(1.0, s), (-1.0j, t)]).coeffs, atol=1e-12)
 
 
 def test_superpose_renormalizes(rng):
@@ -183,40 +199,36 @@ def test_equal_density_implies_equal_statistics(rng):
 
 
 def outer_sum(ensemble):
-    """The density array as the Python sum of weighted outer products,
-    the order of additions (and signs of zero) the vectorized build keeps."""
+    """The density array as the Python sum of weighted outer products, member by member."""
     mats = ((w, s.coeffs.reshape(-1)) for w, s in ensemble.members)
     return sum(w * np.outer(v, v.conj()) for w, v in mats)
 
 
-def signed_zero_ensemble(rng, d, n):
+def ensemble_of(kind, rng, d, n):
+    """An n-member ensemble of dimension d: Gaussian members and weights, with
+    at most three distinct members, every other weight near 1e-12, or a
+    third of the parts signed zeros."""
     coeffs = complex_gaussian(rng, (n, d, d))
-    coeffs.real[rng.random((n, d, d)) < 0.3] = -0.0
-    coeffs.imag[rng.random((n, d, d)) < 0.3] = -0.0
-    coeffs[:, 0, 0] = 1.0  # no member is zero
     weights = rng.random(n) + 0.1
+    if kind == "duplicated":
+        coeffs = coeffs[rng.integers(0, 3, n) % n]
+    elif kind == "tiny-weight":
+        weights[1::2] = 1e-12 * weights.sum()
+    elif kind == "signed-zero":
+        coeffs.real[rng.random((n, d, d)) < 0.3] = -0.0
+        coeffs.imag[rng.random((n, d, d)) < 0.3] = -0.0
+        coeffs[:, 0, 0] = 1.0  # no member is zero
     return Ensemble(tuple(zip(weights / weights.sum(), map(TwoTimeState, coeffs))))
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 4])
-def test_density_is_the_sequential_outer_product_sum_bit_for_bit(rng, d):
-    # n >= 8 on d = 1 is where a plain reduce over the member axis
-    # would sum pairwise and differ in the last bits.
-    for n in (1, 2, 7, 8, 9, 33, 70):
-        ens = signed_zero_ensemble(rng, d, n)
-        expected = DensityVector(outer_sum(ens)).mat
-        assert density_from_ensemble(ens).mat.tobytes() == expected.tobytes()
-
-
-def test_density_blocks_keep_the_sequential_sum(rng, monkeypatch):
-    import twotime.states
-
-    for d in (1, 3):
-        ens = signed_zero_ensemble(rng, d, 20)
-        expected = DensityVector(outer_sum(ens)).mat.tobytes()
-        for block in (1, 3, 7):
-            monkeypatch.setattr(twotime.states, "_TERM_BLOCK_BYTES", block * 16 * d**4)
-            assert density_from_ensemble(ens).mat.tobytes() == expected
+@pytest.mark.parametrize("kind", ["gaussian", "duplicated", "tiny-weight", "signed-zero"])
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+def test_density_is_the_outer_product_sum_within_ulps(rng, d, kind):
+    for n in (1, 2, 7, 8, 9, 33, 70, 1000, 4096):
+        ens = ensemble_of(kind, rng, d, n)
+        got = density_from_ensemble(ens).mat.view(np.float64)
+        expected = DensityVector(outer_sum(ens)).mat.view(np.float64)
+        assert np.abs(got - expected).max() <= 4 * np.spacing(np.abs(expected).max()), n
 
 
 # ---------------------------------------------------------------------------

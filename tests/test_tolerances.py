@@ -46,9 +46,11 @@ def test_public_entries_are_exported_from_core_and_their_old_homes():
     assert measurements.COMPLETENESS_ATOL is core.COMPLETENESS_ATOL
     assert probability.DENOMINATOR_EPS is core.DENOMINATOR_EPS
     assert tomography.PSD_CLIP_TOL is core.PSD_CLIP_TOL
+    assert tomography.MAX_DENSE_BYTES is core.MAX_DENSE_BYTES
     assert "COMPLETENESS_ATOL" in measurements.__all__
     assert "DENOMINATOR_EPS" in probability.__all__
     assert "PSD_CLIP_TOL" in tomography.__all__
+    assert "MAX_DENSE_BYTES" in core.__all__ and "MAX_DENSE_BYTES" in tomography.__all__
 
 
 #: The modules whose ``__all__`` the package re-exports, in package order.

@@ -162,6 +162,12 @@ def test_operator_family_above_the_size_limit_is_rejected(no_family):
         build_tomography_set(16).measurement
 
 
+def test_operator_family_reads_the_core_allocation_budget(monkeypatch, no_family):
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 64 * 2**6 - 1)
+    with pytest.raises(ValidationError, match="allocation budget"):
+        build_tomography_set(2).measurement
+
+
 def test_lstsq_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
     d = 8
     dense = 64 * d**8  # the (4 d^4 x d^4) complex forward matrix: 1.07 GB
