@@ -104,8 +104,9 @@ PSD_CLIP_TOL = 1e-6
 #: norm check and ``reconstruct``'s probability checks.
 _LOAD_NORM_ATOL = 1e-9
 
-#: Rounding noise normalized into a state.  Read by ``pure_product`` and
-#: ``superpose``.
+#: Cancellation normalized into a state.  Relative: a combination of unit
+#: states whose norm is at most ``_ZERO_NORM`` times the sum of its
+#: coefficients' moduli is zero.  Read by ``superpose``.
 _ZERO_NORM = 1e-14
 
 #: Rounding noise realized as a Kraus branch or an ensemble member.  Read
@@ -113,19 +114,9 @@ _ZERO_NORM = 1e-14
 #: default ``cutoff`` of ``ensemble_from_density``.
 _EIG_CUTOFF = 1e-12
 
-#: inf or NaN success probabilities from a vanishing Born weight.  Read by
-#: ``montecarlo._Tables``.
-_ZERO_BORN = 1e-300
-
-#: Squared norms that lose digits below float64's normal range (the
-#: smallest norm whose square is normal, about 1.5e-154).  Read by
-#: ``TwoTimeState``, which divides such an array by its largest part.
-_MIN_EXACT_NORM = math.sqrt(np.finfo(np.float64).tiny)
-
 #: Norms, sums and eigenvalue routines overflowing float64: the largest
 #: real or imaginary part a document may hold, which keeps a d x d squared
-#: Frobenius norm finite up to d = 9,000.  Read by ``io``'s matrix readers
-#: and by ``pure_product`` and ``superpose``, which scale larger inputs down.
+#: Frobenius norm finite up to d = 9,000.  Read by ``io``'s matrix readers.
 _MAX_ENTRY = 1e150
 
 #: The one allocation budget, in bytes, of a dense array: ``_check_budget``
@@ -249,13 +240,20 @@ def _side_of_pair_matrix(mat: np.ndarray, name: str) -> int:
 
 
 def _hermitian_part(mat: np.ndarray) -> np.ndarray:
-    """``(mat + mat^dag) / 2`` over the last two axes; halved first where the sum overflows."""
-    adj = np.swapaxes(mat, -1, -2).conj()
-    with np.errstate(over="ignore", invalid="ignore"):
-        herm = (mat + adj) / 2.0
-    if not np.isfinite(herm).all():
-        herm = mat / 2.0 + adj / 2.0
-    return herm
+    """``(mat + mat^dag) / 2`` over the last two axes, halved first (exactly): no sum overflows."""
+    half = mat * 0.5
+    return half + np.swapaxes(half, -1, -2).conj()
+
+
+def _unit_scaled(x: np.ndarray, what: str) -> np.ndarray:
+    """``x`` times the power of two that puts its largest real or imaginary part in [0.5, 1):
+    exact where the result is normal, so all power-of-two multiples of ``x`` give the same
+    bits.  An all-zero ``x`` raises DegenerateInputError naming ``what``."""
+    parts = x.view(np.float64)
+    peak = np.abs(parts).max(initial=0.0)
+    if peak == 0.0:
+        raise DegenerateInputError(f"{what} is zero")
+    return np.ldexp(parts, -np.frexp(peak)[1]).view(np.complex128)
 
 
 def _check_hermitian_psd(mat: np.ndarray, name: str, relative: bool = False) -> np.ndarray:
@@ -341,9 +339,9 @@ class TwoTimeState:
         Square complex array; ``coeffs[i, j]`` weights "post-select i,
         prepare j".  The constructor copies and rescales to unit
         Frobenius norm (the storage convention), so any nonzero square
-        array is accepted, at any scale float64 holds: an array whose
-        norm is below ``_MIN_EXACT_NORM`` or overflows is first divided
-        by its largest real or imaginary part.
+        array is accepted, at any scale float64 holds: an array to be
+        rescaled is first brought exactly into range by a power of two,
+        so every such multiple of one array stores the same bits.
 
     Raises
     ------
@@ -359,16 +357,11 @@ class TwoTimeState:
         c = _as_square_complex(self.coeffs, "coeffs")
         with np.errstate(over="ignore"):
             norm = float(np.linalg.norm(c))
-        if not _MIN_EXACT_NORM <= norm < math.inf:
-            peak = float(np.abs(c.view(np.float64)).max())
-            if peak == 0.0:
-                raise DegenerateInputError("two-time state coefficients are all zero")
-            c = (c.view(np.float64) / peak).view(np.complex128)
-            norm = float(np.linalg.norm(c))
         # Dividing by a norm already equal to 1 up to rounding would
         # perturb last bits and break exact serialization round trips.
         if abs(norm - 1.0) > ATOL:
-            c = c / norm
+            c = _unit_scaled(c, "two-time state coefficient array")
+            c = c / np.linalg.norm(c)
         object.__setattr__(self, "coeffs", _freeze(c))
 
     @classmethod

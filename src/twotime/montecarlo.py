@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .core import ATOL, _ZERO_BORN, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple
+from .core import ATOL, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple
 from .core import _require_same_dim, _shared_dim
 from .errors import (
     DimensionMismatchError,
@@ -347,9 +347,9 @@ class _Tables:
         for m in cfg.policy.measurements:
             g = m.kraus_stack.transpose(0, 2, 1) @ m.kraus_stack.conj()
             born = np.maximum((h @ g.reshape(len(g), -1).T).real, 0.0)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                succ = _contraction_weights(m, coeffs) / (d * born)
-            succ[born <= _ZERO_BORN] = 0.0
+            with np.errstate(over="ignore"):
+                succ = np.divide(_contraction_weights(m, coeffs), d * born,
+                                 out=np.zeros_like(born), where=born > 0.0)
             self.outcome_of.append(m.outcome_of)
             self.n_outcomes.append(m.n_outcomes)
             self.cum_branch.append(np.cumsum(born, axis=1))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, _hermiticity_defect
-from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _MAX_ENTRY, _as_array, _as_number, _freeze
+from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_array, _as_number, _freeze, _unit_scaled
 from .core import _as_instance, _as_pairs, _pair_operand, _shared_dim
 from .errors import (
     DegenerateInputError,
@@ -135,15 +135,6 @@ def _unit_members(stack: np.ndarray, misfit=_member_misfit) -> np.ndarray:
     return stack
 
 
-def _in_range(x: np.ndarray, n: int = 1) -> np.ndarray:
-    """``x``, divided exactly by a power of two into [0.5, 1) where ``n`` times
-    its largest part exceeds ``_MAX_ENTRY``: norms and sums of n terms stay finite."""
-    peak = np.abs(x.view(np.float64)).max(initial=0.0)
-    if peak <= _MAX_ENTRY / n:
-        return x
-    return np.ldexp(x.view(np.float64), -np.frexp(peak)[1]).view(np.complex128)
-
-
 def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
     """The product state "post-select ``post``, prepare ``pre``".
 
@@ -171,12 +162,15 @@ def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
         )
     if not (np.isfinite(phi).all() and np.isfinite(psi).all()):
         raise DegenerateInputError("post-selection or preparation vector is not finite")
-    phi, psi = _in_range(phi), _in_range(psi)
-    if np.linalg.norm(phi) <= _ZERO_NORM:
-        raise DegenerateInputError("post-selection vector is zero")
-    if np.linalg.norm(psi) <= _ZERO_NORM:
-        raise DegenerateInputError("preparation vector is zero")
-    return TwoTimeState(np.outer(phi.conj(), psi))
+    # Unless the plain product has unit norm (a NaN norm, from overflow, has not),
+    # it is renormalized, so it is built from the vectors scaled exactly into range:
+    # that neither overflows nor underflows, nor depends on their scales.
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.outer(phi.conj(), psi)
+        if not abs(np.linalg.norm(out) - 1.0) <= ATOL:
+            out = np.outer(_unit_scaled(phi, "post-selection vector").conj(),
+                           _unit_scaled(psi, "preparation vector"))
+    return TwoTimeState(out)
 
 
 def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
@@ -185,7 +179,8 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     Raises
     ------
     DegenerateInputError
-        If the terms cancel to zero, are none, or a coefficient is not finite.
+        If the terms cancel to zero (to ``_ZERO_NORM`` times the sum of the
+        coefficients' moduli), are none, or a coefficient is not finite.
     """
     terms = _as_pairs(terms, "superposition terms")
     if not terms:
@@ -194,9 +189,12 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     coeffs = np.array([_as_number(c, "superposition coefficient", complex) for c, _ in terms])
     if not np.isfinite(coeffs).all():
         raise DegenerateInputError("superposition coefficients are not finite")
-    coeffs = _in_range(coeffs, len(coeffs))
-    acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
-    if float(np.linalg.norm(acc)) <= _ZERO_NORM:
+    with np.errstate(over="ignore", invalid="ignore"):  # scaled as in pure_product
+        acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
+        if not abs(np.linalg.norm(acc) - 1.0) <= ATOL:
+            coeffs = _unit_scaled(coeffs, "superposition coefficient vector")
+            acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
+    if np.linalg.norm(acc) <= _ZERO_NORM * np.abs(coeffs).sum():
         raise DegenerateInputError("superposition terms cancel to zero")
     return TwoTimeState(acc)
 

@@ -280,8 +280,8 @@ def test_only_typed_errors_escape_the_readers(entry, junk):
 
 #: One fixed row of edge values: no integer between 2 and 2**63, so that no
 #: call allocates by its argument.
-EDGES = (math.nan, math.inf, -math.inf, -1, 0, 2**63, 2**1024, 1e308, -0.0, True, "x", None,
-         [1, [2]], 1j, object())
+EDGES = (math.nan, math.inf, -math.inf, -1, 0, 2**63, 2**1024, 1e308, 1e-300, 5e-324, -0.0, True,
+         "x", None, [1, [2]], 1j, object())
 
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))

@@ -281,7 +281,7 @@ def member_tables(stack, coeffs):
     contr = np.einsum("oij,ij->o", stack, coeffs)
     with np.errstate(divide="ignore", invalid="ignore"):
         succ = np.abs(contr) ** 2 / (d * born)
-    succ[born <= 1e-300] = 0.0
+    succ[born <= 0.0] = 0.0
     return np.cumsum(born), succ
 
 
@@ -346,7 +346,7 @@ def wide_policy_config():
 
     Member 0 has a zero first column, so the first branch of the
     computational-basis measurement has exactly zero Born weight for it
-    (the ``born <= 1e-300`` path).  The last choice is so unlikely that
+    (the ``born == 0`` path).  The last choice is so unlikely that
     most of its (choice, member) groups get no attempts.
     """
     rng = np.random.default_rng(20261018)

@@ -17,6 +17,7 @@ from conftest import (
     superposition_density,
 )
 from twotime import (
+    ATOL,
     DegenerateInputError,
     DensityVector,
     DimensionMismatchError,
@@ -127,6 +128,117 @@ def test_superpose_renormalizes(rng):
     terms = [(2.0 + 1.0j, random_state(rng, 2)), (0.5, random_state(rng, 2))]
     out = superpose(terms)
     assert np.linalg.norm(out.coeffs) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_superpose_cancellation_is_relative_to_the_terms():
+    s, t = pure_product(E0, E1), pure_product(E1, E0)
+    with pytest.raises(DegenerateInputError):
+        superpose([(1.0, s), (-1.0 + 1e-15, s)])
+    with pytest.raises(DegenerateInputError):
+        superpose([(0.0, s), (0.0, t)])
+    # Norm 3e-14 against coefficients' moduli summing to 4: zero, though above 1e-14.
+    with pytest.raises(DegenerateInputError):
+        superpose([(1.0, s), (1.0, s), (-1.0, s), (-1.0 + 3e-14, s)])
+    assert superpose([(1.0, s), (-1.0 + 1e-12, s)]).coeffs.tobytes() == s.coeffs.tobytes()
+    assert superpose([(1e-20, s)]).coeffs.tobytes() == superpose([(0.5, s)]).coeffs.tobytes()
+    assert np.allclose(superpose([(1e-300, s), (1e-300j, t)]).coeffs,
+                       superpose([(1.0, s), (1j, t)]).coeffs, atol=1e-15)
+
+
+def test_product_of_tiny_or_unbalanced_vectors():
+    # Only an exactly zero vector is zero: these products underflow, or
+    # pair a vector far below 1 with one far above, and are valid states.
+    assert pure_product([1e300], [1e-300]).coeffs.tolist() == [[1.0]]
+    unit = pure_product(E0, E0).coeffs.tobytes()
+    assert pure_product([1e-200, 0], [1e-200, 0]).coeffs.tobytes() == unit
+    assert pure_product([5e-324, 0], [5e-324, 0]).coeffs.tobytes() == unit
+
+
+# ---------------------------------------------------------------------------
+# Scale invariance: a state is defined up to normalization, so every
+# power-of-two multiple of its inputs that float64 holds exactly (each
+# nonzero part stays normal) stores the same bits.
+
+def normal_shifts(x: np.ndarray) -> tuple:
+    """The least and greatest j for which every nonzero part of ``ldexp(x, j)`` is normal."""
+    parts = np.abs(x.view(np.float64))
+    exps = np.frexp(parts[parts > 0.0])[1]  # |part| in [2^(e - 1), 2^e)
+    return -1021 - int(exps.min()), 1024 - int(exps.max())
+
+
+def shifted(x: np.ndarray, j: int) -> np.ndarray:
+    return np.ldexp(x.view(np.float64), j).view(np.complex128)
+
+
+def renormalized(norm: float) -> bool:
+    """True unless some power of two times ``norm`` is 1 within ``ATOL``: such a
+    multiple is stored as given, the others renormalized, so they differ."""
+    frac = np.frexp(norm)[0]  # in [0.5, 1)
+    return min(frac - 0.5, 1.0 - frac) > ATOL
+
+
+def scaled_draws(rng, shape, count: int, norm=np.linalg.norm) -> list:
+    """``count`` random complex arrays of ``shape``, parts spread over 40 decades,
+    some zero, each nonzero and ``renormalized`` at its ``norm``."""
+    out = []
+    while len(out) < count:
+        x = complex_gaussian(rng, shape) * 10.0 ** rng.uniform(-20, 20, shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        if x.any() and renormalized(norm(x)):
+            out.append(x)
+    return out
+
+
+def shifts(rng, x: np.ndarray, count: int) -> list:
+    """``count`` shifts j keeping ``ldexp(x, j)`` normal: both extremes and random ones."""
+    low, high = normal_shifts(x)
+    return [low, high] + rng.integers(low, high + 1, count - 2).tolist()
+
+
+def test_state_bits_do_not_depend_on_scale(rng):
+    checked = 0
+    for d in range(1, 9):
+        for c in scaled_draws(rng, (d, d), 25):
+            ref = TwoTimeState(c).coeffs.tobytes()
+            for j in shifts(rng, c, 30):
+                assert TwoTimeState(shifted(c, j)).coeffs.tobytes() == ref, (c, j)
+                checked += 1
+    assert checked == 6000
+
+
+def test_product_bits_do_not_depend_on_either_scale(rng):
+    for d in range(1, 9):
+        for phi in scaled_draws(rng, (d,), 12):
+            psi, = scaled_draws(rng, (d,), 1, lambda x: np.linalg.norm(np.outer(phi, x)))
+            ref = pure_product(phi, psi).coeffs.tobytes()
+            for j, k in zip(shifts(rng, phi, 20), shifts(rng, psi, 20)[::-1]):
+                got = pure_product(shifted(phi, j), shifted(psi, k)).coeffs.tobytes()
+                assert got == ref, (phi, psi, j, k)
+
+
+def test_superposition_bits_do_not_depend_on_the_coefficients_scale(rng):
+    for d in range(1, 9):
+        for n in range(1, 4):
+            terms = [random_state(rng, d) for _ in range(n)]
+            combined = lambda c: np.linalg.norm(sum(x * s.coeffs for x, s in zip(c, terms)))
+            for c in scaled_draws(rng, (n,), 4, combined):
+                ref = superpose(list(zip(c, terms))).coeffs.tobytes()
+                for j in shifts(rng, c, 20):
+                    got = superpose(list(zip(shifted(c, j), terms))).coeffs.tobytes()
+                    assert got == ref, (c, j)
+
+
+def test_unit_products_and_superpositions_are_stored_as_built(rng):
+    # Scaling is kept for what is renormalized anyway: a unit-norm result
+    # keeps the bits of its plain outer product or sum.
+    for d in range(1, 9):
+        phi, psi = complex_gaussian(rng, d), complex_gaussian(rng, d)
+        phi, psi = phi / np.linalg.norm(phi), psi / np.linalg.norm(psi)
+        built = np.outer(phi.conj(), psi)
+        assert abs(np.linalg.norm(built) - 1.0) <= ATOL
+        assert pure_product(phi, psi).coeffs.tobytes() == built.tobytes()
+        s = random_state(rng, d)
+        assert superpose([(1.0, s)]).coeffs.tobytes() == s.coeffs.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """The tolerance table in ``twotime.core``: its values, its re-exports and its uniqueness."""
 
 import ast
-import math
 import pathlib
 import re
 
-import numpy as np
 import pytest
 
 import twotime
@@ -22,8 +20,6 @@ TABLE = {
     "_LOAD_NORM_ATOL": 1e-9,
     "_ZERO_NORM": 1e-14,
     "_EIG_CUTOFF": 1e-12,
-    "_ZERO_BORN": 1e-300,
-    "_MIN_EXACT_NORM": math.sqrt(np.finfo(np.float64).tiny),
     "_MAX_ENTRY": 1e150,
 }
 
@@ -153,5 +149,4 @@ def test_readme_renders_the_table():
     rows = dict(re.findall(r"^\| `(\w+)` \| ([^|]+) \|", section, flags=re.M))
     assert set(rows) == set(TABLE)
     for name, cell in rows.items():
-        if name != "_MIN_EXACT_NORM":
-            assert float(cell) == TABLE[name], name
+        assert float(cell) == TABLE[name], name
