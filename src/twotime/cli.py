@@ -24,7 +24,7 @@ import numpy as np
 
 from ._floattext import dumps_array
 from .bipartite import _outcome_images, density_to_bipartite, measurement_partial_trace_defect
-from .core import PSD_CLIP_TOL, _hermiticity_defect
+from .core import PSD_CLIP_TOL, _check_budget, _hermiticity_defect
 from .errors import (
     DomainError,
     PostSelectionImpossibleError,
@@ -32,7 +32,7 @@ from .errors import (
     TwoTimeError,
     ValidationError,
 )
-from .io import _complex_pairs, _kind_of, _loads, _wrap, parse_document
+from .io import _complex_pairs, _kind_of, _loads, _number, _wrap, parse_document
 from .measurements import Measurement, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
@@ -75,10 +75,8 @@ class _Parser(argparse.ArgumentParser):
 _VECTOR_MIN_SIZE = 256
 
 
-def _fmt_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return f"{x:.17g}"
+def _fmt_float(x: float, non_finite: str = "null") -> str:
+    return f"{x:.17g}" if math.isfinite(x) else non_finite
 
 
 def _dumps_floats(arr: np.ndarray) -> str:
@@ -128,10 +126,7 @@ def _dumps(obj) -> str:
 
 
 def _csv_cell(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        val = float(x)
-        return "" if (math.isnan(val) or math.isinf(val)) else f"{val:.17g}"
-    return str(x)
+    return _fmt_float(float(x), "") if isinstance(x, (float, np.floating)) else str(x)
 
 
 def _emit(args, payload: dict, csv_rows) -> None:
@@ -148,9 +143,15 @@ def _emit(args, payload: dict, csv_rows) -> None:
 # Input helpers.
 
 def _read_json(path: str, flag: str):
-    """The JSON value of the UTF-8 file at ``path``; a read or decode failure names ``flag``."""
+    """The JSON value of the UTF-8 file at ``path``; a read or decode failure names ``flag``.
+
+    Decoding builds 3 to 4 bytes of objects a byte of 17-digit text, so a file is read
+    only if 4 times its size fits core's allocation budget (a file of up to 32 MiB).
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            _check_budget(4 * size, f"{flag}: the objects decoded from the {size} bytes of {path}")
             return _loads(fh.read())
     except OSError as exc:
         raise ValidationError(f"{flag}: cannot read {path}: {exc}") from exc
@@ -168,51 +169,33 @@ def _load(path: str, kind: str, flag: str):
     return obj
 
 
-def _json_numbers(values: list, where: str) -> list:
-    """``values`` as floats, or SchemaError unless every entry is a JSON number."""
-    out = []
-    for idx, x in enumerate(values):
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise SchemaError(f"{where}[{idx}] is not a number: {x!r}")
-        try:
-            out.append(float(x))
-        except OverflowError as exc:
-            raise SchemaError(f"{where}[{idx}]: {exc}") from None
-    return out
-
-
 def _resolve_seed(seed, *, default: int | None = None) -> int:
+    """``--seed``, else ``TWOTIME_SEED``, else ``default``; SimConfig checks its range."""
     if seed is not None:
-        value = seed
-    elif os.environ.get(_ENV_SEED):
+        return seed
+    if os.environ.get(_ENV_SEED):
         raw = os.environ[_ENV_SEED]
         try:
-            value = int(raw)
+            return int(raw)
         except ValueError:
             raise ValidationError(f"{_ENV_SEED}={raw!r} is not an integer") from None
-    elif default is not None:
-        value = default
-    else:
-        raise _UsageError(f"--seed is required (or set {_ENV_SEED})")
-    if not (0 <= value < 2**64):
-        raise ValidationError(f"seed {value!r} is not a uint64")
-    return value
+    if default is not None:
+        return default
+    raise _UsageError(f"--seed is required (or set {_ENV_SEED})")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands.
 
 def _cmd_prob(args) -> tuple[dict, tuple | None]:
+    if args.coarse and not args.eta:
+        raise _UsageError("--coarse applies to --eta inputs only")
     measurement = _load(args.measurement, "measurement", "--measurement")
     if args.state:
-        if args.coarse:
-            raise _UsageError("--coarse applies to --eta inputs only")
         state = _load(args.state, "two_time_state", "--state")
         probs = prob_pure(state, measurement)
         rule, dim = "pure", state.dim
     elif args.ensemble:
-        if args.coarse:
-            raise _UsageError("--coarse applies to --eta inputs only")
         ensemble = _load(args.ensemble, "ensemble", "--ensemble")
         probs = prob_ensemble(ensemble, measurement)
         rule, dim = "ensemble", ensemble.dim
@@ -238,8 +221,6 @@ def _cmd_prob(args) -> tuple[dict, tuple | None]:
 
 def _cmd_tomography(args) -> tuple[dict, tuple | None]:
     dim = args.dim
-    if dim < 1:
-        raise ValidationError(f"--dim must be a positive integer, got {dim}")
     payload: dict = {"kind": "tomography", "dim": dim, "method": args.method}
     eta = None
     clip_tol = args.clip_tol
@@ -253,7 +234,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             raise SchemaError(
                 "--probs: expected a JSON array or an object with a 'probabilities' array"
             )
-        probs = np.asarray(_json_numbers(raw, "--probs: probabilities"), dtype=float)
+        probs = np.asarray([_number(x, f"--probs: probabilities[{i}]") for i, x in enumerate(raw)])
         payload["source"] = "file"
     else:
         eta = _load(args.eta, "density_vector", "--eta")
@@ -266,8 +247,6 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             probs = predict_probabilities(eta, ts)
             payload["source"] = "analytic"
         else:
-            if args.shots < 1:
-                raise ValidationError(f"--shots must be >= 1, got {args.shots}")
             seed = _resolve_seed(args.seed)
             ensemble = ensemble_from_density(eta)
             result = simulate(SimConfig.fixed(ensemble, ts.measurement, args.shots, seed))
@@ -310,7 +289,8 @@ def _policy_from_file(path: str) -> ObserverPolicy:
         if not isinstance(obj, Measurement):
             raise ValidationError(f"--policy: measurements[{idx}] is not a measurement document")
         measurements.append(obj)
-    return ObserverPolicy(tuple(measurements), tuple(_json_numbers(probs, "--policy: choice_probs")))
+    probs = tuple(_number(x, f"--policy: choice_probs[{i}]") for i, x in enumerate(probs))
+    return ObserverPolicy(tuple(measurements), probs)
 
 
 def _cmd_simulate(args) -> tuple[dict, tuple | None]:
@@ -323,8 +303,6 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
         policy = ObserverPolicy.fixed(_load(args.measurement, "measurement", "--measurement"))
     else:
         raise _UsageError("one of --measurement or --policy is required")
-    if args.shots < 1:
-        raise ValidationError(f"--shots must be >= 1, got {args.shots}")
     seed = _resolve_seed(args.seed)
     result = simulate(SimConfig(ensemble, policy, args.shots, seed))
 
@@ -449,8 +427,6 @@ def _cmd_iso(args) -> tuple[dict, tuple | None]:
 
 
 def _cmd_demo(args) -> tuple[dict, tuple | None]:
-    if args.shots < 1:
-        raise ValidationError(f"--shots must be >= 1, got {args.shots}")
     seed = _resolve_seed(args.seed, default=7)
     report = simulate_proportion_reversal(shots=args.shots, seed=seed)
     payload = {

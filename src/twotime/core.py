@@ -104,9 +104,9 @@ PSD_CLIP_TOL = 1e-6
 #: norm check and ``reconstruct``'s probability checks.
 _LOAD_NORM_ATOL = 1e-9
 
-#: Cancellation normalized into a state.  Relative: a combination of unit
-#: states whose norm is at most ``_ZERO_NORM`` times the sum of its
-#: coefficients' moduli is zero.  Read by ``superpose``.
+#: Cancellation normalized into a state.  Relative: a combination of
+#: different unit states whose norm is at most ``_ZERO_NORM`` times the sum
+#: of its coefficients' moduli is zero.  Read by ``superpose``.
 _ZERO_NORM = 1e-14
 
 #: Rounding noise realized as a Kraus branch or an ensemble member.  Read
@@ -121,7 +121,9 @@ _MAX_ENTRY = 1e150
 
 #: The one allocation budget, in bytes, of a dense array: ``_check_budget``
 #: raises ValidationError first for ``KrausOperator.identity`` (16 d^2
-#: bytes) and ``TomographySet.measurement`` (64 d^6 bytes, so d <= 11).
+#: bytes), ``TomographySet.measurement`` (64 d^6 bytes, so d <= 11),
+#: ``TomographySet.labels`` (352 d^4 bytes, so d <= 24) and the CLI's
+#: input files (4 bytes a byte of JSON text, so 32 MiB).
 MAX_DENSE_BYTES = 128 * 2**20
 
 

@@ -176,11 +176,15 @@ def pure_product(post: np.ndarray, pre: np.ndarray) -> TwoTimeState:
 def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     """A normalized linear combination of two-time states.
 
+    Terms with equal states (the same ``coeffs`` bytes) are first made one
+    term by adding their coefficients, so their cancellation is exact.
+
     Raises
     ------
     DegenerateInputError
-        If the terms cancel to zero (to ``_ZERO_NORM`` times the sum of the
-        coefficients' moduli), are none, or a coefficient is not finite.
+        If the terms cancel to zero (the different states' to ``_ZERO_NORM``
+        times the sum of their coefficients' moduli), are none, or a
+        coefficient is not finite.
     """
     terms = _as_pairs(terms, "superposition terms")
     if not terms:
@@ -189,12 +193,23 @@ def superpose(terms: Sequence[tuple[complex, TwoTimeState]]) -> TwoTimeState:
     coeffs = np.array([_as_number(c, "superposition coefficient", complex) for c, _ in terms])
     if not np.isfinite(coeffs).all():
         raise DegenerateInputError("superposition coefficients are not finite")
+    groups: dict = {}
+    for k, (_, s) in enumerate(terms):
+        groups.setdefault(s.coeffs.tobytes(), []).append(k)
+    states = [terms[g[0]][1] for g in groups.values()]
+
+    def merge(c: np.ndarray) -> np.ndarray:
+        return np.array([sum(c[g[1:]], c[g[0]]) for g in groups.values()])
+
     with np.errstate(over="ignore", invalid="ignore"):  # scaled as in pure_product
-        acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
+        merged = merge(coeffs)
+        acc = sum(c * s.coeffs for c, s in zip(merged, states))
         if not abs(np.linalg.norm(acc) - 1.0) <= ATOL:
-            coeffs = _unit_scaled(coeffs, "superposition coefficient vector")
-            acc = sum(c * s.coeffs for c, (_, s) in zip(coeffs, terms))
-    if np.linalg.norm(acc) <= _ZERO_NORM * np.abs(coeffs).sum():
+            if not np.isfinite(merged).all():  # equal states' coefficients overflowed
+                merged = merge(_unit_scaled(coeffs, "superposition coefficient vector"))
+            merged = _unit_scaled(merged, "the sum of the superposition terms")
+            acc = sum(c * s.coeffs for c, s in zip(merged, states))
+    if np.linalg.norm(acc) <= _ZERO_NORM * np.abs(merged).sum():
         raise DegenerateInputError("superposition terms cancel to zero")
     return TwoTimeState(acc)
 

@@ -35,8 +35,9 @@ and trace normalization.  The least-squares solution
 its own closed form (see :func:`reconstruct`); both are O(d^4).
 
 Only the explicit operator set (``TomographySet.measurement``, 64 d^6
-bytes) grows faster than d^4; it raises ValidationError before
-allocating more than core's allocation budget, :data:`MAX_DENSE_BYTES`.
+bytes) grows faster than d^4; it and the outcome labels (352 d^4 bytes
+of Python tuples) raise ValidationError before allocating more than
+core's allocation budget, :data:`MAX_DENSE_BYTES`.
 """
 
 from __future__ import annotations
@@ -115,7 +116,8 @@ class TomographySet:
         ``4 d^4``.
     labels : tuple of (i, j, k, l, variant)
         The label of each outcome, in lexicographic (i, j, k, l,
-        variant) order.
+        variant) order.  Raises ValidationError when the labels would
+        exceed :data:`MAX_DENSE_BYTES` (d >= 25).
     measurement : Measurement
         The 4 d^4 detailed outcomes, aligned with ``labels``.  Raises
         ValidationError when the operators would exceed
@@ -133,6 +135,8 @@ class TomographySet:
 
     @cached_property
     def labels(self) -> tuple:
+        # 88 bytes a label: an 80-byte 5-tuple and its slot (ints and strings are shared).
+        _check_budget(88 * self.n_outcomes, f"the dimension-{self.dim} tomography labels")
         units = range(self.dim)
         return tuple(itertools.product(units, units, units, units, VARIANTS))
 

@@ -442,6 +442,37 @@ def test_simulate_rejects_bad_seed(capsys, docs):
     assert code == 2
 
 
+#: Each command whose shots, seed or dimension the library reads, with
+#: one argument out of its range and the start of the library's message.
+OUT_OF_RANGE = {
+    "simulate-shots": (["simulate", "--ensemble", "ensemble", "--measurement", "measurement",
+                        "--shots", "0", "--seed", "1"], "shots must be an integer in [1, inf)"),
+    "tomography-shots": (["tomography", "--dim", "2", "--eta", "eta", "--shots", "0",
+                          "--seed", "1"], "shots must be an integer in [1, inf)"),
+    "demo-shots": (["demo", "proportion-reversal", "--shots", "0"],
+                   "shots must be an integer in [1, inf)"),
+    "simulate-seed": (["simulate", "--ensemble", "ensemble", "--measurement", "measurement",
+                       "--shots", "10", "--seed", str(2**64)],
+                      "seed must be an integer in [0, 18446744073709551616)"),
+    "tomography-eta-dim": (["tomography", "--dim", "0", "--eta", "eta"],
+                           "--eta: document dimension 2 != --dim 0"),
+    "tomography-probs-dim": (["tomography", "--dim", "0", "--probs", "probs"],
+                             "dimension must be an integer in [1, inf)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUT_OF_RANGE))
+def test_out_of_range_arguments_are_validation_errors(capsys, docs, tmp_path, case):
+    probs = tmp_path / "probs.json"
+    probs.write_text(json.dumps([1.0 / 64] * 64))
+    argv, message = OUT_OF_RANGE[case]
+    argv = [str(probs) if a == "probs" else docs.get(a, a) for a in argv]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert error_code(err) == "validation"
+    assert json.loads(err)["error"]["message"].startswith(message)
+
+
 # ---------------------------------------------------------------------------
 # weak.
 
@@ -530,6 +561,21 @@ def test_every_file_read_or_decode_failure_names_its_flag(capsys, docs, tmp_path
     assert json.loads(err)["error"]["message"].startswith(f"{flag}: {reason}")
 
 
+@pytest.mark.parametrize("flag", sorted(FILE_FLAG_CALLS))
+def test_an_input_file_above_the_budget_is_not_read(capsys, docs, tmp_path, monkeypatch, flag):
+    # Decoding takes up to 4 bytes a byte of text: 4 times the size must fit the budget.
+    bad = tmp_path / "bad.json"
+    bad.write_text(" " * 20_000)  # decoded, it would be a schema error
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 4 * 20_000 - 1)
+    argv = [str(bad) if a == "bad" else docs.get(a, a) for a in FILE_FLAG_CALLS[flag]]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert error_code(err) == "validation"
+    message = json.loads(err)["error"]["message"]
+    assert message.startswith(f"{flag}: the objects decoded from the 20000 bytes of {bad}")
+    assert "allocation budget" in message
+
+
 def test_check_density(capsys, docs):
     payload = run_json(capsys, ["check", "--eta", docs["eta"]])
     assert payload["object"] == "density_vector"
@@ -614,6 +660,26 @@ def test_choice_probs_integer_too_large_for_a_float_names_its_entry(capsys, docs
     assert out == ""
     assert error_code(err) == "schema"
     assert json.loads(err)["error"]["message"].startswith("--policy: choice_probs[1]: ")
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("flag", ["--probs", "--policy"])
+def test_non_finite_number_tokens_name_their_entry(capsys, docs, tmp_path, flag, token):
+    _, m1, m2 = reversal_scenario()
+    if flag == "--probs":
+        text = f'{{"probabilities": [0.5, {token}]}}'
+        argv, entry = ["tomography", "--dim", "2"], "--probs: probabilities[1]: "
+    else:
+        measurements = json.dumps([serialize_document(m1), serialize_document(m2)])
+        text = f'{{"choice_probs": [0.5, {token}], "measurements": {measurements}}}'
+        argv = ["simulate", "--ensemble", docs["ensemble"], "--shots", "100", "--seed", "1"]
+        entry = "--policy: choice_probs[1]: "
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    code, out, err = run(capsys, argv + [flag, str(bad)])
+    assert (code, out) == (2, "")
+    assert error_code(err) == "schema"
+    assert json.loads(err)["error"]["message"].startswith(entry)
 
 
 def _policy_error(capsys, docs, tmp_path, bad_doc):

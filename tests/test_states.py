@@ -132,13 +132,19 @@ def test_superpose_renormalizes(rng):
 
 def test_superpose_cancellation_is_relative_to_the_terms():
     s, t = pure_product(E0, E1), pure_product(E1, E0)
-    with pytest.raises(DegenerateInputError):
-        superpose([(1.0, s), (-1.0 + 1e-15, s)])
+    # Equal states' coefficients are added first, so what remains of them is exact.
+    assert superpose([(1.0, s), (-1.0 + 1e-15, s)]).coeffs.tobytes() == s.coeffs.tobytes()
     with pytest.raises(DegenerateInputError):
         superpose([(0.0, s), (0.0, t)])
-    # Norm 3e-14 against coefficients' moduli summing to 4: zero, though above 1e-14.
+    assert (superpose([(1.0, s), (1.0, s), (-1.0, s), (-1.0 + 3e-14, s)]).coeffs.tobytes()
+            == s.coeffs.tobytes())
+    assert superpose([(1e14, s), (-1e14, s), (1.0, t)]).coeffs.tobytes() == t.coeffs.tobytes()
+    assert superpose([(1e200, s), (-1e200, s), (1e-200, t)]).coeffs.tobytes() == t.coeffs.tobytes()
+    # Different states that cancel to rounding: norm 2.2e-16 against moduli summing to 2.
+    off = s.coeffs.copy()
+    off[0, 1] = np.nextafter(1.0, 2.0)
     with pytest.raises(DegenerateInputError):
-        superpose([(1.0, s), (1.0, s), (-1.0, s), (-1.0 + 3e-14, s)])
+        superpose([(1.0, s), (-1.0, TwoTimeState(off))])
     assert superpose([(1.0, s), (-1.0 + 1e-12, s)]).coeffs.tobytes() == s.coeffs.tobytes()
     assert superpose([(1e-20, s)]).coeffs.tobytes() == superpose([(0.5, s)]).coeffs.tobytes()
     assert np.allclose(superpose([(1e-300, s), (1e-300j, t)]).coeffs,

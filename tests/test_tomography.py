@@ -168,6 +168,18 @@ def test_operator_family_reads_the_core_allocation_budget(monkeypatch, no_family
         build_tomography_set(2).measurement
 
 
+def test_labels_read_the_core_allocation_budget(monkeypatch):
+    # 88 bytes a label: d = 40 would build about 10^7 tuples, some 0.9 GB.
+    assert 88 * 4 * 40**4 > MAX_DENSE_BYTES
+    with pytest.raises(ValidationError, match="tomography labels"):
+        build_tomography_set(40).labels
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 88 * 4 * 2**4)
+    assert len(build_tomography_set(2).labels) == 64
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 88 * 4 * 2**4 - 1)
+    with pytest.raises(ValidationError, match="allocation budget"):
+        build_tomography_set(2).labels
+
+
 def test_lstsq_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
     d = 8
     dense = 64 * d**8  # the (4 d^4 x d^4) complex forward matrix: 1.07 GB
