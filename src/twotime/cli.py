@@ -221,7 +221,7 @@ def _cmd_prob(args) -> tuple[dict, tuple | None]:
 
 def _cmd_tomography(args) -> tuple[dict, tuple | None]:
     dim = args.dim
-    payload: dict = {"kind": "tomography", "dim": dim, "method": args.method}
+    payload: dict = {"kind": "tomography", "dim": dim, "method": "polarization"}
     eta = None
     clip_tol = args.clip_tol
     if args.probs:
@@ -264,8 +264,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
                 successes=result.successes,
             )
         payload["probabilities"] = np.asarray(probs, dtype=np.float64)
-    rec = reconstruct(probs, dim, method=args.method,
-                      clip_tol=PSD_CLIP_TOL if clip_tol is None else clip_tol)
+    rec = reconstruct(probs, dim, clip_tol=PSD_CLIP_TOL if clip_tol is None else clip_tol)
     payload["reconstruction"] = _complex_pairs(rec.mat)
     if eta is not None:
         payload["round_trip_error"] = float(np.linalg.norm(rec.mat - eta.mat))
@@ -490,7 +489,6 @@ def _build_parser() -> _Parser:
     src.add_argument("--probs", help="JSON file of 4 d^4 probabilities")
     p_tomo.add_argument("--shots", type=int, help="sample frequencies instead of exact values")
     p_tomo.add_argument("--seed", type=int)
-    p_tomo.add_argument("--method", choices=("polarization", "lstsq"), default="polarization")
     p_tomo.add_argument("--clip-tol", type=float, dest="clip_tol",
                         help="positivity rejection gate (default: exact-data 1e-6; "
                              "scaled automatically when sampling with --shots)")

@@ -122,8 +122,11 @@ _MAX_ENTRY = 1e150
 #: The one allocation budget, in bytes, of a dense array: ``_check_budget``
 #: raises ValidationError first for ``KrausOperator.identity`` (16 d^2
 #: bytes), ``TomographySet.measurement`` (64 d^6 bytes, so d <= 11),
-#: ``TomographySet.labels`` (352 d^4 bytes, so d <= 24) and the CLI's
-#: input files (4 bytes a byte of JSON text, so 32 MiB).
+#: ``TomographySet.labels`` (352 d^4 bytes, so d <= 24), the simulator's
+#: tables (``montecarlo._table_bytes``: full-rank tomography to d = 8),
+#: each of ``measurements_equal``'s Kraus density stacks (16 n d^4 bytes
+#: for n outcomes) and the CLI's input files (4 bytes a byte of JSON
+#: text, so 32 MiB).
 MAX_DENSE_BYTES = 128 * 2**20
 
 

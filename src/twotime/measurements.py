@@ -42,6 +42,7 @@ from .core import (
     _as_instance,
     _as_number,
     _as_tuple,
+    _check_budget,
     _check_hermitian_psd,
     _freeze,
     _hermitian_part,
@@ -253,6 +254,9 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
         raise ValidationError(
             f"outcome counts differ: {m1.n_outcomes} != {m2.n_outcomes}"
         )
+    # Each stack is (n_outcomes, d^2, d^2) complex: 107 MB for the d = 6 tomography set.
+    _check_budget(16 * m1.n_outcomes * m1.dim**4,
+                  f"the Kraus density vectors of each {m1.n_outcomes}-outcome measurement")
     k1, k2 = (_kraus_density_stack(m.kraus_stack, m.outcome_of) for m in (m1, m2))
     return float(np.max(np.abs(k1 - k2))) <= _as_number(atol, "atol")
 

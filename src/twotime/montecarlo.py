@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.random import Philox
 
-from .core import ATOL, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple
+from .core import ATOL, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple, _check_budget
 from .core import _require_same_dim, _shared_dim
 from .errors import (
     DimensionMismatchError,
@@ -245,10 +245,9 @@ def _grid(c: np.ndarray) -> np.ndarray:
 
 
 #: Bytes of the int64 counts an ``_Inverse`` guide is built from, K + 1
-#: per row; bounds its bucket count K.  It does not bound the build's peak
-#: memory: the build also holds int64 and float arrays the size of the
-#: padded table (``_grid``'s temporaries, ``rows``, ``j`` and both flat
-#: indices), 14.5 MiB for 36 members of the d = 6 tomography set.
+#: per row; bounds its bucket count K.  The build also holds int64 and
+#: float arrays the size of the padded table (``_grid``'s temporaries,
+#: ``rows``, ``j`` and both flat indices), which ``_table_bytes`` counts.
 _GUIDE_BYTES = 1 << 20
 
 
@@ -307,12 +306,30 @@ def _stacked(blocks: list, width: int, fill) -> np.ndarray:
     return out.reshape(-1, width)
 
 
+def _width(n: int) -> int:
+    """The padded width of an ``_Inverse`` table of rows of n entries:
+    the power of two that holds their n - 1 edges and at least one pad."""
+    return 1 << (n - 1).bit_length()
+
+
 def _inverse(cums: list) -> _Inverse:
     """``_Inverse`` of cumulative rows without their last edges, so a draw
     at or past the last edge takes the last index, as the clamp
     ``min(searchsorted(row, m * 2**-53, side="right"), n - 1)`` would."""
-    width = 1 << (max(c.shape[1] for c in cums) - 1).bit_length()
+    width = _width(max(c.shape[1] for c in cums))
     return _Inverse(_stacked([c[:, :-1] for c in cums], width, np.inf))
+
+
+def _table_bytes(n_rows: int, n_branches: int, d: int) -> int:
+    """Peak bytes of ``_Tables`` for ``n_rows`` (choice, member) rows of at most
+    ``n_branches`` branches in dimension d: 12 int64 or float64 arrays of the
+    padded table (the Born weights, success probabilities, their cumulative
+    and clipped copies, and ``_Inverse``'s grid, indices and temporaries),
+    one Gram stack (16 d^2 bytes a branch) and two guide count tables.
+    tracemalloc measured 97.7 MiB, 10.2 table arrays, for the full-rank d = 8
+    tomography set (64 members, 16,384 branches); this reads 114 MiB there
+    and 277 MiB from d = 9 (81 members, 26,244 branches), above the budget."""
+    return 96 * n_rows * _width(n_branches) + 16 * n_branches * d * d + 2 * _GUIDE_BYTES
 
 
 class _Tables:
@@ -336,6 +353,10 @@ class _Tables:
     def __init__(self, cfg: SimConfig) -> None:
         d = cfg.ensemble.dim
         self.n_members = len(cfg.ensemble.weights)
+        ms = cfg.policy.measurements
+        branches = max(len(m.kraus_stack) for m in ms)
+        _check_budget(_table_bytes(len(ms) * self.n_members, branches, d),
+                      f"the simulator tables of {len(ms)} x {self.n_members} (choice, member) rows")
         self.members = _inverse([np.cumsum(cfg.ensemble.weights)[None]])
         self.choices = _inverse([np.cumsum(np.array(cfg.policy.choice_probs))[None]])
         coeffs = cfg.ensemble.coeff_stack
@@ -344,7 +365,7 @@ class _Tables:
         self.n_outcomes = []
         self.cum_branch = []
         self.success = []
-        for m in cfg.policy.measurements:
+        for m in ms:
             g = m.kraus_stack.transpose(0, 2, 1) @ m.kraus_stack.conj()
             born = np.maximum((h @ g.reshape(len(g), -1).T).real, 0.0)
             with np.errstate(over="ignore"):

@@ -25,14 +25,12 @@ has unnormalized weight::
 which :func:`predict_probabilities` evaluates as O(d^4) array work
 without building any operator.
 
-Inversion ("polarization" method) is its closed-form twin::
+Inversion is its closed-form twin, by polarization::
 
     eta[(i,j), (k,l)] = 2 d^2 [ (p_+ - p_-) + i (p_+i - p_-i) ]
 
 followed by symmetrization, eigenvalue clipping to the positive cone,
-and trace normalization.  The least-squares solution
-(``method="lstsq"``) differs from it only on the diagonal, which has
-its own closed form (see :func:`reconstruct`); both are O(d^4).
+and trace normalization, all O(d^4).
 
 Only the explicit operator set (``TomographySet.measurement``, 64 d^6
 bytes) grows faster than d^4; it and the outcome labels (352 d^4 bytes
@@ -195,14 +193,8 @@ def _clip_to_density(raw: np.ndarray, clip_tol: float) -> DensityVector:
     return DensityVector._from_psd((w * (lam / total)) @ w.conj().T)
 
 
-def reconstruct(
-    probs: np.ndarray,
-    dim: int,
-    method: str = "polarization",
-    *,
-    clip_tol: float = PSD_CLIP_TOL,
-) -> DensityVector:
-    """Invert tomography probabilities to a density vector.
+def reconstruct(probs: np.ndarray, dim: int, *, clip_tol: float = PSD_CLIP_TOL) -> DensityVector:
+    """Invert tomography probabilities to a density vector by polarization.
 
     Parameters
     ----------
@@ -212,12 +204,6 @@ def reconstruct(
         >= -1e-9 and sum to 1 within 1e-9.
     dim : int
         The system dimension d.
-    method : {"polarization", "lstsq"}
-        Polarization inversion (default) or the least-squares solution
-        of the linear forward map, both in closed form.  On exact data
-        both agree to machine precision; on noisy data they differ on
-        the diagonal only, and both end with the same symmetrize /
-        clip / renormalize repair.
     clip_tol : float
         Most-negative eigenvalue tolerated before the data is rejected
         as malformed (smaller negatives are clipped to zero); a finite
@@ -232,7 +218,7 @@ def reconstruct(
     ValidationError
         On a dimension that is not a positive integer, a ``clip_tol``
         that is not a number, negative or not finite, ``probs`` that
-        numpy cannot read as numbers, or an unknown method.
+        numpy cannot read as numbers.
     MalformedDataError
         On wrong length, negative entries, a bad sum, or data whose
         inversion fails positivity beyond ``clip_tol``.
@@ -256,24 +242,8 @@ def reconstruct(
     if abs(total - 1.0) > _LOAD_NORM_ATOL:
         raise MalformedDataError(f"probabilities sum to {total!r}, expected 1")
 
-    if method not in ("polarization", "lstsq"):
-        raise ValidationError(f"unknown reconstruction method {method!r}")
-    n = d * d
-    p4 = p.reshape(n, n, 4)
+    p4 = p.reshape(d * d, d * d, 4)
     raw = 2.0 * d * d * ((p4[..., 0] - p4[..., 1]) + 1j * (p4[..., 2] - p4[..., 3]))
-    if method == "lstsq":
-        # The least-squares normal equations of the forward map (fit to
-        # p / d) decouple.  Off the diagonal the solution is the
-        # Hermitized polarization entry that _clip_to_density forms.  The
-        # diagonal x solves 8 s^2 [(n + 1) I + 1 1^T] x = r / d, s^2 =
-        # 1 / (8 d^3), where r_a sums the four variants of every pair
-        # (a, b) and (b, a) with b != a, plus the repeated unit weighted
-        # |1 + phi|^2: 4 p(a,a,+) + 2 p(a,a,+i) + 2 p(a,a,-i).  By
-        # Sherman-Morrison, x_a = n (r_a - sum(r) / (2n + 1)) / (n + 1).
-        t, same = p4.sum(axis=2), p4.diagonal()
-        r = t.sum(axis=0) + t.sum(axis=1) - 2.0 * t.diagonal()
-        r += 4.0 * same[0] + 2.0 * same[2] + 2.0 * same[3]
-        np.fill_diagonal(raw, n * (r - r.sum() / (2 * n + 1)) / (n + 1))
     return _clip_to_density(raw, tol)
 
 

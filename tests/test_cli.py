@@ -212,12 +212,24 @@ def test_tomography_from_probability_file(capsys, docs, tmp_path):
     probs_file = tmp_path / "probs.json"
     probs_file.write_text(json.dumps({"probabilities": list(map(float, probs))}))
     payload = run_json(capsys, [
-        "tomography", "--dim", "2", "--probs", str(probs_file), "--method", "lstsq",
+        "tomography", "--dim", "2", "--probs", str(probs_file),
     ])
     assert payload["source"] == "file"
-    assert payload["method"] == "lstsq"
+    assert payload["method"] == "polarization"
     rec = np.array([[complex(re, im) for re, im in row] for row in payload["reconstruction"]])
     assert np.linalg.norm(rec - eta_mat) <= 1e-9
+
+
+def test_tomography_method_flag_is_a_usage_error(capsys, tmp_path):
+    probs_file = tmp_path / "probs.json"
+    eta = random_density(np.random.default_rng(2), 2)
+    probs_file.write_text(json.dumps(predict_probabilities(eta, build_tomography_set(2)).tolist()))
+    code, out, err = run(capsys, [
+        "tomography", "--dim", "2", "--probs", str(probs_file), "--method", "lstsq",
+    ])
+    assert code == 2
+    assert out == ""
+    assert error_code(err) == "usage"
 
 
 def test_tomography_sampled_is_deterministic(capsys, docs):
@@ -293,7 +305,7 @@ def test_tomography_non_numeric_probability_file(capsys, tmp_path, raw):
     assert error_code(err) == "schema"
 
 
-def test_tomography_lstsq_above_the_old_size_limit_succeeds(capsys, tmp_path, monkeypatch):
+def test_tomography_above_the_old_size_limit_succeeds(capsys, tmp_path, monkeypatch):
     # d = 7 once needed a 369 MB dense forward matrix; fail fast if it comes back.
     monkeypatch.setattr("twotime.tomography._vectorized_family", None)
     d = 7
@@ -301,9 +313,9 @@ def test_tomography_lstsq_above_the_old_size_limit_succeeds(capsys, tmp_path, mo
     probs_file = tmp_path / "probs.json"
     probs_file.write_text(json.dumps(predict_probabilities(eta, build_tomography_set(d)).tolist()))
     payload = run_json(capsys, [
-        "tomography", "--dim", str(d), "--probs", str(probs_file), "--method", "lstsq",
+        "tomography", "--dim", str(d), "--probs", str(probs_file),
     ])
-    assert payload["method"] == "lstsq"
+    assert payload["method"] == "polarization"
     rec = np.array([[complex(re, im) for re, im in row] for row in payload["reconstruction"]])
     assert np.linalg.norm(rec - eta.mat) <= 1e-9
 
@@ -749,7 +761,7 @@ INVOCATIONS = (
     ("prob", "--eta", "eta", "--measurement", "coarse"),
     ("prob", "--eta", "eta", "--measurement", "coarse", "--coarse"),
     ("tomography", "--dim", "dim", "--eta", "eta"),
-    ("tomography", "--dim", "dim", "--probs", "probs", "--method", "lstsq"),
+    ("tomography", "--dim", "dim", "--probs", "probs"),
     ("simulate", "--ensemble", "ensemble", "--measurement", "measurement",
      "--shots", "40", "--seed", "1"),
     ("simulate", "--ensemble", "ensemble", "--policy", "policy", "--shots", "40", "--seed", "1"),

@@ -181,6 +181,16 @@ def test_distinct_measurements_are_unequal():
     assert not measurements_equal(projective_pair(), half_success_pair())
 
 
+def test_equality_reads_the_core_allocation_budget(monkeypatch):
+    # Two outcomes of dimension 2: each stack of Kraus density vectors is 16 * 2 * 2^4 bytes.
+    m1, m2 = projective_pair(), half_success_pair()
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 16 * 2 * 2**4)
+    assert not measurements_equal(m1, m2)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 16 * 2 * 2**4 - 1)
+    with pytest.raises(ValidationError, match="each 2-outcome measurement"):
+        measurements_equal(m1, m2)
+
+
 def test_overflowing_kraus_density_vectors_fail_typed():
     # Entries past 1e154 square beyond float64: the Gram matrix holds inf,
     # which must not compare as equal or unequal.

@@ -23,6 +23,7 @@ from twotime import (
     DimensionMismatchError,
     Ensemble,
     IncompleteMeasurementError,
+    MAX_DENSE_BYTES,
     Measurement,
     NormalizationError,
     ObserverPolicy,
@@ -411,6 +412,42 @@ def test_the_shot_loop_holds_one_slice_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak <= 1.6 * 2**20
+
+
+def test_the_table_budget_admits_d_8_tomography_and_rejects_d_11():
+    # Full-rank tomography sets: d^2 members of 4 d^4 branches.  Computed, not built.
+    assert montecarlo._table_bytes(8**2, 4 * 8**4, 8) <= MAX_DENSE_BYTES
+    assert montecarlo._table_bytes(9**2, 4 * 9**4, 9) > MAX_DENSE_BYTES
+    assert montecarlo._table_bytes(11**2, 4 * 11**4, 11) > MAX_DENSE_BYTES
+
+
+def table_peak(cfg):
+    tracemalloc.start()
+    try:
+        montecarlo._Tables(cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("d", [2, 4, 6])
+def test_the_table_budget_bounds_the_tables_peak(rng, d):
+    ensemble = ensemble_from_density(random_density(rng, d, n_members=d * d))
+    cfg = SimConfig.fixed(ensemble, build_tomography_set(d).measurement, 1, 1)
+    assert len(ensemble.weights) == d * d
+    assert table_peak(cfg) <= montecarlo._table_bytes(d * d, 4 * d**4, d)
+
+
+def test_the_tables_read_the_core_allocation_budget(monkeypatch):
+    cfg = wide_policy_config()
+    branches = max(len(m.kraus_stack) for m in cfg.policy.measurements)
+    need = montecarlo._table_bytes(4 * 64, branches, 3)
+    assert table_peak(cfg) <= need
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", need)
+    montecarlo._Tables(cfg)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", need - 1)
+    with pytest.raises(ValidationError, match=r"tables of 4 x 64 \(choice, member\) rows"):
+        simulate(cfg)
 
 
 #: How far ``_Tables`` may sit from the member loop, in ulps of each

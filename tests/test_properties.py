@@ -146,19 +146,19 @@ def tomography_below_the_cone(draw):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(tomography_below_the_cone(), st.sampled_from(["polarization", "lstsq"]))
-def test_the_positivity_gate_clips_below_clip_tol_and_rejects_above(case, method):
+@given(tomography_below_the_cone())
+def test_the_positivity_gate_clips_below_clip_tol_and_rejects_above(case):
     # Near the gate: a raw inversion at -t within clip_tol is clipped to the
     # density psd / tr(psd), which differs from it by t (u u^dag - psd / tr),
     # of norm at most sqrt(2) t; beyond clip_tol the data is malformed.
     d, clip_tol, t, mat, probs = case
     assert probs.min() >= 0.0
     if t < clip_tol:
-        rec = reconstruct(probs, d, method, clip_tol=clip_tol)
+        rec = reconstruct(probs, d, clip_tol=clip_tol)
         assert np.linalg.norm(rec.mat - mat) <= np.sqrt(2.0) * t + 1e-12
     else:
         with pytest.raises(MalformedDataError, match="not positive"):
-            reconstruct(probs, d, method, clip_tol=clip_tol)
+            reconstruct(probs, d, clip_tol=clip_tol)
 
 
 # ---------------------------------------------------------------------------

@@ -57,6 +57,29 @@ def dense_lstsq(p, d):
     return sol.reshape(d * d, d * d)
 
 
+def closed_form_lstsq(p, d):
+    """Reference: the least-squares solution of the forward map in closed form.
+
+    The normal equations of the forward map (fit to p / d) decouple.  Off
+    the diagonal the solution is the polarization entry, Hermitized by
+    ``_clip_to_density``.  The diagonal x solves 8 s^2 [(n + 1) I + 1 1^T]
+    x = r / d, n = d^2, s^2 = 1 / (8 d^3), where r_a sums the four
+    variants of every pair (a, b) and (b, a) with b != a, plus the
+    repeated unit weighted |1 + phi|^2: 4 p(a,a,+) + 2 p(a,a,+i) +
+    2 p(a,a,-i).  By Sherman-Morrison, x_a = n (r_a - sum(r) / (2n + 1)) /
+    (n + 1).  Returns the raw (d^2, d^2) solution, before any
+    symmetrization.
+    """
+    n = d * d
+    p4 = p.reshape(n, n, 4)
+    raw = 2.0 * n * ((p4[..., 0] - p4[..., 1]) + 1j * (p4[..., 2] - p4[..., 3]))
+    t, same = p4.sum(axis=2), p4.diagonal()
+    r = t.sum(axis=0) + t.sum(axis=1) - 2.0 * t.diagonal()
+    r += 4.0 * same[0] + 2.0 * same[2] + 2.0 * same[3]
+    np.fill_diagonal(raw, n * (r - r.sum() / (2 * n + 1)) / (n + 1))
+    return raw
+
+
 def noisy(rng, p, rel=0.1):
     """``p`` with Gaussian noise of ``rel`` times the mean entry, clipped and renormalized."""
     q = np.clip(p + rng.normal(scale=rel / p.size, size=p.size), 0.0, None)
@@ -180,7 +203,7 @@ def test_labels_read_the_core_allocation_budget(monkeypatch):
         build_tomography_set(2).labels
 
 
-def test_lstsq_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
+def test_reconstruct_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
     d = 8
     dense = 64 * d**8  # the (4 d^4 x d^4) complex forward matrix: 1.07 GB
     assert dense > MAX_DENSE_BYTES
@@ -188,7 +211,7 @@ def test_lstsq_above_the_old_size_limit_needs_no_dense_memory(rng, no_family):
     p = predict_probabilities(eta, build_tomography_set(d))
     tracemalloc.start()
     try:
-        rec = reconstruct(p, d, method="lstsq")
+        rec = reconstruct(p, d)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -259,8 +282,8 @@ def test_lstsq_agrees_with_polarization(rng):
         ts = build_tomography_set(d)
         eta = random_density(rng, d)
         p = predict_probabilities(eta, ts)
-        a = reconstruct(p, d, method="polarization")
-        b = reconstruct(p, d, method="lstsq")
+        a = reconstruct(p, d)
+        b = _clip_to_density(closed_form_lstsq(p, d), PSD_CLIP_TOL)
         assert np.max(np.abs(a.mat - b.mat)) <= 1e-10
 
 
@@ -274,11 +297,12 @@ def test_lstsq_equals_the_dense_least_squares_solution(rng, d):
     ]
     for eta in etas:
         exact = predict_probabilities(eta, ts)
-        # Noisy data is inconsistent, so the two methods differ on the
-        # diagonal; the wide gate lets both reach the same clip.
+        # Noisy data is inconsistent, so least squares and polarization
+        # differ on the diagonal; the wide gate lets both solutions reach
+        # the same clip.
         for p, tol in ((exact, PSD_CLIP_TOL), (noisy(rng, exact), 1.0)):
             ref = _clip_to_density(dense_lstsq(p, d), tol)
-            got = reconstruct(p, d, method="lstsq", clip_tol=tol)
+            got = _clip_to_density(closed_form_lstsq(p, d), tol)
             assert np.max(np.abs(got.mat - ref.mat)) <= 1e-14
 
 
@@ -328,13 +352,6 @@ def test_non_finite_rejected():
     p[3] = np.nan
     with pytest.raises(MalformedDataError):
         reconstruct(p, 2)
-
-
-def test_unknown_method_rejected(rng):
-    ts = build_tomography_set(2)
-    p = predict_probabilities(random_density(rng, 2), ts)
-    with pytest.raises(ValidationError):
-        reconstruct(p, 2, method="bayesian")
 
 
 def test_inconsistent_data_fails_positivity(rng):
