@@ -6,9 +6,9 @@ Subcommands: ``prob``, ``tomography``, ``simulate``, ``weak``,
 (``--format csv``, for ``prob`` and ``simulate``).  Diagnostics go to
 stderr as JSON with a machine-readable error code.  Exit status: 0 on
 success, 2 on validation errors, 3 on domain errors.  Floats are
-printed with 17 significant digits (full double precision).  Where a
-seed is required, ``--seed`` falls back to the ``TWOTIME_SEED``
-environment variable.
+printed with 17 significant digits (full double precision).
+``simulate`` and ``tomography --shots`` require ``--seed``; ``demo``
+uses seed 7 without one.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .errors import (
     TwoTimeError,
     ValidationError,
 )
-from .io import _complex_pairs, _kind_of, _loads, _number, _wrap, parse_document
+from .io import _complex_pairs, _kind_of, _loads, _numbers, _wrap, parse_document
 from .measurements import Measurement, partial_normalization_defect
 from .montecarlo import (
     ObserverPolicy,
@@ -52,8 +52,6 @@ from .tomography import (
 from .weak_values import weak_value_ensemble, weak_value_pure, weak_value_vector
 
 __all__ = ["main", "run_cli"]
-
-_ENV_SEED = "TWOTIME_SEED"
 
 
 class _UsageError(ValidationError):
@@ -169,21 +167,6 @@ def _load(path: str, kind: str, flag: str):
     return obj
 
 
-def _resolve_seed(seed, *, default: int | None = None) -> int:
-    """``--seed``, else ``TWOTIME_SEED``, else ``default``; SimConfig checks its range."""
-    if seed is not None:
-        return seed
-    if os.environ.get(_ENV_SEED):
-        raw = os.environ[_ENV_SEED]
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"{_ENV_SEED}={raw!r} is not an integer") from None
-    if default is not None:
-        return default
-    raise _UsageError(f"--seed is required (or set {_ENV_SEED})")
-
-
 # ---------------------------------------------------------------------------
 # Subcommands.
 
@@ -234,7 +217,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             raise SchemaError(
                 "--probs: expected a JSON array or an object with a 'probabilities' array"
             )
-        probs = np.asarray([_number(x, f"--probs: probabilities[{i}]") for i, x in enumerate(raw)])
+        probs = _numbers(raw, "--probs: probabilities[{}]".format)
         payload["source"] = "file"
     else:
         eta = _load(args.eta, "density_vector", "--eta")
@@ -247,9 +230,10 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             probs = predict_probabilities(eta, ts)
             payload["source"] = "analytic"
         else:
-            seed = _resolve_seed(args.seed)
+            if args.seed is None:
+                raise _UsageError("--shots requires --seed")
             ensemble = ensemble_from_density(eta)
-            result = simulate(SimConfig.fixed(ensemble, ts.measurement, args.shots, seed))
+            result = simulate(SimConfig.fixed(ensemble, ts.measurement, args.shots, args.seed))
             if result.successes == 0:
                 raise PostSelectionImpossibleError(
                     "no attempts survived post-selection; increase --shots"
@@ -260,7 +244,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
             payload.update(
                 source="sampled",
                 shots=args.shots,
-                seed=seed,
+                seed=args.seed,
                 successes=result.successes,
             )
         payload["probabilities"] = np.asarray(probs, dtype=np.float64)
@@ -288,8 +272,7 @@ def _policy_from_file(path: str) -> ObserverPolicy:
         if not isinstance(obj, Measurement):
             raise ValidationError(f"--policy: measurements[{idx}] is not a measurement document")
         measurements.append(obj)
-    probs = tuple(_number(x, f"--policy: choice_probs[{i}]") for i, x in enumerate(probs))
-    return ObserverPolicy(tuple(measurements), probs)
+    return ObserverPolicy(tuple(measurements), _numbers(probs, "--policy: choice_probs[{}]".format))
 
 
 def _cmd_simulate(args) -> tuple[dict, tuple | None]:
@@ -302,8 +285,7 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
         policy = ObserverPolicy.fixed(_load(args.measurement, "measurement", "--measurement"))
     else:
         raise _UsageError("one of --measurement or --policy is required")
-    seed = _resolve_seed(args.seed)
-    result = simulate(SimConfig(ensemble, policy, args.shots, seed))
+    result = simulate(SimConfig(ensemble, policy, args.shots, args.seed))
 
     eta = density_from_ensemble(ensemble)
     choices = []
@@ -338,7 +320,7 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
         "kind": "simulation",
         "dim": ensemble.dim,
         "shots": args.shots,
-        "seed": seed,
+        "seed": args.seed,
         "attempts": result.attempts,
         "successes": result.successes,
         "choices": choices,
@@ -426,8 +408,7 @@ def _cmd_iso(args) -> tuple[dict, tuple | None]:
 
 
 def _cmd_demo(args) -> tuple[dict, tuple | None]:
-    seed = _resolve_seed(args.seed, default=7)
-    report = simulate_proportion_reversal(shots=args.shots, seed=seed)
+    report = simulate_proportion_reversal(shots=args.shots, seed=args.seed)
     payload = {
         "kind": "demo",
         "scenario": "proportion-reversal",
@@ -499,7 +480,7 @@ def _build_parser() -> _Parser:
     p_sim.add_argument("--measurement", help="measurement document (fixed policy)")
     p_sim.add_argument("--policy", help="JSON file with choice_probs and measurement documents")
     p_sim.add_argument("--shots", type=int, required=True)
-    p_sim.add_argument("--seed", type=int)
+    p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--format", choices=("json", "csv"), default="json")
     p_sim.set_defaults(handler=_cmd_simulate)
 
@@ -525,7 +506,7 @@ def _build_parser() -> _Parser:
     p_demo = sub.add_parser("demo", help="scripted demonstration scenarios")
     p_demo.add_argument("target", choices=("proportion-reversal",))
     p_demo.add_argument("--shots", type=int, default=100_000)
-    p_demo.add_argument("--seed", type=int)
+    p_demo.add_argument("--seed", type=int, default=7)
     p_demo.set_defaults(handler=_cmd_demo)
 
     return parser

@@ -84,9 +84,10 @@ ATOL = 1e-12
 #: ``predict_probabilities``).
 PSD_ATOL = 1e-10
 
-#: A measurement with rounded Kraus operators read as incomplete
-#: (``max|sum A^dag A - I|``).  Read by ``Measurement.is_complete``,
-#: ``check_completeness``, ``measurements_equal`` and ``povm_to_twotime``.
+#: Rounded Kraus operators read as an incomplete measurement
+#: (``max|sum A^dag A - I|``) or as a different one.  Read by
+#: ``Measurement.is_complete``, ``check_completeness``,
+#: ``measurements_equal`` and ``povm_to_twotime``.
 COMPLETENESS_ATOL = 1e-10
 
 #: Division by a vanishing total weight: a post-selection that never
@@ -110,8 +111,8 @@ _LOAD_NORM_ATOL = 1e-9
 _ZERO_NORM = 1e-14
 
 #: Rounding noise realized as a Kraus branch or an ensemble member.  Read
-#: by ``_kraus_set_from_psd_matrix``, ``complete_operator_set`` and the
-#: default ``cutoff`` of ``ensemble_from_density``.
+#: by ``_kraus_set_from_psd_matrix`` (``complete_operator_set``,
+#: ``povm_to_twotime``) and ``ensemble_from_density``.
 _EIG_CUTOFF = 1e-12
 
 #: Norms, sums and eigenvalue routines overflowing float64: the largest
@@ -124,9 +125,12 @@ _MAX_ENTRY = 1e150
 #: bytes), ``TomographySet.measurement`` (64 d^6 bytes, so d <= 11),
 #: ``TomographySet.labels`` (352 d^4 bytes, so d <= 24), the simulator's
 #: tables (``montecarlo._table_bytes``: full-rank tomography to d = 8),
-#: each of ``measurements_equal``'s Kraus density stacks (16 n d^4 bytes
-#: for n outcomes) and the CLI's input files (4 bytes a byte of JSON
-#: text, so 32 MiB).
+#: the stack of a measurement's Kraus density vectors
+#: (``measurements._kraus_density_bytes``: 64 n d^4 + 32 b d^2 + 2 MiB for
+#: n outcomes of b branches, so the tomography set's to d = 5),
+#: ``predict_probabilities`` (192 d^4 + 4 KiB, so d <= 28),
+#: ``ensemble_from_density`` (80 d^4 + 16 KiB, so d <= 35) and the CLI's
+#: input files (4 bytes a byte of JSON text, so 32 MiB).
 MAX_DENSE_BYTES = 128 * 2**20
 
 
@@ -135,6 +139,17 @@ def _check_budget(nbytes: int, what: str) -> None:
     if nbytes > MAX_DENSE_BYTES:
         raise ValidationError(f"{what} need {nbytes} bytes, above the "
                               f"{MAX_DENSE_BYTES}-byte allocation budget")
+
+
+def _check_distribution(probs, noun: str, nouns: str) -> None:
+    """Raise NormalizationError unless the floats ``probs`` (each a ``noun``, together
+    the ``nouns``) are finite, strictly positive and sum to 1 within ``ATOL``."""
+    for p in probs:
+        if not math.isfinite(p) or p <= 0.0:
+            raise NormalizationError(f"{noun} {p!r} is not strictly positive")
+    total = sum(probs)
+    if abs(total - 1.0) > ATOL:
+        raise NormalizationError(f"{nouns} sum to {total!r}, expected 1")
 
 
 def vec(a: np.ndarray) -> np.ndarray:

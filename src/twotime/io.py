@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from bisect import bisect_right
 from itertools import chain, islice
 from typing import Any, NamedTuple
@@ -131,6 +132,28 @@ def _number(node: Any, path: str) -> float:
     return val
 
 
+def _leaf_array(leaves: list, bound: float = sys.float_info.max) -> np.ndarray | None:
+    """The float64 array of ``leaves`` if every leaf is a JSON number (exactly ``float``
+    or ``int``, so not ``bool``) of magnitude at most the finite ``bound``, else None."""
+    if not set(map(type, leaves)) <= {float, int}:
+        return None
+    try:
+        flat = np.array(leaves, dtype=np.float64)
+    except OverflowError:
+        return None
+    return flat if np.abs(flat).max(initial=0.0) <= bound else None  # also false for nan and inf
+
+
+def _numbers(nodes: list, path_of) -> np.ndarray:
+    """The float64 array of the finite JSON numbers ``nodes``, read in one pass; only if
+    that fails, node by node with :func:`_number`, so the first bad node i fails at
+    ``path_of(i)``."""
+    flat = _leaf_array(nodes)
+    if flat is not None:
+        return flat
+    return np.array([_number(node, path_of(i)) for i, node in enumerate(nodes)])
+
+
 def _complex(node: Any, path: str) -> complex:
     if isinstance(node, (int, float)) and not isinstance(node, bool):
         return complex(_number(node, path), 0.0)
@@ -173,14 +196,8 @@ def _canonical_stack(nodes: list, side: int) -> np.ndarray | None:
     entries = list(chain.from_iterable(rows))
     if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
         return None
-    leaves = list(chain.from_iterable(entries))
-    if not set(map(type, leaves)) <= {float, int}:
-        return None
-    try:
-        flat = np.array(leaves, dtype=np.float64)
-    except OverflowError:
-        return None
-    if not np.abs(flat).max() <= _MAX_ENTRY:  # also false for nan and inf
+    flat = _leaf_array(list(chain.from_iterable(entries)), _MAX_ENTRY)
+    if flat is None:
         return None
     return flat.view(np.complex128).reshape(len(nodes), side, side)
 

@@ -174,16 +174,28 @@ class Measurement:
         return cls(MeasurementOutcome(s, name) for s, name in zip(sets, names))
 
 
+def _kraus_density_bytes(n_outcomes: int, n_branches: int, d: int) -> int:
+    """Peak bytes of any caller of ``_kraus_density_stack`` on n outcomes of b branches
+    in dimension d: four (n, d^2, d^2) complex stacks (the Gram stack, its symmetrizing
+    temporaries and the caller's other stack), two copies of the branches, and 2 MiB for
+    stacks below 256 KiB, whose temporaries numpy does not elide."""
+    return 64 * n_outcomes * d**4 + 32 * n_branches * d**2 + 2**21
+
+
 def _kraus_density_stack(kraus_stack: np.ndarray, outcome_of: np.ndarray) -> np.ndarray:
     """The (n_outcomes, d^2, d^2) stack of the outcomes' Kraus density vectors.
 
     Entry mu is the Hermitian part of ``V^T V*``, V the vectorized
     (consecutive) rows of ``kraus_stack`` whose ``outcome_of`` is mu: the
     array :class:`KrausDensityVector` stores, bit for bit, with no
-    eigenvalue check, since a Gram matrix is PSD.
+    eigenvalue check, since a Gram matrix is PSD.  Raises ValidationError
+    first if :func:`_kraus_density_bytes` exceeds core's allocation budget.
     """
+    sizes = np.bincount(outcome_of)
+    _check_budget(_kraus_density_bytes(len(sizes), *kraus_stack.shape[:2]),
+                  f"the Kraus density vectors of a {len(sizes)}-outcome measurement")
     v = kraus_stack.reshape(len(kraus_stack), -1)
-    ends = np.cumsum(np.bincount(outcome_of)).tolist()
+    ends = np.cumsum(sizes).tolist()
     gram = np.empty((len(ends), v.shape[1], v.shape[1]), dtype=np.complex128)
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
         for mu, (lo, hi) in enumerate(zip([0] + ends, ends)):
@@ -239,13 +251,14 @@ def partial_normalization_defect(m: Measurement) -> float:
     return _post_selection_defect(v.T @ v.conj())
 
 
-def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETENESS_ATOL) -> bool:
+def measurements_equal(m1: Measurement, m2: Measurement) -> bool:
     """Operational equality: outcome-by-outcome equality of Kraus density vectors.
 
     Two outcomes realized by different Kraus sets are the same physical
-    outcome exactly when their vectorized forms coincide.  Comparison is
-    positional, of the two stacks of Kraus density vectors at once;
-    mismatched outcome counts (or dimensions) raise.
+    outcome exactly when their vectorized forms coincide: no entry differs
+    by more than ``COMPLETENESS_ATOL``.  Comparison is positional, of the
+    two stacks of Kraus density vectors at once; mismatched outcome counts
+    (or dimensions) raise.
     """
     _as_instance(m1, Measurement, "m1")
     _as_instance(m2, Measurement, "m2")
@@ -254,11 +267,8 @@ def measurements_equal(m1: Measurement, m2: Measurement, atol: float = COMPLETEN
         raise ValidationError(
             f"outcome counts differ: {m1.n_outcomes} != {m2.n_outcomes}"
         )
-    # Each stack is (n_outcomes, d^2, d^2) complex: 107 MB for the d = 6 tomography set.
-    _check_budget(16 * m1.n_outcomes * m1.dim**4,
-                  f"the Kraus density vectors of each {m1.n_outcomes}-outcome measurement")
     k1, k2 = (_kraus_density_stack(m.kraus_stack, m.outcome_of) for m in (m1, m2))
-    return float(np.max(np.abs(k1 - k2))) <= _as_number(atol, "atol")
+    return float(np.max(np.abs(k1 - k2))) <= COMPLETENESS_ATOL
 
 
 def _checked_operators(ops, *, relative: bool, empty: Exception) -> tuple:
@@ -272,16 +282,16 @@ def _checked_operators(ops, *, relative: bool, empty: Exception) -> tuple:
     return herm, herm.sum(axis=0)
 
 
-def _kraus_set_from_psd_matrix(mat: np.ndarray, cutoff: float = _EIG_CUTOFF) -> np.ndarray:
+def _kraus_set_from_psd_matrix(mat: np.ndarray) -> np.ndarray:
     """The (k, d, d) stack of Kraus operators realizing a PSD vectorized operator.
 
     Eigendecomposes ``mat`` and keeps branches with eigenvalue above
-    ``cutoff``; returns a single zero operator when none survive (so the
-    realization is always a valid, possibly trivial, outcome).
+    ``_EIG_CUTOFF``; returns a single zero operator when none survive (so
+    the realization is always a valid, possibly trivial, outcome).
     """
     d = _side_of_pair_matrix(mat, "vectorized operator")
     lam, w = np.linalg.eigh(_hermitian_part(mat))
-    keep = lam > cutoff
+    keep = lam > _EIG_CUTOFF
     if not keep.any():
         return np.zeros((1, d, d), dtype=np.complex128)
     return (np.sqrt(lam[keep]) * w[:, keep]).T.reshape(-1, d, d)

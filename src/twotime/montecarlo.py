@@ -52,13 +52,8 @@ import numpy as np
 from numpy.random import Philox
 
 from .core import ATOL, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple, _check_budget
-from .core import _require_same_dim, _shared_dim
-from .errors import (
-    DimensionMismatchError,
-    IncompleteMeasurementError,
-    NormalizationError,
-    ValidationError,
-)
+from .core import _check_distribution, _require_same_dim, _shared_dim
+from .errors import DimensionMismatchError, IncompleteMeasurementError, ValidationError
 from .measurements import Measurement
 from .probability import _contraction_weights, prob_coarse
 from .states import Ensemble, density_from_ensemble, pure_product
@@ -116,12 +111,7 @@ class ObserverPolicy:
                 f"{len(ms)} measurements but {len(ps)} choice probabilities"
             )
         _shared_dim(ms, Measurement, "measurements")
-        for p in ps:
-            if not math.isfinite(p) or p <= 0.0:
-                raise NormalizationError(f"choice probability {p!r} is not strictly positive")
-        total = sum(ps)
-        if abs(total - 1.0) > ATOL:
-            raise NormalizationError(f"choice probabilities sum to {total!r}, expected 1")
+        _check_distribution(ps, "choice probability", "choice probabilities")
         object.__setattr__(self, "measurements", ms)
         object.__setattr__(self, "choice_probs", ps)
 

@@ -17,7 +17,8 @@ import numpy as np
 
 from .core import ATOL, PSD_ATOL, _ZERO_NORM, DensityVector, TwoTimeState, _hermiticity_defect
 from .core import _EIG_CUTOFF, _LOAD_NORM_ATOL, _as_array, _as_number, _freeze, _unit_scaled
-from .core import _as_instance, _as_pairs, _pair_operand, _shared_dim
+from .core import _as_instance, _as_pairs, _check_budget, _check_distribution, _pair_operand
+from .core import _shared_dim
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -76,12 +77,7 @@ class Ensemble:
         return ens
 
     def _store(self, weights: np.ndarray, stack: np.ndarray) -> None:
-        listed = weights.tolist()
-        for w in listed:
-            _check_weight(w)
-        total = sum(listed)
-        if abs(total - 1.0) > ATOL:
-            raise NormalizationError(f"ensemble weights sum to {total!r}, expected 1")
+        _check_distribution(weights.tolist(), "ensemble weight", "ensemble weights")
         object.__setattr__(self, "weights", _freeze(weights))
         object.__setattr__(self, "coeff_stack", _freeze(stack))
 
@@ -100,11 +96,6 @@ class Ensemble:
     @classmethod
     def pure(cls, state: TwoTimeState) -> "Ensemble":
         return cls(((1.0, state),))
-
-
-def _check_weight(w: float) -> None:
-    if not np.isfinite(w) or w <= 0.0:
-        raise NormalizationError(f"ensemble weight {w!r} is not strictly positive")
 
 
 def _member_misfit(r: int, norm: float) -> NormalizationError:
@@ -227,21 +218,26 @@ def density_from_ensemble(ensemble: Ensemble) -> DensityVector:
     return DensityVector._from_psd(np.einsum("ra,rb->ab", v * w[:, None], v.conj()))
 
 
-def ensemble_from_density(eta: DensityVector, *, cutoff: float = _EIG_CUTOFF) -> Ensemble:
+def ensemble_from_density(eta: DensityVector) -> Ensemble:
     """An ensemble whose density vector reproduces ``eta``.
 
-    Uses the eigendecomposition: eigenvalues above ``cutoff`` become
+    Uses the eigendecomposition: eigenvalues above ``_EIG_CUTOFF`` become
     weights (renormalized to absorb the discarded tail) and the matching
     eigenvectors, reshaped, become the member states.  Any ensemble with
     the same density vector is operationally interchangeable with the
-    one returned here.
+    one returned here.  Raises ValidationError when ``eta``'s dimension d
+    needs more than core's allocation budget: 80 d^4 + 16 KiB bytes, the
+    eigenvectors and the member stack (32 d^4, which tracemalloc sees)
+    and LAPACK ``zheevd``'s copy of the matrix and its workspace (48 d^4,
+    which it does not).
     """
-    lam, w = np.linalg.eigh(_as_instance(eta, DensityVector, "eta").mat)
-    keep = lam > _as_number(cutoff, "cutoff")
-    if not np.any(keep):
-        raise DegenerateInputError("density vector has no eigenvalue above cutoff")
+    d = _as_instance(eta, DensityVector, "eta").dim
+    _check_budget(80 * d**4 + 2**14, f"the eigenvectors of the dimension-{d} density vector")
+    lam, w = np.linalg.eigh(eta.mat)
+    # A trace-1 matrix has an eigenvalue of at least 1 / d^2, far above the cutoff.
+    keep = lam > _EIG_CUTOFF
     lam = lam[keep]
-    stack = _unit_members(w[:, keep].T.reshape(-1, eta.dim, eta.dim))
+    stack = _unit_members(w[:, keep].T.reshape(-1, d, d))
     return Ensemble._from_stack(lam / lam.sum(), stack)
 
 

@@ -165,11 +165,15 @@ def predict_probabilities(eta: DensityVector, ts: TomographySet) -> np.ndarray:
     Equal to ``prob_density(eta, ts.measurement)``, computed from the
     closed-form weights in the module docstring, with that rule's clamp:
     no operator has ``|vec(A)|^2`` above 1, so the clamp's trace is 1.
+    Raises ValidationError when its 192 d^4 + 4 KiB bytes (the complex
+    cross terms and four float64 arrays of the 4 d^4 weights) exceed
+    :data:`MAX_DENSE_BYTES`, from d = 29.
     """
     _as_instance(eta, DensityVector, "eta")
     _as_instance(ts, TomographySet, "ts")
     _require_same_dim(eta.dim, ts.dim, "predict_probabilities")
     d = ts.dim
+    _check_budget(192 * d**4 + 2**12, f"the dimension-{d} tomography probabilities")
     mat = eta.mat
     diag = mat.diagonal().real
     cross = (np.conj(_VARIANT_PHASES) * mat[:, :, None]).real

@@ -4,6 +4,8 @@ All builders take an explicit numpy Generator so every test controls
 its own stream; the ``rng`` fixture provides a default seeded one.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -73,6 +75,17 @@ def random_coarse_measurement(rng, d, n_outcomes=2, branches=2):
     flat = [out.kraus[0] for out in detailed.outcomes]
     sets = [flat[k * branches:(k + 1) * branches] for k in range(n_outcomes)]
     return Measurement.from_kraus_sets(sets)
+
+
+def traced_peak(call) -> int:
+    """The tracemalloc peak, in bytes, of ``call()`` run a second time (the first warms caches)."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_bloch_projector(rng):

@@ -6,6 +6,7 @@ import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +254,15 @@ def test_tomography_seed_without_shots(capsys, docs):
     assert error_code(err) == "usage"
 
 
+def test_tomography_shots_without_seed(capsys, docs, monkeypatch):
+    monkeypatch.setenv("TWOTIME_SEED", "11")
+    code, out, err = run(capsys, [
+        "tomography", "--dim", "2", "--eta", docs["eta"], "--shots", "100",
+    ])
+    assert (code, out) == (2, "")
+    assert error_code(err) == "usage"
+
+
 def test_tomography_dim_mismatch(capsys, docs):
     code, out, err = run(capsys, ["tomography", "--dim", "3", "--eta", docs["eta"]])
     assert code == 2
@@ -428,22 +438,16 @@ def test_simulate_requires_one_observer_input(capsys, docs, tmp_path):
 
 
 def test_simulate_seed_from_environment(capsys, docs, monkeypatch):
-    argv = ["simulate", "--ensemble", docs["ensemble"],
-            "--measurement", docs["measurement"], "--shots", "2000"]
-    code, out, err = run(capsys, argv)
-    assert code == 2  # no seed anywhere
-    assert error_code(err) == "usage"
-
+    """The environment supplies no seed: TWOTIME_SEED changes no command."""
     monkeypatch.setenv("TWOTIME_SEED", "11")
-    env_out = run(capsys, argv)
-    explicit_out = run(capsys, argv + ["--seed", "11"])
-    assert env_out[0] == explicit_out[0] == 0
-    assert env_out[1] == explicit_out[1]
-
-    monkeypatch.setenv("TWOTIME_SEED", "not-a-number")
-    code, out, err = run(capsys, argv)
-    assert code == 2
-    assert error_code(err) == "validation"
+    code, out, err = run(capsys, ["simulate", "--ensemble", docs["ensemble"],
+                                  "--measurement", docs["measurement"], "--shots", "2000"])
+    assert (code, out) == (2, "")
+    assert error_code(err) == "usage"
+    # demo's seed is 7 without --seed, as in the golden file.
+    code, out, err = run(capsys, ["demo", "proportion-reversal", "--shots", "2000"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (Path(__file__).parent / "golden" / "demo.out").read_bytes()
 
 
 def test_simulate_rejects_bad_seed(capsys, docs):

@@ -19,6 +19,7 @@ from conftest import (
     random_state,
 )
 from twotime import io as tio
+from twotime.core import _check_distribution
 from twotime import (
     BipartiteDensity,
     BipartiteOperator,
@@ -732,10 +733,9 @@ def test_stacked_measurement_parse_matches_the_loop_bit_for_bit(rng):
 def test_rejected_ensemble_weights_are_read_once(rng):
     envelope = serialize_document(random_ensemble(rng, 3, n_members=16))
     envelope["payload"]["members"][-1]["weight"] *= 1.5
-    checked = []
-    with mock.patch("twotime.states._check_weight", side_effect=checked.append):
+    with mock.patch("twotime.states._check_distribution", wraps=_check_distribution) as check:
         got = parse_outcome(parse_document, json.dumps(envelope))
-    assert len(checked) == 16
+    assert check.call_count == 1 and len(check.call_args.args[0]) == 16
     assert got[:2] == (NormalizationError, "normalization")
     assert got[2].startswith("payload.members: ensemble weights sum to ")
 

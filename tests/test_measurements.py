@@ -8,9 +8,11 @@ from conftest import (
     E1,
     PLUS,
     complex_gaussian,
+    random_coarse_measurement,
     random_complete_measurement,
     random_density,
     random_kraus,
+    traced_peak,
 )
 from twotime import (
     COMPLETENESS_ATOL,
@@ -22,6 +24,7 @@ from twotime import (
     NotHermitianError,
     NotPositiveError,
     ValidationError,
+    build_tomography_set,
     check_completeness,
     complete_operator_set,
     kraus_density_vector,
@@ -29,6 +32,8 @@ from twotime import (
     partial_normalization_defect,
     prob_coarse,
 )
+from twotime.bipartite import _outcome_images
+from twotime.measurements import _kraus_density_bytes
 
 
 def projective_pair():
@@ -182,13 +187,41 @@ def test_distinct_measurements_are_unequal():
 
 
 def test_equality_reads_the_core_allocation_budget(monkeypatch):
-    # Two outcomes of dimension 2: each stack of Kraus density vectors is 16 * 2 * 2^4 bytes.
+    # Two detailed outcomes in dimension 2.
     m1, m2 = projective_pair(), half_success_pair()
-    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 16 * 2 * 2**4)
+    need = 64 * 2 * 2**4 + 32 * 2 * 2**2 + 2**21
+    assert _kraus_density_bytes(2, 2, 2) == need
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", need)
     assert not measurements_equal(m1, m2)
-    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 16 * 2 * 2**4 - 1)
-    with pytest.raises(ValidationError, match="each 2-outcome measurement"):
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", need - 1)
+    with pytest.raises(ValidationError, match="Kraus density vectors of a 2-outcome measurement"):
         measurements_equal(m1, m2)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_the_kraus_density_budget_bounds_every_callers_peak(rng, d):
+    # The tomography set's 4 d^4 detailed outcomes, and 3 outcomes of 2 d^2 branches each.
+    for m in (build_tomography_set(d).measurement, random_coarse_measurement(rng, d, 3, 2 * d * d)):
+        need = _kraus_density_bytes(m.n_outcomes, len(m.kraus_stack), d)
+        assert traced_peak(lambda: measurements_equal(m, m)) <= need
+        assert traced_peak(lambda: _outcome_images(m)) <= need
+        out = m.outcomes[-1]
+        assert traced_peak(lambda: kraus_density_vector(out)) <= _kraus_density_bytes(
+            1, len(out.kraus), d)
+
+
+def test_every_kraus_density_caller_reads_the_core_allocation_budget(monkeypatch, rng):
+    m = random_coarse_measurement(rng, 2, 3, 4)
+    out = m.outcomes[0]
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", _kraus_density_bytes(3, 12, 2))
+    _outcome_images(m)
+    kraus_density_vector(out)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", _kraus_density_bytes(3, 12, 2) - 1)
+    with pytest.raises(ValidationError, match="Kraus density vectors of a 3-outcome measurement"):
+        _outcome_images(m)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", _kraus_density_bytes(1, 4, 2) - 1)
+    with pytest.raises(ValidationError, match="Kraus density vectors of a 1-outcome measurement"):
+        kraus_density_vector(out)
 
 
 def test_overflowing_kraus_density_vectors_fail_typed():

@@ -11,10 +11,12 @@ from conftest import (
     equal_mixture,
     equal_mixture_density,
     random_complete_measurement,
+    random_density,
     random_ensemble,
     random_kraus,
     random_state,
     superposition_density,
+    traced_peak,
 )
 from twotime import (
     ATOL,
@@ -22,9 +24,11 @@ from twotime import (
     DensityVector,
     DimensionMismatchError,
     Ensemble,
+    MAX_DENSE_BYTES,
     NormalizationError,
     NotHermitianError,
     TwoTimeState,
+    ValidationError,
     contract_pure,
     density_from_ensemble,
     ensemble_from_density,
@@ -357,6 +361,24 @@ def test_ensemble_from_density_round_trips(rng):
         eta = density_from_ensemble(random_ensemble(rng, d, 4))
         back = density_from_ensemble(ensemble_from_density(eta))
         assert np.allclose(back.mat, eta.mat, atol=1e-12)
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_the_ensemble_budget_bounds_its_traced_peak(rng, d):
+    # tracemalloc sees the eigenvectors and the members, 32 d^4 of the stated
+    # 80 d^4 + 16 KiB, and not LAPACK's copy of the matrix and workspace.
+    eta = random_density(rng, d, n_members=d * d)
+    assert traced_peak(lambda: ensemble_from_density(eta)) <= 32 * d**4 + 2**14
+
+
+def test_ensemble_from_density_reads_the_core_allocation_budget(monkeypatch):
+    assert 80 * 35**4 + 2**14 <= MAX_DENSE_BYTES < 80 * 36**4  # refused from d = 36
+    eta = equal_mixture_density()
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 80 * 2**4 + 2**14)
+    ensemble_from_density(eta)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 80 * 2**4 + 2**14 - 1)
+    with pytest.raises(ValidationError, match="dimension-2 density vector"):
+        ensemble_from_density(eta)
 
 
 def test_ensemble_from_density_weights_are_eigenvalues():

@@ -10,6 +10,7 @@ from conftest import (
     random_density,
     random_state,
     superposition_density,
+    traced_peak,
 )
 from twotime import (
     MAX_DENSE_BYTES,
@@ -217,6 +218,22 @@ def test_reconstruct_above_the_old_size_limit_needs_no_dense_memory(rng, no_fami
         tracemalloc.stop()
     assert peak < dense / 1000
     assert np.linalg.norm(rec.mat - eta.mat) <= 1e-9
+
+
+@pytest.mark.parametrize("d", [2, 4, 8])
+def test_the_prediction_budget_bounds_its_peak(rng, d):
+    eta, ts = random_density(rng, d, n_members=d * d), build_tomography_set(d)
+    assert traced_peak(lambda: predict_probabilities(eta, ts)) <= 192 * d**4 + 2**12
+
+
+def test_prediction_reads_the_core_allocation_budget(monkeypatch, rng):
+    assert 192 * 28**4 + 2**12 <= MAX_DENSE_BYTES < 192 * 29**4  # refused from d = 29
+    eta, ts = random_density(rng, 2), build_tomography_set(2)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 192 * 2**4 + 2**12)
+    predict_probabilities(eta, ts)
+    monkeypatch.setattr("twotime.core.MAX_DENSE_BYTES", 192 * 2**4 + 2**12 - 1)
+    with pytest.raises(ValidationError, match="dimension-2 tomography probabilities"):
+        predict_probabilities(eta, ts)
 
 
 # ---------------------------------------------------------------------------
