@@ -34,15 +34,10 @@ from .errors import (
 )
 from .io import _complex_pairs, _kind_of, _loads, _numbers, _wrap, parse_document
 from .measurements import Measurement, partial_normalization_defect
-from .montecarlo import (
-    ObserverPolicy,
-    SimConfig,
-    _binomial_z,
-    simulate,
-    simulate_proportion_reversal,
-)
+from .montecarlo import ObserverPolicy, SimConfig, _outcome_checks, simulate
+from .montecarlo import simulate_proportion_reversal
 from .probability import prob_coarse, prob_density, prob_ensemble, prob_pure
-from .states import density_from_ensemble, ensemble_from_density, positivity_check
+from .states import ensemble_from_density, positivity_check
 from .tomography import (
     build_tomography_set,
     predict_probabilities,
@@ -238,7 +233,7 @@ def _cmd_tomography(args) -> tuple[dict, tuple | None]:
                 raise PostSelectionImpossibleError(
                     "no attempts survived post-selection; increase --shots"
                 )
-            probs = result.frequencies
+            probs = result.frequencies_for(0)
             if clip_tol is None:
                 clip_tol = sampling_clip_tol(dim, result.successes)
             payload.update(
@@ -285,35 +280,25 @@ def _cmd_simulate(args) -> tuple[dict, tuple | None]:
         policy = ObserverPolicy.fixed(_load(args.measurement, "measurement", "--measurement"))
     else:
         raise _UsageError("one of --measurement or --policy is required")
-    result = simulate(SimConfig(ensemble, policy, args.shots, args.seed))
+    cfg = SimConfig(ensemble, policy, args.shots, args.seed)
+    result = simulate(cfg)
 
-    eta = density_from_ensemble(ensemble)
     choices = []
     multi = len(policy.measurements) > 1
     csv_rows = []
-    for c, m in enumerate(policy.measurements):
-        targets = prob_coarse(eta, m)
-        successes_c = result.successes_for(c)
-        freqs = result.frequencies_for(c)
+    for c, (freqs, targets, zs) in enumerate(_outcome_checks(cfg, result)):
         counts = result.outcome_counts_for(c)
         outcomes = []
-        for mu in range(m.n_outcomes):
+        for mu, name in enumerate(policy.measurements[c].names):
             # A degenerate z is inf, which JSON writes as null and CSV as "".
-            z = _binomial_z(float(freqs[mu]), float(targets[mu]), successes_c)
-            outcomes.append({
-                "index": mu,
-                "name": m.names[mu],
-                "count": int(counts[mu]),
-                "frequency": float(freqs[mu]),
-                "analytic": float(targets[mu]),
-                "z": z,
-            })
-            row = (mu, int(counts[mu]), float(freqs[mu]), float(targets[mu]), z)
+            row = (mu, int(counts[mu]), float(freqs[mu]), float(targets[mu]), float(zs[mu]))
+            outcomes.append({"index": mu, "name": name, "count": row[1],
+                             "frequency": row[2], "analytic": row[3], "z": row[4]})
             csv_rows.append(((c,) + row) if multi else row)
         choices.append({
             "index": c,
             "choice_prob": float(policy.choice_probs[c]),
-            "successes": successes_c,
+            "successes": result.successes_for(c),
             "outcomes": outcomes,
         })
     payload = {

@@ -62,16 +62,18 @@ _LITERAL_STARTS = bytes.maketrans(b"0123456789 \t\n\r[,:-", b"0000000000||||||||
 _LONG_INTEGER = b"|" + b"0" * 19
 #: Every byte but the brackets and the quote, deleted to leave the nesting.
 _NOT_NESTING = bytes(sorted(set(range(256)) - set(b'[]{}"')))
-#: Deepest nesting handed to orjson, which has no depth limit of its own.
+#: Deepest nesting handed to orjson, which has no depth limit of its own;
+#: deeper text goes to ``json.loads``, whose error it then gets.
 _ORJSON_MAX_DEPTH = 64
 
 
 def _orjson_reads_as_json(raw: bytes) -> bool:
     """Whether orjson is safe on ``raw`` and reads it as ``json.loads`` does.
 
-    orjson 3.8 crashes the interpreter on deep nesting, and it reads an
-    integer literal outside [-2**63, 2**64) as a float where ``json``
-    keeps an int.  So this declines text with a literal of 19 or more
+    orjson 3.8 reads nesting of any depth, where ``json.loads`` raises
+    ``RecursionError`` from depth 1,000 or so, and it reads an integer
+    literal outside [-2**63, 2**64) as a float where ``json`` keeps an
+    int.  So this declines text with a literal of 19 or more
     digits (a digit run in a string may decline it too), text nested
     deeper than ``_ORJSON_MAX_DEPTH``, and text with a backslash: there
     an escaped quote could hide where a string ends, so brackets in

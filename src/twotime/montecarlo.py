@@ -53,9 +53,9 @@ from numpy.random import Philox
 
 from .core import ATOL, KrausOperator, _as_instance, _as_int, _as_number, _as_tuple, _check_budget
 from .core import _check_distribution, _require_same_dim, _shared_dim
-from .errors import DimensionMismatchError, IncompleteMeasurementError, ValidationError
+from .errors import DimensionMismatchError, ValidationError
 from .measurements import Measurement
-from .probability import _contraction_weights, prob_coarse
+from .probability import _contraction_weights, _require_complete, prob_coarse
 from .states import Ensemble, density_from_ensemble, pure_product
 
 __all__ = [
@@ -142,11 +142,7 @@ class SimConfig:
         # Completeness is a physical requirement: the observer's Kraus
         # branches must exhaust the Born rule before post-selection.
         for m in self.policy.measurements:
-            if not m.is_complete:
-                raise IncompleteMeasurementError(
-                    f"policy contains an incomplete measurement (defect "
-                    f"{m.completeness_defect:.3e})"
-                )
+            _require_complete(m)
         object.__setattr__(self, "shots", shots)
         object.__setattr__(self, "seed", seed)
 
@@ -201,22 +197,6 @@ class SimResult:
         n = self.successes_for(choice)
         counts = self.outcome_counts_for(choice)
         return counts / n if n > 0 else np.zeros_like(counts, dtype=float)
-
-    @property
-    def counts(self) -> np.ndarray:
-        """n_mu for a fixed (single-measurement) policy."""
-        if self.n_choices != 1:
-            raise ValidationError("counts is defined for fixed policies; use outcome_counts_for")
-        return self.outcome_counts_for(0)
-
-    @property
-    def frequencies(self) -> np.ndarray:
-        """f_mu for a fixed (single-measurement) policy."""
-        if self.n_choices != 1:
-            raise ValidationError(
-                "frequencies is defined for fixed policies; use frequencies_for"
-            )
-        return self.frequencies_for(0)
 
 
 def _draws(seed: int, start: int, stop: int) -> np.ndarray:
@@ -399,22 +379,13 @@ def _accumulate(cfg: SimConfig, tables: _Tables, start: int, stop: int,
         pos = end
 
 
-def simulate(cfg: SimConfig, _ranges=None) -> SimResult:
-    """Run the protocol for ``cfg.shots`` attempts.
-
-    ``_ranges`` (internal) lets tests run disjoint attempt ranges
-    separately and verify the merged tally is bit-identical to a single
-    pass, which is the partition-independence guarantee of the
-    randomness contract.
-    """
+def simulate(cfg: SimConfig) -> SimResult:
+    """Run the protocol for ``cfg.shots`` attempts."""
     tables = _Tables(_as_instance(cfg, SimConfig, "cfg"))
     shape = (len(tables.n_outcomes), tables.n_members, max(tables.n_outcomes))
     attempted = np.zeros(shape[:2], dtype=np.int64)
     tally = np.zeros(shape, dtype=np.int64)
-    if _ranges is None:
-        _ranges = [(0, cfg.shots)]
-    for start, stop in _ranges:
-        _accumulate(cfg, tables, start, stop, attempted.reshape(-1), tally.reshape(-1))
+    _accumulate(cfg, tables, 0, cfg.shots, attempted.reshape(-1), tally.reshape(-1))
     counts = tuple(tally[c, :, :n].copy() for c, n in enumerate(tables.n_outcomes))
     attempted.flags.writeable = False
     for arr in counts:
@@ -445,6 +416,24 @@ def _binomial_z(freq: float, p: float, n: int) -> float:
     if se == 0.0:
         return 0.0 if abs(freq - p) < ATOL else math.inf
     return (freq - p) / se
+
+
+def _outcome_checks(cfg: SimConfig, result: SimResult) -> list:
+    """``(frequencies, targets, z)`` of every measurement choice of ``result``.
+
+    The targets are the density rule, ``prob_coarse`` of the ensemble's
+    density vector, and ``z[mu]`` is outcome mu's binomial z-score over
+    the choice's successes; a degenerate z is ``inf``.
+    """
+    eta = density_from_ensemble(cfg.ensemble)
+    checks = []
+    for c, m in enumerate(cfg.policy.measurements):
+        freqs = result.frequencies_for(c)
+        targets = prob_coarse(eta, m)
+        n = result.successes_for(c)
+        z = np.array([_binomial_z(float(f), float(t), n) for f, t in zip(freqs, targets)])
+        checks.append((freqs, targets, z))
+    return checks
 
 
 def reversal_scenario() -> tuple[Ensemble, Measurement, Measurement]:
@@ -555,8 +544,8 @@ def simulate_proportion_reversal(shots: int = 100_000, seed: int = 7) -> Reversa
     standard errors.
     """
     ensemble, m_first, m_second = reversal_scenario()
-    policy = ObserverPolicy((m_first, m_second), (0.5, 0.5))
-    result = simulate(SimConfig(ensemble, policy, shots, seed))
+    cfg = SimConfig(ensemble, ObserverPolicy((m_first, m_second), (0.5, 0.5)), shots, seed)
+    result = simulate(cfg)
 
     member_counts = np.stack([result.member_counts_for(c) for c in range(2)])
     expected = np.array([[2.0 / 3.0, 1.0 / 3.0], [1.0 / 3.0, 2.0 / 3.0]])
@@ -574,16 +563,7 @@ def simulate_proportion_reversal(shots: int = 100_000, seed: int = 7) -> Reversa
     overall = total_by_member / n_total if n_total > 0 else np.zeros(2)
     overall_z = _binomial_z(float(overall[0]), 0.5, n_total)
 
-    eta = density_from_ensemble(ensemble)
-    targets = tuple(prob_coarse(eta, m) for m in (m_first, m_second))
-    freqs = tuple(result.frequencies_for(c) for c in range(2))
-    out_z = tuple(
-        np.array([
-            _binomial_z(float(f[mu]), float(t[mu]), result.successes_for(c))
-            for mu in range(len(t))
-        ])
-        for c, (f, t) in enumerate(zip(freqs, targets))
-    )
+    freqs, targets, out_z = zip(*_outcome_checks(cfg, result))
 
     discard_seed = (seed + 1) % _MAX_SEED
     fixed_result = simulate(SimConfig.fixed(ensemble, m_first, shots, discard_seed))

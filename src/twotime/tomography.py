@@ -256,9 +256,11 @@ def sampling_clip_tol(dim: int, successes: int) -> float:
 
     ``10 d^2 / sqrt(successes)``: eigenvalue noise of the raw inversion
     scales like ``d^2`` times the per-outcome frequency error, and the
-    factor 10 leaves generous headroom, while genuinely inconsistent
-    data (entries from a different state, wrong ordering) still lands
-    far outside.  Never below the exact-data default.
+    factor 10 leaves generous headroom.  Never below the exact-data
+    default.  The gate bounds honest sampling noise only: from d = 3 it
+    also admits inconsistent data (shuffled frequencies passed at d = 3,
+    4 and 6), which a fit statistic of the frequencies against the
+    reconstruction's predictions would catch (ROADMAP item 3).
     """
     d = _as_int(dim, "dimension")
     n = _as_int(successes, "successes")

@@ -195,7 +195,7 @@ def test_criterion_7_monte_carlo_validation(rng):
             res = simulate(SimConfig.fixed(ens, m, 30_000, 1000 + seed_offset))
             n = res.successes
             assert n > 0
-            for f, p in zip(res.frequencies, target):
+            for f, p in zip(res.frequencies_for(0), target):
                 se = np.sqrt(p * (1.0 - p) / n)
                 assert abs(f - p) <= 4.0 * se + 1e-12
 

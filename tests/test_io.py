@@ -428,6 +428,19 @@ def test_orjson_guard(text, expected):
     assert tio._orjson_reads_as_json(text.encode()) is expected
 
 
+def test_nesting_json_refuses_gets_json_s_error():
+    # On Python 3.11 json.loads raises RecursionError at this depth, while
+    # orjson 3.8 returns the nested lists: only the guard's depth rule keeps
+    # _loads raising too.  (Python 3.12 and later may decode it; then both
+    # return lists, which == would compare as deep, so only kinds are compared.)
+    text = "[" * 1100 + "]" * 1100
+    got, want = (decode_outcome(loads, text) for loads in (tio._loads, json.loads))
+    assert got[0] is want[0]
+    with pytest.raises(SchemaError) as info:
+        parse_document(text)
+    assert info.value.code == "schema"
+
+
 # ---------------------------------------------------------------------------
 # The canonical stack against the per-entry loop.
 

@@ -1,6 +1,7 @@
 """Shot-based protocol simulation: randomness contract and convergence."""
 
 import functools
+import math
 import tracemalloc
 
 import numpy as np
@@ -36,6 +37,7 @@ from twotime import (
     ensemble_from_density,
     prob_ensemble,
     prob_pure,
+    prob_coarse,
     pure_product,
     reconstruct,
     reversal_scenario,
@@ -81,23 +83,44 @@ def test_different_seeds_differ():
     assert not np.array_equal(a.choice_counts[0], b.choice_counts[0])
 
 
+def split_tallies(cfg, ranges):
+    """The flat (attempted, tally) arrays after ``_accumulate`` over each
+    attempt range in turn, on one ``_Tables`` of ``cfg``."""
+    tables = montecarlo._Tables(cfg)
+    attempted = np.zeros(len(tables.n_outcomes) * tables.n_members, dtype=np.int64)
+    tally = np.zeros(attempted.size * max(tables.n_outcomes), dtype=np.int64)
+    for start, stop in ranges:
+        montecarlo._accumulate(cfg, tables, start, stop, attempted, tally)
+    return attempted, tally
+
+
+def flat_tallies(attempted, counts):
+    """(attempted, per-choice counts) in the flat layout of ``split_tallies``."""
+    width = max(c.shape[1] for c in counts)
+    padded = [np.pad(c, ((0, 0), (0, width - c.shape[1]))) for c in counts]
+    return attempted.ravel(), np.stack(padded).ravel()
+
+
+def assert_same_tallies(got, want):
+    assert all(map(np.array_equal, got, want))
+
+
 def test_partition_independence():
     # Tallies must not depend on how attempts are split across workers,
-    # including splits that straddle the chunk boundary.
+    # including splits that straddle the chunk boundary: merging the
+    # ``_accumulate`` tallies of the ranges reproduces ``simulate``'s.
     ens, m1, m2 = reversal_scenario()
     shots = 70_000
     assert shots > CHUNK
     cfg = SimConfig(ens, ObserverPolicy((m1, m2), (0.5, 0.5)), shots, 97)
     whole = simulate(cfg)
+    want = flat_tallies(whole.attempted, whole.choice_counts)
     for ranges in (
         [(0, 1), (1, 33333), (33333, CHUNK), (CHUNK, shots)],
         [(40_000, shots), (0, 40_000)],
         [(0, CHUNK - 1), (CHUNK - 1, CHUNK + 1), (CHUNK + 1, shots)],
     ):
-        split = simulate(cfg, _ranges=ranges)
-        assert np.array_equal(whole.attempted, split.attempted)
-        for ca, cb in zip(whole.choice_counts, split.choice_counts):
-            assert np.array_equal(ca, cb)
+        assert_same_tallies(split_tallies(cfg, ranges), want)
 
 
 def test_frozen_tally_regression():
@@ -116,19 +139,6 @@ def test_frozen_tally_regression():
     assert res.member_counts_for(1).tolist() == [5, 9]
 
 
-def test_fixed_policy_accessors():
-    ens, m1, _ = reversal_scenario()
-    res = simulate(SimConfig.fixed(ens, m1, 2000, 5))
-    assert np.array_equal(res.counts, res.outcome_counts_for(0))
-    assert np.allclose(res.frequencies, res.counts / res.successes)
-    ens2, m1b, m2b = reversal_scenario()
-    res2 = simulate(SimConfig(ens2, ObserverPolicy((m1b, m2b), (0.5, 0.5)), 100, 5))
-    with pytest.raises(ValidationError):
-        res2.counts
-    with pytest.raises(ValidationError):
-        res2.frequencies
-
-
 # ---------------------------------------------------------------------------
 # Exact and statistical convergence.
 
@@ -138,7 +148,7 @@ def test_deterministic_scenario_is_exact():
     ens = Ensemble.pure(pure_product(E0, E0))
     res = simulate(SimConfig.fixed(ens, projective_z(), 10_000, 11))
     assert res.successes > 0
-    assert np.allclose(res.frequencies, [1.0, 0.0], atol=0.0)
+    assert np.allclose(res.frequencies_for(0), [1.0, 0.0], atol=0.0)
 
 
 def test_success_rate_matches_analytic():
@@ -180,7 +190,7 @@ def test_random_scenarios_converge_to_the_ensemble_rule(rng):
         target = prob_ensemble(ens, m)
         res = simulate(SimConfig.fixed(ens, m, 30_000, seed))
         assert res.successes > 500
-        assert within_4se(res.frequencies, target, res.successes)
+        assert within_4se(res.frequencies_for(0), target, res.successes)
 
 
 def test_entangled_preparation_reproduces_the_pure_rule(rng):
@@ -191,7 +201,7 @@ def test_entangled_preparation_reproduces_the_pure_rule(rng):
     target = prob_pure(s, m)
     res = simulate(SimConfig.fixed(Ensemble.pure(s), m, 40_000, 1234))
     assert res.successes > 1000
-    assert within_4se(res.frequencies, target, res.successes)
+    assert within_4se(res.frequencies_for(0), target, res.successes)
 
 
 def test_simulated_tomography_reconstructs_the_density(rng):
@@ -201,9 +211,50 @@ def test_simulated_tomography_reconstructs_the_density(rng):
     res = simulate(cfg)
     assert res.successes >= 1_000_000
     rec = reconstruct(
-        res.frequencies, 2, clip_tol=sampling_clip_tol(2, res.successes)
+        res.frequencies_for(0), 2, clip_tol=sampling_clip_tol(2, res.successes)
     )
     assert np.linalg.norm(rec.mat - eta.mat) <= 0.02
+
+
+def g_statistic(counts, p):
+    """The G statistic ``2 sum_mu n_mu ln(n_mu / (N p_mu))`` of counts against probabilities."""
+    seen = counts > 0
+    return 2.0 * float(np.sum(counts[seen] * np.log(counts[seen] / (counts.sum() * p[seen]))))
+
+
+def binomial_band(n, p, delta):
+    """The [lo, hi] that Binomial(n, p) leaves with probability at most ``delta / 2``
+    on either side."""
+    cdf = np.cumsum([math.comb(n, k) * p**k * (1.0 - p) ** (n - k) for k in range(n + 1)])
+    return int(np.searchsorted(cdf, delta / 2, side="right")), int(np.searchsorted(cdf, 1 - delta / 2))
+
+
+def test_shot_loop_is_calibrated_against_the_density_rule():
+    """The G test of a run's outcome counts against ``prob_coarse`` rejects at its 5% level.
+
+    Each of 300 fixed seeds draws a two-member d = 2 ensemble and a
+    3-outcome detailed measurement and runs 2,000 shots (148-967
+    successes).  If each run rejected independently with probability
+    0.05 (G above chi^2_2's 95% point, -2 ln 0.05), the number of
+    rejections would leave the band [3, 32] with probability 5.2e-5, below
+    1e-4; that is the test's false-failure probability.  G is chi^2_2
+    only asymptotically: 5.4% of the runs of 3,000 other seeds rejected.
+    The seeds are fixed, so the outcome is deterministic; here 19 runs
+    reject.  A biased table or tally makes most runs reject.
+    """
+    runs = 300
+    lo, hi = binomial_band(runs, 0.05, 1e-4)
+    assert (lo, hi) == (3, 32)
+    threshold = -2.0 * math.log(0.05)
+    rejected = 0
+    for seed in range(runs):
+        rng = np.random.default_rng(seed)
+        ens = random_ensemble(rng, 2, n_members=2)
+        m = random_complete_measurement(rng, 2, n_outcomes=3)
+        res = simulate(SimConfig.fixed(ens, m, 2000, seed))
+        g = g_statistic(res.outcome_counts_for(0), prob_coarse(density_from_ensemble(ens), m))
+        rejected += g > threshold
+    assert lo <= rejected <= hi
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +425,14 @@ def test_grouped_shot_loop_matches_the_mask_loop():
     assert np.count_nonzero(want_attempted[3] == 0) > 0
     _, basis_cum, _ = loop_tables(cfg)[0]
     assert basis_cum[0, 0] == 0.0
+    want = flat_tallies(want_attempted, want_counts)
+    res = simulate(cfg)
+    assert_same_tallies(flat_tallies(res.attempted, res.choice_counts), want)
     for ranges in (
-        None,
         [(0, CHUNK - 1), (CHUNK - 1, CHUNK + 1), (CHUNK + 1, cfg.shots)],
         [(2 * CHUNK, cfg.shots), (CHUNK // 2, 2 * CHUNK), (0, CHUNK // 2)],
     ):
-        res = simulate(cfg, _ranges=ranges)
-        assert np.array_equal(res.attempted, want_attempted)
-        for got, want in zip(res.choice_counts, want_counts, strict=True):
-            assert np.array_equal(got, want)
+        assert_same_tallies(split_tallies(cfg, ranges), want)
 
 
 def test_splits_at_slice_and_chunk_edges_tally_as_one_pass():
@@ -391,12 +441,10 @@ def test_splits_at_slice_and_chunk_edges_tally_as_one_pass():
     # move a tally.
     cfg = wide_policy_config()
     whole = simulate(cfg)
+    want = flat_tallies(whole.attempted, whole.choice_counts)
     edge = montecarlo._SLICE
     for split in (edge - 1, edge, edge + 1, CHUNK - 1, CHUNK + 1):
-        res = simulate(cfg, _ranges=[(0, split), (split, cfg.shots)])
-        assert np.array_equal(res.attempted, whole.attempted)
-        for got, want in zip(res.choice_counts, whole.choice_counts, strict=True):
-            assert np.array_equal(got, want)
+        assert_same_tallies(split_tallies(cfg, [(0, split), (split, cfg.shots)]), want)
 
 
 def test_the_shot_loop_holds_one_slice_at_a_time():
@@ -703,7 +751,7 @@ def test_success_test_is_exact_at_each_threshold(rng, monkeypatch):
     assert np.array_equal(branch, np.repeat(np.arange(6), 3))
     wins = draws[:, 3] * 2.0**-53 < succ[branch]
     want = np.bincount(tables.outcome_of[0][branch[wins]], minlength=2)
-    assert np.array_equal(simulate(cfg).counts, want)
+    assert np.array_equal(simulate(cfg).outcome_counts_for(0), want)
 
 
 def assert_matches_mask_loop(cfg):
